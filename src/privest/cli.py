@@ -7,7 +7,8 @@ Subcommands:
     audit        exact enumeration / Monte-Carlo verification of the channels
     rates        evaluate closed-form minimax reference curves to CSV
 
-Exit codes: 0 success, 1 audit violation, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 1 audit violation, 2 configuration error (including
+out-of-domain records and inputs an audit cannot handle), 3 I/O error.
 ``--seed`` falls back to the LDP_SEED environment variable, then to 0.
 """
 
@@ -21,7 +22,15 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import bounds
-from .core import ConfigError, ParameterError, PrivacyLevel, make_rng
+from .core import (
+    ConfigError,
+    DomainError,
+    ParameterError,
+    PrivacyLevel,
+    SizeError,
+    UnsupportedChannelError,
+    make_rng,
+)
 from .estimators import (
     MomentAssumption,
     density_estimate,
@@ -315,6 +324,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ParameterError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except (DomainError, SizeError, UnsupportedChannelError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -214,9 +214,39 @@ def _run_mean_scalar(spec, timing):
     return records
 
 
+# Entries (512 KB of float64) per chunk of the running sum in _prefix_means.
+_PREFIX_CHUNK = 1 << 16
+
+
 def _prefix_means(z, grid):
-    csum = np.cumsum(z, axis=0)
-    return [(n, csum[n - 1] / n) for n in grid]
+    """Mean of the first n rows of z for each n of the increasing grid.
+
+    Each mean equals ``np.cumsum(z, axis=0)[n - 1] / n`` bit for bit, but
+    only the grid rows are formed.  A running sum is folded through z one
+    chunk at a time: each chunk is copied into a C-contiguous buffer below
+    the sum so far.  On such a buffer of width >= 2, numpy's axis-0 sum adds
+    the rows one after another, which is the order of cumsum;
+    ``initial=-0.0`` is an exact identity, so even signed zeros match.  A
+    single column would be summed pairwise instead, so it takes the cumsum
+    of its n entries.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 1 or z.shape[1] == 1:
+        csum = np.cumsum(z, axis=0)
+        return [(n, csum[n - 1] / n) for n in grid]
+    d = z.shape[1]
+    rows = max(1, _PREFIX_CHUNK // d)
+    buf = np.empty((rows + 1, d))
+    buf[0] = -0.0
+    out, prev = [], 0
+    for n in grid:
+        for lo in range(prev, n, rows):
+            k = min(rows, n - lo)
+            buf[1 : k + 1] = z[lo : lo + k]
+            buf[0] = np.add.reduce(buf[: k + 1], axis=0, initial=-0.0)
+        out.append((n, buf[0] / n))
+        prev = n
+    return out
 
 
 def _run_mean_vector(spec, timing):

@@ -176,7 +176,9 @@ def _truncated_laplace_batch(x, assumption, n, level, rng):
     t_level = truncation_level(assumption, n, level)
     x = np.asarray(x, dtype=float)
     _count(x.size)
-    return clamp(x, t_level) + laplace_sample(rng, level.epsilon / (2.0 * t_level), size=x.shape)
+    noise = laplace_sample(rng, level.epsilon / (2.0 * t_level), size=x.shape)
+    noise += clamp(x, t_level)
+    return noise
 
 
 def naive_median_channel(
@@ -205,7 +207,9 @@ def _naive_median_batch(x, radius, level, rng, one_sided=False):
     lo = 0.0 if one_sided else -radius
     x = np.asarray(x, dtype=float)
     _count(x.size)
-    return np.clip(x, lo, radius) + laplace_sample(rng, level.epsilon / (2.0 * radius), size=x.shape)
+    noise = laplace_sample(rng, level.epsilon / (2.0 * radius), size=x.shape)
+    noise += np.clip(x, lo, radius)
+    return noise
 
 
 def sign_rr_channel(s: float, level: PrivacyLevel, rng: np.random.Generator) -> float:
@@ -293,20 +297,26 @@ def _l2_ball_batch(x, radius, level, rng):
         raise DomainError(
             f"record {i}: ||x||_2 = {norms[i]:.6g} exceeds the channel radius {radius:.6g}"
         )
-    directions = np.zeros_like(x)
-    nz = norms > 0.0
-    directions[nz] = x[nz] / norms[nz, None]
-    if np.any(~nz):
-        directions[~nz] = uniform_sphere(rng, d, size=int((~nz).sum()))
+    zero = norms == 0.0
+    n_zero = int(np.count_nonzero(zero))
+    if n_zero:
+        directions = uniform_sphere(rng, d, size=n_zero)
     # sign prob 1/2 + ||x||/(2r); reduces to a fair sign for zero records
     sign = np.where(rng.random(n) < 0.5 + norms / (2.0 * radius), 1.0, -1.0)
-    x_rounded = radius * sign[:, None] * directions
     t_sign = np.where(rng.random(n) < level.pi_eps, 1.0, -1.0)
     u = uniform_sphere(rng, d, size=n)
-    ip = np.einsum("ij,ij->i", u, x_rounded)
+    # The rounded input is radius * sign * x/||x||, so for a nonzero record
+    # the side of <u, x_rounded> is that of sign * <u, x>; only zero records
+    # need the inner product with their drawn direction.
+    ip = sign * np.einsum("ij,ij->i", u, x)
+    if n_zero:
+        x_rounded = radius * sign[zero, None] * directions
+        ip[zero] = np.einsum("ij,ij->i", u[zero], x_rounded)
     side = np.where(ip >= 0.0, 1.0, -1.0)
     _count(n)
-    return l2_bound_B(d, radius, level) * u * (side * t_sign)[:, None]
+    u *= l2_bound_B(d, radius, level)
+    u *= (side * t_sign)[:, None]
+    return u
 
 
 def linf_ball_channel(
@@ -357,15 +367,18 @@ def _linf_ball_batch(x, radius, level, rng):
         raise DomainError(
             f"record {i}: ||x||_inf = {amax[i]:.6g} exceeds the channel radius {radius:.6g}"
         )
-    x_rounded = np.where(rng.random((n, d)) < 0.5 + x / (2.0 * radius), 1.0, -1.0)
-    v = np.where(rng.random((n, d)) < 0.5, 1.0, -1.0)
-    ip = np.einsum("ij,ij->i", v, x_rounded)
+    # Rounded input and vertex stay boolean (True = +1): their inner product
+    # is d minus twice the number of disagreeing coordinates, exactly.
+    rounded = rng.random((n, d)) < 0.5 + x / (2.0 * radius)
+    vertex = rng.random((n, d)) < 0.5
+    ip = d - 2 * np.count_nonzero(np.not_equal(rounded, vertex, out=rounded), axis=1)
     p_plus = 0.5 * (1.0 + cube_tie_gamma(d) / level.phi_eps)
     side = np.where(rng.random(n) < p_plus, 1.0, -1.0)
     # ties (ip == 0) pass through with sign(ip) treated as +1 and no flip
-    flip = np.where(ip == 0.0, 1.0, np.sign(ip) * side)
+    flip = np.where(ip == 0, 1.0, np.sign(ip) * side)
     _count(n)
-    return linf_bound_B(d, radius, level) * v * flip[:, None]
+    signed_bound = (linf_bound_B(d, radius, level) * flip)[:, None]
+    return np.where(vertex, signed_bound, -signed_bound)
 
 
 def laplace_vector_channel(
@@ -415,7 +428,9 @@ def _laplace_vector_batch(x, radius, level, sensitivity_norm, rng):
     n, d = x.shape
     inv = _laplace_vector_inv_scale(x, d, radius, level, sensitivity_norm)
     _count(n)
-    return x + laplace_sample(rng, inv, size=(n, d))
+    noise = laplace_sample(rng, inv, size=(n, d))
+    noise += x
+    return noise
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +539,9 @@ class Channel:
             return _naive_median_batch(x, self.radius, self.level, rng, self.one_sided)
         x = np.asarray(x, dtype=float)
         _count(x.size)
-        return clamp(x, self.radius) + laplace_sample(
-            rng, self.level.epsilon / (2.0 * self.radius), size=x.shape
-        )
+        noise = laplace_sample(rng, self.level.epsilon / (2.0 * self.radius), size=x.shape)
+        noise += clamp(x, self.radius)
+        return noise
 
     def support_points(self) -> np.ndarray:
         """Exact output support for discrete-output kinds (audit helper)."""

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,22 @@ def test_bench_bad_config_returns_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"name": "x"}))
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_out_of_domain_record_exits_2_without_traceback(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "privest.cli", "mech-sample", "--mechanism", "l2_ball",
+         "--x", "2,0", "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
+    assert "exceeds the channel radius" in proc.stderr
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_io_error_returns_3(tmp_path):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from privest.core import ConfigError
+from privest.core import ConfigError, make_rng
 from privest.experiments import (
     CSV_HEADER,
     ExperimentSpec,
     RunRecord,
+    _prefix_means,
     build_preset,
     emit_csv,
     nearest_rank,
@@ -32,6 +33,22 @@ def _tiny_spec(mechanism="optimal", **overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+class TestPrefixMeans:
+    @pytest.mark.parametrize("d", [1, 2, 27, 64])
+    @pytest.mark.parametrize("grid", [tuple(2**k for k in range(13)), (3000,)])
+    def test_equals_cumsum_rows_bit_for_bit(self, d, grid):
+        z = make_rng(40, d).standard_normal((max(grid), d))
+        z[:2] = -0.0
+        csum = np.cumsum(z, axis=0)
+        for layout in (z, np.asfortranarray(z)):
+            got = _prefix_means(layout, grid)
+            assert [n for n, _ in got] == list(grid)
+            for n, mean in got:
+                want = csum[n - 1] / n
+                assert np.array_equal(mean, want)
+                assert np.array_equal(np.signbit(mean), np.signbit(want))
 
 
 class TestSpecValidation:

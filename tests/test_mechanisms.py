@@ -3,15 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from privest.core import DomainError, ParameterError, PrivacyLevel, make_rng
+from privest.core import (
+    DomainError,
+    ParameterError,
+    PrivacyLevel,
+    laplace_sample,
+    make_rng,
+    uniform_sphere,
+)
 from privest.audit import halfspace_expectation_cube, sphere_halfspace_mean_quadrature
 from privest.mechanisms import (
     Channel,
     ChannelKind,
     MomentAssumption,
     _l2_ball_batch,
+    _laplace_vector_batch,
     _linf_ball_batch,
+    _naive_median_batch,
+    _truncated_laplace_batch,
     cube_halfspace_mean,
+    cube_tie_gamma,
     cube_vertices,
     l2_ball_channel,
     l2_bound_B,
@@ -175,6 +186,84 @@ class TestLinfBall:
         gap = singles.mean(axis=0) - batch.mean(axis=0)
         joint_se = np.sqrt(singles.var(axis=0, ddof=1) / n + batch.var(axis=0, ddof=1) / n)
         assert np.all(np.abs(gap) <= 5.0 * joint_se)
+
+
+def _l2_ball_reference(x, radius, level, rng):
+    """The l2 batch kernel as first written, with (n, d) float temporaries."""
+    n, d = x.shape
+    norms = np.linalg.norm(x, axis=1)
+    directions = np.zeros_like(x)
+    nz = norms > 0.0
+    directions[nz] = x[nz] / norms[nz, None]
+    if np.any(~nz):
+        directions[~nz] = uniform_sphere(rng, d, size=int((~nz).sum()))
+    sign = np.where(rng.random(n) < 0.5 + norms / (2.0 * radius), 1.0, -1.0)
+    x_rounded = radius * sign[:, None] * directions
+    t_sign = np.where(rng.random(n) < level.pi_eps, 1.0, -1.0)
+    u = uniform_sphere(rng, d, size=n)
+    ip = np.einsum("ij,ij->i", u, x_rounded)
+    side = np.where(ip >= 0.0, 1.0, -1.0)
+    return l2_bound_B(d, radius, level) * u * (side * t_sign)[:, None]
+
+
+def _linf_ball_reference(x, radius, level, rng):
+    """The hypercube batch kernel as first written, with float +/-1 arrays."""
+    n, d = x.shape
+    x_rounded = np.where(rng.random((n, d)) < 0.5 + x / (2.0 * radius), 1.0, -1.0)
+    v = np.where(rng.random((n, d)) < 0.5, 1.0, -1.0)
+    ip = np.einsum("ij,ij->i", v, x_rounded)
+    p_plus = 0.5 * (1.0 + cube_tie_gamma(d) / level.phi_eps)
+    side = np.where(rng.random(n) < p_plus, 1.0, -1.0)
+    flip = np.where(ip == 0.0, 1.0, np.sign(ip) * side)
+    return linf_bound_B(d, radius, level) * v * flip[:, None]
+
+
+def _assert_pinned(kernel, reference, x, radius, level, seed):
+    ours, theirs = make_rng(seed), make_rng(seed)
+    got = kernel(x, radius, level, ours)
+    want = reference(x, radius, level, theirs)
+    assert np.array_equal(got, want)
+    # the same draws were consumed: both generators are left in one state
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestKernelPins:
+    """The batch kernels reproduce their first formulation bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_l2_with_zero_norm_rows(self, seed):
+        x = make_rng(100 + seed).uniform(-0.5, 0.5, size=(500, 5))
+        x[::7] = 0.0
+        _assert_pinned(_l2_ball_batch, _l2_ball_reference, x, 1.3, ONE, seed)
+
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    def test_l2_without_zero_rows(self, d):
+        x = uniform_sphere(make_rng(200 + d), d, size=2000) * 0.9
+        _assert_pinned(_l2_ball_batch, _l2_ball_reference, x, 1.0, LN3, d)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_linf_even_d_ties(self, seed):
+        x = make_rng(300 + seed).uniform(-1.0, 1.0, size=(2000, 4))
+        _assert_pinned(_linf_ball_batch, _linf_ball_reference, x, 1.0, ONE, seed)
+
+    @pytest.mark.parametrize("d", [1, 27])
+    def test_linf_centred_binary_rows(self, d):
+        x = np.where(make_rng(400 + d).random((2000, d)) < 0.3, 0.5, -0.5)
+        _assert_pinned(_linf_ball_batch, _linf_ball_reference, x, 0.5, PrivacyLevel(0.5), d)
+
+    def test_laplace_kernels_add_data_to_noise(self):
+        x = make_rng(500).uniform(0.0, 1.0, size=(300, 3))
+        level = PrivacyLevel(0.7)
+        got = _laplace_vector_batch(x, 1.0, level, "l1", make_rng(501))
+        assert np.array_equal(got, x + laplace_sample(make_rng(501), 0.7 / 3.0, size=(300, 3)))
+        s = x[:, 0] * 4.0 - 2.0
+        got = _naive_median_batch(s, 1.0, level, make_rng(502), one_sided=True)
+        want = np.clip(s, 0.0, 1.0) + laplace_sample(make_rng(502), 0.35, size=s.shape)
+        assert np.array_equal(got, want)
+        assumption = MomentAssumption(k=math.inf, radius_k=1.5)
+        got = _truncated_laplace_batch(s, assumption, 300, level, make_rng(503))
+        want = np.clip(s, -1.5, 1.5) + laplace_sample(make_rng(503), 0.7 / 3.0, size=s.shape)
+        assert np.array_equal(got, want)
 
 
 class TestSignRR:
