@@ -28,6 +28,10 @@ from .mechanisms import (
 # sup-norm bound of the non-constant trigonometric basis elements
 ORTH_BOUND = math.sqrt(2.0)
 
+# Entries per row block of the basis evaluation and of a running-sum fold.
+_BASIS_BLOCK = 1 << 15
+_FOLD_BLOCK = 1 << 16
+
 
 @dataclass
 class SgdState:
@@ -397,6 +401,11 @@ def _logistic_sgd_paths(
 # density estimation
 
 
+def _check_unit_interval(t, message):
+    if t.size and not (t.min() >= 0.0 and t.max() <= 1.0):  # NaN fails too
+        raise DomainError(message)
+
+
 def trig_basis_eval(j: int, t):
     """Evaluate the j-th trigonometric basis element on t in [0, 1].
 
@@ -411,8 +420,7 @@ def trig_basis_eval(j: int, t):
     if j == 1:
         raise ParameterError("index 1 is the degenerate frequency-zero sine; not a basis element")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise DomainError("basis argument must lie in [0, 1]")
+    _check_unit_interval(t, "basis argument must lie in [0, 1]")
     if j == 0:
         out = np.ones_like(t)
     elif j % 2 == 0:
@@ -422,27 +430,74 @@ def trig_basis_eval(j: int, t):
     return float(out) if out.ndim == 0 else out
 
 
-def trig_basis_matrix(k: int, t) -> np.ndarray:
+def trig_basis_matrix(k: int, t, out=None) -> np.ndarray:
     """Matrix of the first k non-constant basis elements at points t.
 
     Column c (0-based) holds basis element c + 2, i.e. the order is
     cos 1, sin 1, cos 2, sin 2, ...; every entry is bounded by sqrt(2).
     The first k columns for any larger order are identical, so bases of
-    different orders can share one matrix.
+    different orders can share one matrix.  ``out``, if given, is the
+    (t.size, k) float array to fill.  Row blocks go through one reused
+    contiguous buffer: the same elementwise operations as on the whole matrix.
     """
     if k < 1:
         raise ParameterError(f"need at least one basis element, got k={k}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise DomainError("basis argument must lie in [0, 1]")
-    out = np.empty((t.size, k))
+    _check_unit_interval(t, "basis argument must lie in [0, 1]")
+    if out is None:
+        out = np.empty((t.size, k))
     n_cos = (k + 1) // 2
-    n_sin = k // 2
+    freqs = np.arange(1, n_cos + 1)
     two_pi_t = 2.0 * math.pi * t[:, None]
-    out[:, 0::2] = ORTH_BOUND * np.cos(two_pi_t * np.arange(1, n_cos + 1))
-    if n_sin:
-        out[:, 1::2] = ORTH_BOUND * np.sin(two_pi_t * np.arange(1, n_sin + 1))
+    rows = max(1, _BASIS_BLOCK // k)
+    buf = np.empty(min(rows, t.size) * n_cos)
+    for lo in range(0, t.size, rows):
+        hi = min(lo + rows, t.size)
+        for fn, m, col in ((np.cos, n_cos, 0), (np.sin, k // 2, 1)):
+            arg = buf[: (hi - lo) * m].reshape(hi - lo, m)
+            np.multiply(two_pi_t[lo:hi], freqs[:m], out=arg)
+            np.multiply(fn(arg, out=arg), ORTH_BOUND, out=out[lo:hi, col::2])
     return out
+
+
+def _running_means(fill, d, grid):
+    """Mean of the first n rows of an (N, d) array, d >= 2, for each n of the increasing grid.
+
+    ``fill(lo, out)`` writes rows lo, lo + 1, ... into ``out``, a block that
+    sits below the sum so far in one C-contiguous buffer.  There numpy's
+    axis-0 sum adds rows one after another, as cumsum and an axis-0 mean do,
+    so each mean is theirs bit for bit (``initial=-0.0`` is an exact identity).
+    """
+    rows = max(1, _FOLD_BLOCK // d)
+    buf = np.empty((rows + 1, d))
+    buf[0] = -0.0
+    out, prev = [], 0
+    for n in grid:
+        for lo in range(prev, n, rows):
+            r = min(rows, n - lo)
+            fill(lo, buf[1 : r + 1])
+            buf[0] = np.add.reduce(buf[: r + 1], axis=0, initial=-0.0)
+        out.append((n, buf[0] / n))
+        prev = n
+    return out
+
+
+def _projection_coeffs(data, k_for, basis):
+    """Map each n of ``k_for`` (n -> order k, n increasing) to ``basis(k, data[:n]).mean(axis=0)``.
+
+    Bit for bit, from one running sum of basis rows at the largest order
+    (lower orders are column prefixes).  numpy sums a single column
+    pairwise, so k = 1 cells evaluate their column whole.
+    """
+    k_max = max(k_for.values())
+    coeffs = {}
+    if k_max > 1:
+        fill = lambda lo, out: basis(k_max, data[lo : lo + len(out)], out=out)
+        coeffs = {n: mean[: k_for[n]] for n, mean in _running_means(fill, k_max, list(k_for))}
+    for n, k in k_for.items():
+        if k == 1:
+            coeffs[n] = basis(1, data[:n]).mean(axis=0)
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -457,16 +512,11 @@ class DensityEstimate:
     k: int
     coeffs: np.ndarray
     beta: float
-    orth_bound: float = ORTH_BOUND
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         values = 1.0 + trig_basis_matrix(self.k, np.atleast_1d(t)) @ self.coeffs
         return float(values[0]) if t.ndim == 0 else values
-
-    def integral(self) -> float:
-        """Integral over [0, 1]; exactly 1 because non-constant elements integrate to 0."""
-        return 1.0
 
 
 def series_bandwidth(n: int, level: PrivacyLevel, beta: float) -> int:
@@ -494,15 +544,14 @@ def density_estimate(
         raise ParameterError("density estimation needs at least 2 observations")
     if not (beta > 0.5):
         raise ParameterError(f"smoothness beta must be > 1/2, got {beta!r}")
-    if np.any(data < 0.0) or np.any(data > 1.0):
-        raise DomainError("density observations must lie in [0, 1]")
+    _check_unit_interval(data, "density observations must lie in [0, 1]")
     if k is None:
         if level is None:
             raise ParameterError("classical mode needs an explicit basis order k")
         k = series_bandwidth(data.size, level, beta)
-    basis_values = trig_basis_matrix(k, data)
     if level is None:
-        coeffs = basis_values.mean(axis=0)
+        coeffs = _projection_coeffs(data, {data.size: k}, trig_basis_matrix)[data.size]
     else:
+        basis_values = trig_basis_matrix(k, data)
         coeffs = _linf_ball_batch(basis_values, ORTH_BOUND, level, rng).mean(axis=0)
     return DensityEstimate(k=k, coeffs=coeffs, beta=beta)

@@ -26,6 +26,8 @@ from .estimators import (
     MomentAssumption,
     _logistic_sgd_paths,
     _median_sgd_paths,
+    _projection_coeffs,
+    _running_means,
     series_bandwidth,
     soft_threshold,
     sparse_mean_threshold,
@@ -214,39 +216,23 @@ def _run_mean_scalar(spec, timing):
     return records
 
 
-# Entries (512 KB of float64) per chunk of the running sum in _prefix_means.
-_PREFIX_CHUNK = 1 << 16
-
-
 def _prefix_means(z, grid):
     """Mean of the first n rows of z for each n of the increasing grid.
 
     Each mean equals ``np.cumsum(z, axis=0)[n - 1] / n`` bit for bit, but
-    only the grid rows are formed.  A running sum is folded through z one
-    chunk at a time: each chunk is copied into a C-contiguous buffer below
-    the sum so far.  On such a buffer of width >= 2, numpy's axis-0 sum adds
-    the rows one after another, which is the order of cumsum;
-    ``initial=-0.0`` is an exact identity, so even signed zeros match.  A
-    single column would be summed pairwise instead, so it takes the cumsum
-    of its n entries.
+    only the grid rows are formed: a running sum is folded through z one
+    block at a time (see :func:`_running_means`).  A single column would be
+    summed pairwise there, so it takes the cumsum of its n entries.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim == 1 or z.shape[1] == 1:
         csum = np.cumsum(z, axis=0)
         return [(n, csum[n - 1] / n) for n in grid]
-    d = z.shape[1]
-    rows = max(1, _PREFIX_CHUNK // d)
-    buf = np.empty((rows + 1, d))
-    buf[0] = -0.0
-    out, prev = [], 0
-    for n in grid:
-        for lo in range(prev, n, rows):
-            k = min(rows, n - lo)
-            buf[1 : k + 1] = z[lo : lo + k]
-            buf[0] = np.add.reduce(buf[: k + 1], axis=0, initial=-0.0)
-        out.append((n, buf[0] / n))
-        prev = n
-    return out
+
+    def fill(lo, out):
+        out[...] = z[lo : lo + len(out)]
+
+    return _running_means(fill, z.shape[1], grid)
 
 
 def _run_mean_vector(spec, timing):
@@ -410,16 +396,21 @@ def _run_density(spec, timing):
         start = time.perf_counter()
         data = gen.sample(max(spec.n_grid), make_rng(spec.seed, 0, rep))
         rng = make_rng(spec.seed, 2, _ARM_TAG[spec.mechanism], rep)
-        # lower basis orders are column prefixes, so one build serves all n
-        basis_data = trig_basis_matrix(k_max, data)
+        if spec.mechanism == "nonprivate":
+            # streamed: the N x k_max basis of the data is never formed; the
+            # basis is looked up here at call time, as perfbench's tracer expects
+            coeffs = _projection_coeffs(data, k_for, trig_basis_matrix)
+        else:
+            # lower basis orders are column prefixes, so one build serves all n
+            basis_data = trig_basis_matrix(k_max, data)
+            coeffs = {
+                n: _linf_ball_batch(basis_data[:n, :k_for[n]], ORTH_BOUND, level, rng).mean(axis=0)
+                for n in spec.n_grid
+            }
         values = []
         for n in spec.n_grid:
             k = k_for[n]
-            if spec.mechanism == "nonprivate":
-                coeffs = basis_data[:n, :k].mean(axis=0)
-            else:
-                coeffs = _linf_ball_batch(basis_data[:n, :k], ORTH_BOUND, level, rng).mean(axis=0)
-            f_hat = 1.0 + basis_quad[:, :k] @ coeffs
+            f_hat = 1.0 + basis_quad[:, :k] @ coeffs[n]
             values.append((n, float(np.trapezoid((f_hat - f_true) ** 2, t))))
         elapsed = (time.perf_counter() - start) * 1e3 if timing else 0.0
         records.extend(_emit(spec, rep, values, elapsed))

@@ -44,6 +44,9 @@ MAX_REJECTION_ATTEMPTS = 10_000
 # Relative slack on domain checks, to absorb float dust from callers.
 _DOMAIN_SLACK = 1e-9
 
+# Entries per row block of the hypercube kernel's draws.
+_LINF_BLOCK = 1 << 15
+
 # Count of raw records pushed through any channel; test-only bookkeeping
 # used to assert the one-channel-call-per-record privacy structure.
 _records_privatized = 0
@@ -240,7 +243,7 @@ def _sign_rr_batch(s, level, rng):
 
 def _check_l2_domain(x, radius):
     norm = float(np.linalg.norm(x))
-    if norm > radius * (1.0 + _DOMAIN_SLACK):
+    if not (norm <= radius * (1.0 + _DOMAIN_SLACK)):  # NaN fails too
         raise DomainError(f"||x||_2 = {norm:.6g} exceeds the channel radius {radius:.6g}")
     return norm
 
@@ -291,9 +294,9 @@ def _l2_ball_batch(x, radius, level, rng):
     if not (radius > 0.0):
         raise ParameterError(f"radius must be > 0, got {radius!r}")
     norms = np.linalg.norm(x, axis=1)
-    bad = norms > radius * (1.0 + _DOMAIN_SLACK)
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    limit = radius * (1.0 + _DOMAIN_SLACK)
+    if n and not (norms.max() <= limit):  # NaN fails too
+        i = int(np.argmax(~(norms <= limit)))
         raise DomainError(
             f"record {i}: ||x||_2 = {norms[i]:.6g} exceeds the channel radius {radius:.6g}"
         )
@@ -338,10 +341,9 @@ def linf_ball_channel(
     d = x.size
     if not (radius > 0.0):
         raise ParameterError(f"radius must be > 0, got {radius!r}")
-    if np.max(np.abs(x)) > radius * (1.0 + _DOMAIN_SLACK):
-        raise DomainError(
-            f"||x||_inf = {np.max(np.abs(x)):.6g} exceeds the channel radius {radius:.6g}"
-        )
+    amax = np.max(np.abs(x))
+    if not (amax <= radius * (1.0 + _DOMAIN_SLACK)):
+        raise DomainError(f"||x||_inf = {amax:.6g} exceeds the channel radius {radius:.6g}")
     x_rounded = np.where(rng.random(d) < 0.5 + x / (2.0 * radius), 1.0, -1.0)
     v = np.where(rng.random(d) < 0.5, 1.0, -1.0)
     ip = float(v @ x_rounded)
@@ -355,22 +357,37 @@ def linf_ball_channel(
 
 
 def _linf_ball_batch(x, radius, level, rng):
-    """Vectorized hypercube channel for an (n, d) batch (same law)."""
+    """Vectorized hypercube channel for an (n, d) batch (same law).
+
+    The (n, d) uniform draws fill one reused buffer block by block, the
+    stream of one large draw; only their boolean comparisons are kept.
+    """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     if not (radius > 0.0):
         raise ParameterError(f"radius must be > 0, got {radius!r}")
-    amax = np.max(np.abs(x), axis=1)
-    bad = amax > radius * (1.0 + _DOMAIN_SLACK)
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    # one global test (NaN fails it too); the record is found only on failure
+    limit = radius * (1.0 + _DOMAIN_SLACK)
+    if x.size and not (max(x.max(), -x.min()) <= limit):
+        amax = np.max(np.abs(x), axis=1)
+        i = int(np.argmax(~(amax <= limit)))
         raise DomainError(
             f"record {i}: ||x||_inf = {amax[i]:.6g} exceeds the channel radius {radius:.6g}"
         )
     # Rounded input and vertex stay boolean (True = +1): their inner product
     # is d minus twice the number of disagreeing coordinates, exactly.
-    rounded = rng.random((n, d)) < 0.5 + x / (2.0 * radius)
-    vertex = rng.random((n, d)) < 0.5
+    rounded = np.empty((n, d), dtype=bool)
+    vertex = np.empty((n, d), dtype=bool)
+    rows = max(1, _LINF_BLOCK // max(d, 1))
+    u = np.empty((min(rows, n), d))
+    threshold = np.empty_like(u)
+    for lo in range(0, n, rows):
+        r = min(rows, n - lo)
+        np.add(np.divide(x[lo : lo + r], 2.0 * radius, out=threshold[:r]), 0.5, out=threshold[:r])
+        np.less(rng.random(out=u[:r]), threshold[:r], out=rounded[lo : lo + r])
+    for lo in range(0, n, rows):
+        r = min(rows, n - lo)
+        np.less(rng.random(out=u[:r]), 0.5, out=vertex[lo : lo + r])
     ip = d - 2 * np.count_nonzero(np.not_equal(rounded, vertex, out=rounded), axis=1)
     p_plus = 0.5 * (1.0 + cube_tie_gamma(d) / level.phi_eps)
     side = np.where(rng.random(n) < p_plus, 1.0, -1.0)

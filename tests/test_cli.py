@@ -83,20 +83,37 @@ def test_bench_bad_config_returns_2(tmp_path):
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_out_of_domain_record_exits_2_without_traceback(tmp_path):
+def _run_cli(*args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "privest.cli", "mech-sample", "--mechanism", "l2_ball",
-         "--x", "2,0", "--out", str(tmp_path / "o.csv")],
+    return subprocess.run(
+        [sys.executable, "-m", "privest.cli", *args],
         capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_out_of_domain_record_exits_2_without_traceback(tmp_path):
+    proc = _run_cli(
+        "mech-sample", "--mechanism", "l2_ball", "--x", "2,0", "--out", str(tmp_path / "o.csv")
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
     assert "exceeds the channel radius" in proc.stderr
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("mechanism", ["linf_ball", "l2_ball"])
+def test_nan_record_exits_2(tmp_path, mechanism):
+    proc = _run_cli(
+        "mech-sample", "--mechanism", mechanism, "--x", "nan,0", "--n", "3",
+        "--out", str(tmp_path / "z.csv"),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "exceeds the channel radius" in proc.stderr
+    assert not (tmp_path / "z.csv").exists()
 
 
 def test_io_error_returns_3(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from privest.core import ConfigError, make_rng
+from privest.estimators import _FOLD_BLOCK, _projection_coeffs, trig_basis_matrix
 from privest.experiments import (
     CSV_HEADER,
     ExperimentSpec,
@@ -49,6 +50,24 @@ class TestPrefixMeans:
                 want = csum[n - 1] / n
                 assert np.array_equal(mean, want)
                 assert np.array_equal(np.signbit(mean), np.signbit(want))
+
+
+class TestProjectionCoeffs:
+    """Streamed non-private density coefficients equal the materialised basis means."""
+
+    @pytest.mark.parametrize("k_for", [
+        {1000: 1, 5000: 2, 70_001: 23, 150_007: 64},
+        {3: 1, 4100: 16, 9000: 20, 100_003: 47},
+        {10: 1, 20: 1},
+        {_FOLD_BLOCK // 64: 64, 5 * _FOLD_BLOCK // 64: 64},
+    ])
+    def test_equals_basis_means_bit_for_bit(self, k_for):
+        data = make_rng(45).random(max(k_for) + 13)
+        got = _projection_coeffs(data, k_for, trig_basis_matrix)
+        basis = trig_basis_matrix(max(k_for.values()), data)
+        assert list(got) == list(k_for)
+        for n, k in k_for.items():
+            assert np.array_equal(got[n], basis[:n, :k].mean(axis=0))
 
 
 class TestSpecValidation:

@@ -16,6 +16,7 @@ from privest.mechanisms import (
     Channel,
     ChannelKind,
     MomentAssumption,
+    _LINF_BLOCK,
     _l2_ball_batch,
     _laplace_vector_batch,
     _linf_ball_batch,
@@ -251,6 +252,27 @@ class TestKernelPins:
         x = np.where(make_rng(400 + d).random((2000, d)) < 0.3, 0.5, -0.5)
         _assert_pinned(_linf_ball_batch, _linf_ball_reference, x, 0.5, PrivacyLevel(0.5), d)
 
+    @pytest.mark.parametrize("d", [1, 8, 23, 64])
+    def test_linf_spans_several_row_blocks(self, d):
+        n = 3 * max(1, _LINF_BLOCK // d) + 5
+        x = make_rng(600 + d).uniform(-1.0, 1.0, size=(n, d))
+        _assert_pinned(_linf_ball_batch, _linf_ball_reference, x, 1.0, ONE, d)
+
+    def test_linf_empty_batch(self):
+        _assert_pinned(_linf_ball_batch, _linf_ball_reference, np.empty((0, 5)), 1.0, ONE, 0)
+
+    def test_linf_domain_error_names_first_offending_record(self):
+        rows = _LINF_BLOCK // 8
+        x = make_rng(610).uniform(-0.5, 0.5, size=(3 * rows + 5, 8))
+        x[5, 2] = 1.0 + 1e-10  # within the relative slack: accepted
+        x[rows + 2, 3] = -1.7
+        x[2 * rows + 1, 0] = 2.5
+        with pytest.raises(DomainError) as excinfo:
+            _linf_ball_batch(x, 1.0, ONE, make_rng(0))
+        assert str(excinfo.value) == (
+            f"record {rows + 2}: ||x||_inf = 1.7 exceeds the channel radius 1"
+        )
+
     def test_laplace_kernels_add_data_to_noise(self):
         x = make_rng(500).uniform(0.0, 1.0, size=(300, 3))
         level = PrivacyLevel(0.7)
@@ -264,6 +286,19 @@ class TestKernelPins:
         got = _truncated_laplace_batch(s, assumption, 300, level, make_rng(503))
         want = np.clip(s, -1.5, 1.5) + laplace_sample(make_rng(503), 0.7 / 3.0, size=s.shape)
         assert np.array_equal(got, want)
+
+
+class TestNonFiniteRecords:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ball_channels_reject(self, bad):
+        x = np.zeros((4, 3))
+        x[2, 1] = bad
+        for kernel in (_linf_ball_batch, _l2_ball_batch):
+            with pytest.raises(DomainError, match="record 2"):
+                kernel(x, 1.0, ONE, make_rng(0))
+        for channel in (linf_ball_channel, l2_ball_channel):
+            with pytest.raises(DomainError):
+                channel(x[2], 1.0, ONE, make_rng(0))
 
 
 class TestSignRR:
