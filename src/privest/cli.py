@@ -235,26 +235,25 @@ def _cmd_audit(args) -> int:
 
 def _cmd_rates(args) -> int:
     n_grid = [int(v) for v in args.n_grid.split(",")]
-    if args.curve == "mean":
-        fn = lambda n: bounds.mean_rate(args.k, n, args.eps, args.eps_form)
-        label = f"mean_rate_k{args.k:g}_{args.eps_form}"
-    elif args.curve == "median":
-        fn = lambda n: bounds.median_rate(args.radius, n, args.eps, args.eps_form)
-        label = f"median_rate_{args.eps_form}"
-    elif args.curve == "sparse":
-        fn = lambda n: bounds.sparse_mean_lower(args.d, n, args.eps)
-        label = "sparse_mean_lower_exp"
-    elif args.curve == "logistic":
-        fn = lambda n: bounds.logistic_lower(args.d, n, args.eps)
-        label = "logistic_lower_exp"
-    else:
-        fn = lambda n: bounds.density_rate(args.beta, n, args.eps, args.eps_form)
-        label = f"density_rate_beta{args.beta:g}_{args.eps_form}"
+    if min(n_grid) < 1:
+        raise ConfigError(f"--n-grid entries must be >= 1, got {args.n_grid!r}")
+    form = args.eps_form
+    fn, label, kwargs = {
+        "mean": (bounds.mean_rate, f"mean_rate_k{args.k:g}_{form}",
+                 {"k": args.k, "eps_form": form}),
+        "median": (bounds.median_rate, f"median_rate_{form}",
+                   {"radius": args.radius, "eps_form": form}),
+        "sparse": (bounds.sparse_mean_lower, "sparse_mean_lower_exp", {"d": args.d}),
+        "logistic": (bounds.logistic_lower, "logistic_lower_exp", {"d": args.d}),
+        "density": (bounds.density_rate, f"density_rate_beta{args.beta:g}_{form}",
+                    {"beta": args.beta, "eps_form": form}),
+    }[args.curve]
+    curve = bounds.build_curve(label, fn, n_grid, eps=args.eps, **kwargs)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("label,n,value\n")
-        for n in n_grid:
-            fh.write(f"{label},{n},{format(fn(n), '.17g')}\n")
-    print(f"wrote {len(n_grid)} points to {args.out}")
+        for n, value in curve.points:
+            fh.write(f"{curve.label},{n},{format(value, '.17g')}\n")
+    print(f"wrote {len(curve.points)} points to {args.out}")
     return 0
 
 

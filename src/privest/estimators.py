@@ -11,18 +11,20 @@ i depends on the current iterate, never on other records).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ParameterError, PrivacyLevel, make_rng
+from .core import DomainError, ParameterError, PrivacyLevel
 from .mechanisms import (
+    _DOMAIN_SLACK,
     MomentAssumption,
     _l2_ball_batch,
     _laplace_vector_batch,
     _linf_ball_batch,
     _sign_rr_batch,
     _truncated_laplace_batch,
+    truncation_level,
 )
 
 # sup-norm bound of the non-constant trigonometric basis elements
@@ -31,60 +33,6 @@ ORTH_BOUND = math.sqrt(2.0)
 # Entries per row block of the basis evaluation and of a running-sum fold.
 _BASIS_BLOCK = 1 << 15
 _FOLD_BLOCK = 1 << 16
-
-
-@dataclass
-class SgdState:
-    """Mutable SGD carrier: current iterate, step count, running iterate sum.
-
-    ``theta_sum / step_index`` is the Polyak average of the iterates at
-    which gradients have been evaluated.  ``step_size`` maps the 1-based
-    step index to gamma_i.
-    """
-
-    theta: np.ndarray
-    step_size: object
-    proj_lo: float | None = None
-    proj_hi: float | None = None
-    proj_l2: float | None = None
-    step_index: int = 0
-    theta_sum: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.theta_sum is None:
-            self.theta_sum = np.zeros_like(self.theta)
-
-    def step(self, gradient) -> None:
-        self.step_index += 1
-        self.theta_sum = self.theta_sum + self.theta
-        gamma = self.step_size(self.step_index)
-        theta = self.theta - gamma * gradient
-        if self.proj_lo is not None:
-            theta = np.clip(theta, self.proj_lo, self.proj_hi)
-        if self.proj_l2 is not None:
-            norm = float(np.linalg.norm(theta))
-            if norm > self.proj_l2:
-                theta = theta * (self.proj_l2 / norm)
-        self.theta = theta
-
-    @property
-    def polyak_average(self):
-        return self.theta_sum / self.step_index
-
-
-def median_schedule(level: PrivacyLevel, radius: float):
-    """Step sizes gamma_i = eps * r / sqrt(i) for the median SGD."""
-    eps_r = level.epsilon * radius
-    return lambda i: eps_r / math.sqrt(i)
-
-
-def polyak_schedule(gamma0: float, beta_exp: float):
-    """Step sizes gamma_i = gamma0 * i^(-beta) with beta in (1/2, 1)."""
-    if not (gamma0 > 0.0):
-        raise ParameterError(f"gamma0 must be > 0, got {gamma0!r}")
-    if not (0.5 < beta_exp < 1.0):
-        raise ParameterError(f"beta_exp must lie in (1/2, 1), got {beta_exp!r}")
-    return lambda i: gamma0 * i ** (-beta_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +51,8 @@ def private_mean_scalar(
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ParameterError("cannot estimate a mean from an empty sample")
-    z = _truncated_laplace_batch(data, assumption, data.size, level, rng)
+    t_level = truncation_level(assumption, data.size, level)
+    z = _truncated_laplace_batch(data, t_level, level, rng)
     return float(z.mean())
 
 
@@ -152,46 +101,40 @@ def private_median_sgd(
 
     projecting onto [0, r] when ``one_sided`` else [-r, r].  Returns the
     Polyak average of the iterates; with eps <= 1 its expected excess risk
-    is at most 6 r / sqrt(n eps^2).
+    is at most 6 r / sqrt(n eps^2).  A single run of :func:`_median_sgd_paths`.
     """
-    x = np.asarray(stream, dtype=float)
+    x = np.asarray(stream, dtype=float).reshape(1, -1)
     if x.size == 0:
         raise ParameterError("cannot estimate a median from an empty stream")
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be > 0, got {radius!r}")
-    lo = 0.0 if one_sided else -radius
-    theta0 = rng.uniform(lo, radius)
-    state = SgdState(
-        theta=np.array([theta0]),
-        step_size=median_schedule(level, radius),
-        proj_lo=lo,
-        proj_hi=radius,
-    )
-    iterates = np.empty(x.size) if return_iterates else None
-    for i in range(x.size):
-        if return_iterates:
-            iterates[i] = state.theta[0]
-        sign = np.where(state.theta >= x[i], 1.0, -1.0)
-        state.step(_sign_rr_batch(sign, level, rng))
-    estimate = float(state.polyak_average[0])
-    return (estimate, iterates) if return_iterates else estimate
+    out = _median_sgd_paths(x, radius, level, rng, [x.size], one_sided, return_iterates)
+    if not return_iterates:
+        return float(out[0, 0])
+    paths, iterates = out
+    return float(paths[0, 0]), iterates[0]
 
 
-def _median_sgd_paths(x_mat, radius, level, rng, grid, one_sided=False):
+def _median_sgd_paths(x_mat, radius, level, rng, grid, one_sided=False, return_iterates=False):
     """Replicate-lockstep median SGD returning prefix Polyak averages.
 
     ``x_mat`` is (reps, n); the returned array is (reps, len(grid)) with
     column g holding the average of the first grid[g] iterates.
+    ``return_iterates`` adds the (reps, n) iterates at which the signs
+    were taken.
     """
+    if not (radius > 0.0):
+        raise ParameterError(f"radius must be > 0, got {radius!r}")
     reps, n = x_mat.shape
     lo = 0.0 if one_sided else -radius
     grid = list(grid)
     theta = rng.uniform(lo, radius, size=reps)
     theta_sum = np.zeros(reps)
     out = np.empty((reps, len(grid)))
+    iterates = np.empty((reps, n)) if return_iterates else None
     eps_r = level.epsilon * radius
     g = 0
     for i in range(1, n + 1):
+        if return_iterates:
+            iterates[:, i - 1] = theta
         theta_sum += theta
         sign = np.where(theta >= x_mat[:, i - 1], 1.0, -1.0)
         z = _sign_rr_batch(sign, level, rng)
@@ -201,7 +144,7 @@ def _median_sgd_paths(x_mat, radius, level, rng, grid, one_sided=False):
             g += 1
     if g != len(grid):
         raise ParameterError("grid entries must be increasing and <= stream length")
-    return out
+    return (out, iterates) if return_iterates else out
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +215,7 @@ def logistic_gradient(theta, x, y) -> np.ndarray:
         raise ParameterError(f"label must be -1 or +1, got {y!r}")
     if theta.shape != x.shape:
         raise ParameterError(f"dimension mismatch: theta {theta.shape} vs x {x.shape}")
-    margin = float(y) * float(theta @ x)
-    return -float(y) * x * float(_sigmoid(np.array(-margin)))
+    return _logistic_grad_batch(theta[None], x[None], np.array([float(y)]))[0]
 
 
 def _logistic_grad_batch(theta, x, y):
@@ -319,6 +261,7 @@ def private_logistic_sgd(
     is the Polyak average.  ``proj_radius`` optionally projects iterates
     onto an l2 ball for numerical stability, and ``mechanism`` switches to
     the additive-Laplace baseline or a channel-free non-private run.
+    A single run of :func:`_logistic_sgd_paths`.
 
     Args:
         stream: Pair (X, y) of an (n, d) design and length-n labels in {-1, +1}.
@@ -332,54 +275,57 @@ def private_logistic_sgd(
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[0] != y.size:
         raise ParameterError("stream must be a non-empty (n, d) design with n labels")
-    if not np.all(np.abs(y) == 1.0):
-        raise ParameterError("labels must be -1 or +1")
-    _check_covariates(x, geometry, radius)
-    n, d = x.shape
-    state = SgdState(
-        theta=np.zeros(d), step_size=polyak_schedule(gamma0, beta_exp), proj_l2=proj_radius
+    out = _logistic_sgd_paths(
+        x[None], y.reshape(1, -1), geometry, radius, level, gamma0, beta_exp, proj_radius,
+        mechanism, rng, [y.size], return_iterates,
     )
-    iterates = np.empty((n, d)) if return_iterates else None
-    for i in range(n):
-        if return_iterates:
-            iterates[i] = state.theta
-        g = logistic_gradient(state.theta, x[i], y[i])
-        z = _privatize_gradient(
-            g[None, :], geometry, 2.0 * radius, level, mechanism, rng
-        )[0]
-        state.step(z)
-    estimate = state.polyak_average
-    return (estimate, iterates) if return_iterates else estimate
+    if not return_iterates:
+        return out[0, 0]
+    paths, iterates = out
+    return paths[0, 0], iterates[0]
 
 
 def _check_covariates(x, geometry, radius):
     if not (radius > 0.0):
         raise ParameterError(f"radius must be > 0, got {radius!r}")
     if geometry == "l2":
-        worst = float(np.max(np.linalg.norm(x, axis=1)))
+        worst = np.linalg.norm(x, axis=-1).max(initial=0.0)
     elif geometry == "linf":
-        worst = float(np.max(np.abs(x)))
+        worst = np.abs(x).max(initial=0.0)
     else:
         raise ParameterError(f"unknown geometry {geometry!r} (use 'l2' or 'linf')")
-    if worst > radius * (1.0 + 1e-9):
+    if not (worst <= radius * (1.0 + _DOMAIN_SLACK)):  # NaN fails too
         raise DomainError(f"covariate {geometry} norm {worst:.6g} exceeds radius {radius:.6g}")
 
 
 def _logistic_sgd_paths(
-    xs, ys, geometry, radius, level, gamma0, beta_exp, proj_radius, mechanism, rng, grid
+    xs, ys, geometry, radius, level, gamma0, beta_exp, proj_radius, mechanism, rng, grid,
+    return_iterates=False,
 ):
     """Replicate-lockstep logistic SGD returning prefix Polyak averages.
 
     ``xs`` is (reps, n, d), ``ys`` is (reps, n); returns (reps, G, d) with
     plane g holding the iterate average after grid[g] steps.
+    ``return_iterates`` adds the (reps, n, d) iterates at which the
+    gradients were taken.
     """
+    if not np.all(np.abs(ys) == 1.0):
+        raise ParameterError("labels must be -1 or +1")
+    _check_covariates(xs, geometry, radius)
+    if not (gamma0 > 0.0):
+        raise ParameterError(f"gamma0 must be > 0, got {gamma0!r}")
+    if not (0.5 < beta_exp < 1.0):
+        raise ParameterError(f"beta_exp must lie in (1/2, 1), got {beta_exp!r}")
     reps, n, d = xs.shape
     grid = list(grid)
     theta = np.zeros((reps, d))
     theta_sum = np.zeros((reps, d))
     out = np.empty((reps, len(grid), d))
+    iterates = np.empty((reps, n, d)) if return_iterates else None
     g_idx = 0
     for i in range(1, n + 1):
+        if return_iterates:
+            iterates[:, i - 1] = theta
         theta_sum += theta
         g = _logistic_grad_batch(theta, xs[:, i - 1, :], ys[:, i - 1])
         z = _privatize_gradient(g, geometry, 2.0 * radius, level, mechanism, rng)
@@ -394,7 +340,7 @@ def _logistic_sgd_paths(
             g_idx += 1
     if g_idx != len(grid):
         raise ParameterError("grid entries must be increasing and <= stream length")
-    return out
+    return (out, iterates) if return_iterates else out
 
 
 # ---------------------------------------------------------------------------

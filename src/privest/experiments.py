@@ -34,7 +34,14 @@ from .estimators import (
     trig_basis_matrix,
 )
 from .generators import make_generator
-from .mechanisms import _linf_ball_batch, _l2_ball_batch, _laplace_vector_batch, _naive_median_batch, _truncated_laplace_batch
+from .mechanisms import (
+    _l2_ball_batch,
+    _laplace_vector_batch,
+    _linf_ball_batch,
+    _naive_median_batch,
+    _truncated_laplace_batch,
+    truncation_level,
+)
 
 CSV_HEADER = "experiment,mechanism,n,eps,replicate,metric_name,value,wall_ms"
 
@@ -137,6 +144,9 @@ class ExperimentSpec:
                 f"generator {gen.kind!r} is incompatible with estimator {self.estimator!r}; "
                 f"valid: {_VALID_GENERATORS[self.estimator]}"
             )
+        gen_dim = getattr(gen, "dim", 1)
+        if self.d != gen_dim:
+            raise ConfigError(f"d = {self.d} does not match the generator's dimension {gen_dim}")
         if not self.metric:
             object.__setattr__(self, "metric", _DEFAULT_METRIC[self.estimator])
         for text in (self.name, self.mechanism, self.metric):
@@ -209,7 +219,8 @@ def _run_mean_scalar(spec, timing):
             if spec.mechanism == "nonprivate":
                 est = float(np.mean(data[:n]))
             else:
-                est = float(_truncated_laplace_batch(data[:n], assumption, n, level, rng).mean())
+                t_level = truncation_level(assumption, n, level)
+                est = float(_truncated_laplace_batch(data[:n], t_level, level, rng).mean())
             values.append((n, _metric_value(spec.metric, est, gen.true_mean)))
         elapsed = (time.perf_counter() - start) * 1e3 if timing else 0.0
         records.extend(_emit(spec, rep, values, elapsed))
@@ -364,8 +375,7 @@ def _run_logistic(spec, timing):
         rng = make_rng(spec.seed, 2, _ARM_TAG[spec.mechanism], reps[0])
         paths = _logistic_sgd_paths(
             xs, ys, geometry, radius, level, gamma0, beta_exp, proj_radius,
-            spec.mechanism if spec.mechanism != "laplace_baseline" else "laplace_baseline",
-            rng, spec.n_grid,
+            spec.mechanism, rng, spec.n_grid,
         )
         elapsed = (time.perf_counter() - start) * 1e3 / len(reps) if timing else 0.0
         for j, rep in enumerate(reps):

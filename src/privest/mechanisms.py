@@ -23,7 +23,7 @@ sampling whenever d is odd (gamma_d = 1, no ties).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -33,13 +33,10 @@ from .core import (
     DomainError,
     ParameterError,
     PrivacyLevel,
-    bernoulli_pi,
     clamp,
     laplace_sample,
     uniform_sphere,
 )
-
-MAX_REJECTION_ATTEMPTS = 10_000
 
 # Relative slack on domain checks, to absorb float dust from callers.
 _DOMAIN_SLACK = 1e-9
@@ -171,12 +168,10 @@ def truncated_laplace_mean_channel(
     scale eps / (2T), so the output variance given x is 8 T^2 / eps^2.
     """
     t_level = truncation_level(assumption, n, level)
-    _count(1)
-    return clamp(float(x), t_level) + laplace_sample(rng, level.epsilon / (2.0 * t_level))
+    return float(_truncated_laplace_batch(np.reshape(x, 1), t_level, level, rng)[0])
 
 
-def _truncated_laplace_batch(x, assumption, n, level, rng):
-    t_level = truncation_level(assumption, n, level)
+def _truncated_laplace_batch(x, t_level, level, rng):
     x = np.asarray(x, dtype=float)
     _count(x.size)
     noise = laplace_sample(rng, level.epsilon / (2.0 * t_level), size=x.shape)
@@ -197,11 +192,7 @@ def naive_median_channel(
     the median is known to be non-negative); the noise scale is kept at
     eps/(2r) in both cases, so the mechanism stays eps-LDP.
     """
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be > 0, got {radius!r}")
-    lo = 0.0 if one_sided else -radius
-    _count(1)
-    return float(np.clip(x, lo, radius)) + laplace_sample(rng, level.epsilon / (2.0 * radius))
+    return float(_naive_median_batch(np.reshape(x, 1), radius, level, rng, one_sided)[0])
 
 
 def _naive_median_batch(x, radius, level, rng, one_sided=False):
@@ -221,11 +212,7 @@ def sign_rr_channel(s: float, level: PrivacyLevel, rng: np.random.Generator) -> 
     Unbiased for s, and the likelihood ratio between the two inputs is
     exactly exp(eps).
     """
-    if s not in (-1, 1, -1.0, 1.0):
-        raise DomainError(f"sign must be -1 or +1, got {s!r}")
-    w = 1.0 if bernoulli_pi(rng, level) else -1.0
-    _count(1)
-    return level.phi_eps * w * float(s)
+    return float(_sign_rr_batch(np.reshape(s, 1), level, rng)[0])
 
 
 def _sign_rr_batch(s, level, rng):
@@ -241,13 +228,6 @@ def _sign_rr_batch(s, level, rng):
 # vector channels
 
 
-def _check_l2_domain(x, radius):
-    norm = float(np.linalg.norm(x))
-    if not (norm <= radius * (1.0 + _DOMAIN_SLACK)):  # NaN fails too
-        raise DomainError(f"||x||_2 = {norm:.6g} exceeds the channel radius {radius:.6g}")
-    return norm
-
-
 def l2_ball_channel(
     x, radius: float, level: PrivacyLevel, rng: np.random.Generator
 ) -> np.ndarray:
@@ -255,39 +235,18 @@ def l2_ball_channel(
 
     Steps: (i) round x to +/- radius * x/||x|| with P(+) = 1/2 + ||x||/(2 radius)
     (a uniform direction with a fair sign when x = 0); (ii) draw the channel
-    bit T; (iii) rejection-sample a uniform sphere point on the halfspace
-    side selected by T, scaled to norm B = :func:`l2_bound_B`.
+    bit T; (iii) draw a uniform sphere point on the halfspace side selected
+    by T, scaled to norm B = :func:`l2_bound_B`.
     """
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be > 0, got {radius!r}")
-    norm = _check_l2_domain(x, radius)
-    if norm == 0.0:
-        direction = uniform_sphere(rng, d)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-    else:
-        direction = x / norm
-        sign = 1.0 if rng.random() < 0.5 + norm / (2.0 * radius) else -1.0
-    x_rounded = radius * sign * direction
-    t = bernoulli_pi(rng, level)
-    bound = l2_bound_B(d, radius, level)
-    for _ in range(MAX_REJECTION_ATTEMPTS):
-        z = uniform_sphere(rng, d)
-        ip = float(z @ x_rounded)
-        if (t == 1 and ip > 0.0) or (t == 0 and ip <= 0.0):
-            _count(1)
-            return bound * z
-    raise RuntimeError("rejection sampling failed to accept; this has probability ~2^-10000")
+    return _l2_ball_batch(np.reshape(x, (1, -1)), radius, level, rng)[0]
 
 
 def _l2_ball_batch(x, radius, level, rng):
-    """Vectorized l2 channel for an (n, d) batch.
+    """The l2 channel of :func:`l2_ball_channel` for an (n, d) batch.
 
-    Law-identical to :func:`l2_ball_channel`: instead of rejecting, a uniform
-    sphere point is reflected onto the required halfspace side, which by the
-    negation symmetry of the sphere measure is exactly the conditional law
-    (ties have measure zero).
+    A uniform sphere point reflected onto the required halfspace side
+    follows the conditional law exactly, by the negation symmetry of the
+    sphere measure (ties have measure zero).
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
@@ -337,27 +296,11 @@ def linf_ball_channel(
     :func:`cube_tie_gamma`; for odd d it reduces to sampling the closed
     halfspace selected by T uniformly.
     """
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be > 0, got {radius!r}")
-    amax = np.max(np.abs(x))
-    if not (amax <= radius * (1.0 + _DOMAIN_SLACK)):
-        raise DomainError(f"||x||_inf = {amax:.6g} exceeds the channel radius {radius:.6g}")
-    x_rounded = np.where(rng.random(d) < 0.5 + x / (2.0 * radius), 1.0, -1.0)
-    v = np.where(rng.random(d) < 0.5, 1.0, -1.0)
-    ip = float(v @ x_rounded)
-    bound = linf_bound_B(d, radius, level)
-    _count(1)
-    if ip == 0.0:
-        return bound * v
-    p_plus = 0.5 * (1.0 + cube_tie_gamma(d) / level.phi_eps)
-    side = 1.0 if rng.random() < p_plus else -1.0
-    return bound * v * math.copysign(1.0, ip) * side
+    return _linf_ball_batch(np.reshape(x, (1, -1)), radius, level, rng)[0]
 
 
 def _linf_ball_batch(x, radius, level, rng):
-    """Vectorized hypercube channel for an (n, d) batch (same law).
+    """The hypercube channel of :func:`linf_ball_channel` for an (n, d) batch.
 
     The (n, d) uniform draws fill one reused buffer block by block, the
     stream of one large draw; only their boolean comparisons are kept.
@@ -417,24 +360,21 @@ def laplace_vector_channel(
             radius (inverse scale eps / (2 * radius * sqrt(d))).
         rng: Source of randomness.
     """
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    inv = _laplace_vector_inv_scale(x[None, :], d, radius, level, sensitivity_norm)
-    _count(1)
-    return x + laplace_sample(rng, inv, size=d)
+    return _laplace_vector_batch(np.reshape(x, (1, -1)), radius, level, sensitivity_norm, rng)[0]
 
 
 def _laplace_vector_inv_scale(x2d, d, radius, level, sensitivity_norm):
     if not (radius > 0.0):
         raise ParameterError(f"radius must be > 0, got {radius!r}")
+    # every test is phrased so that NaN fails it too
     if sensitivity_norm == "l1":
         slack = radius * _DOMAIN_SLACK
-        if np.any(x2d < -slack) or np.any(x2d > radius + slack):
+        if x2d.size and not (-slack <= x2d.min() and x2d.max() <= radius + slack):
             raise DomainError(f"l1 mode expects coordinates in [0, {radius:.6g}]")
         return level.epsilon / (d * radius)
     if sensitivity_norm == "l2_paper":
         norms = np.linalg.norm(x2d, axis=1)
-        if np.any(norms > radius * (1.0 + _DOMAIN_SLACK)):
+        if norms.size and not (norms.max() <= radius * (1.0 + _DOMAIN_SLACK)):
             raise DomainError(f"l2_paper mode expects ||x||_2 <= {radius:.6g}")
         return level.epsilon / (2.0 * radius * math.sqrt(d))
     raise ParameterError(f"unknown sensitivity_norm {sensitivity_norm!r}")
@@ -462,9 +402,10 @@ class ChannelKind(Enum):
     LAPLACE_VECTOR = "laplace_vector"
     NAIVE_MEDIAN = "naive_median"
 
-    @property
-    def discrete_output(self) -> bool:
-        return self in (ChannelKind.LINF_BALL, ChannelKind.SIGN_RR)
+
+_SCALAR_KINDS = (
+    ChannelKind.TRUNCATED_LAPLACE_SCALAR, ChannelKind.SIGN_RR, ChannelKind.NAIVE_MEDIAN
+)
 
 
 @dataclass(frozen=True)
@@ -523,23 +464,13 @@ class Channel:
         return Channel(ChannelKind.TRUNCATED_LAPLACE_SCALAR, level, t_level, 1, t_level)
 
     def privatize(self, x, rng: np.random.Generator):
-        """Privatize a single record (scalar or length-dim vector)."""
-        k = self.kind
-        if k is ChannelKind.L2_BALL:
-            return l2_ball_channel(x, self.radius, self.level, rng)
-        if k is ChannelKind.LINF_BALL:
-            return linf_ball_channel(x, self.radius, self.level, rng)
-        if k is ChannelKind.SIGN_RR:
-            return sign_rr_channel(x, self.level, rng)
-        if k is ChannelKind.LAPLACE_VECTOR:
-            return laplace_vector_channel(x, self.radius, self.level, self.sensitivity_norm, rng)
-        if k is ChannelKind.NAIVE_MEDIAN:
-            return naive_median_channel(x, self.radius, self.level, rng, self.one_sided)
-        # truncated laplace: radius stores T, so clamp directly
-        _count(1)
-        return clamp(float(x), self.radius) + laplace_sample(
-            rng, self.level.epsilon / (2.0 * self.radius)
-        )
+        """Privatize a single record: a batch of one through :meth:`privatize_batch`.
+
+        Scalar kinds return a float, vector kinds a length-dim array.
+        """
+        if self.kind in _SCALAR_KINDS:
+            return float(self.privatize_batch(np.reshape(x, 1), rng)[0])
+        return self.privatize_batch(np.reshape(x, (1, -1)), rng)[0]
 
     def privatize_batch(self, x, rng: np.random.Generator):
         """Privatize an (n,) or (n, dim) batch of records in one vectorized call."""
@@ -554,11 +485,8 @@ class Channel:
             return _laplace_vector_batch(x, self.radius, self.level, self.sensitivity_norm, rng)
         if k is ChannelKind.NAIVE_MEDIAN:
             return _naive_median_batch(x, self.radius, self.level, rng, self.one_sided)
-        x = np.asarray(x, dtype=float)
-        _count(x.size)
-        noise = laplace_sample(rng, self.level.epsilon / (2.0 * self.radius), size=x.shape)
-        noise += clamp(x, self.radius)
-        return noise
+        # truncated laplace: radius stores T
+        return _truncated_laplace_batch(x, self.radius, self.level, rng)
 
     def support_points(self) -> np.ndarray:
         """Exact output support for discrete-output kinds (audit helper)."""

@@ -116,6 +116,31 @@ def test_nan_record_exits_2(tmp_path, mechanism):
     assert not (tmp_path / "z.csv").exists()
 
 
+def test_nan_laplace_vector_record_exits_2(tmp_path):
+    proc = _run_cli(
+        "mech-sample", "--mechanism", "laplace_vector", "--x", "nan,0", "--n", "2",
+        "--out", str(tmp_path / "z.csv"),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "l1 mode expects coordinates" in proc.stderr
+    assert not (tmp_path / "z.csv").exists()
+
+
+def test_bench_invalid_sgd_settings_return_2(tmp_path, capsys):
+    cfg = tmp_path / "lg.json"
+    cfg.write_text(json.dumps({
+        "name": "lg", "estimator": "logistic", "mechanism": "optimal", "eps": 1.0,
+        "n_grid": [64], "d": 2, "replicates": 2,
+        "generator": {"kind": "logistic_model", "theta": [0.0, 0.0]},
+        "options": {"gamma0": -1.0, "beta_exp": 3.0},
+    }))
+    out = tmp_path / "lg.csv"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "gamma0 must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_error_returns_3(tmp_path):
     assert main([
         "bench", "--preset", "sparse-mean", "--out", str(tmp_path / "nodir" / "x.csv"),
@@ -168,6 +193,32 @@ def test_rates_curve(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "label,n,value"
     assert lines[2].endswith("0.01") or "0.01" in lines[2]
+
+
+@pytest.mark.parametrize("curve, label, fn, kwargs", [
+    ("mean", "mean_rate_k2_eps2", "mean_rate", {"k": 2.0, "eps_form": "eps2"}),
+    ("median", "median_rate_eps2", "median_rate", {"radius": 1.0, "eps_form": "eps2"}),
+    ("sparse", "sparse_mean_lower_exp", "sparse_mean_lower", {"d": 8}),
+    ("logistic", "logistic_lower_exp", "logistic_lower", {"d": 8}),
+    ("density", "density_rate_beta1_eps2", "density_rate", {"beta": 1.0, "eps_form": "eps2"}),
+])
+def test_rates_rows_for_every_curve(tmp_path, curve, label, fn, kwargs):
+    from privest import bounds
+
+    out = tmp_path / "rates.csv"
+    grid = (1024, 4096, 16384, 65536)
+    assert main(["rates", "--curve", curve, "--eps", "0.7", "--out", str(out)]) == 0
+    rows = [f"{label},{n},{format(getattr(bounds, fn)(n=n, eps=0.7, **kwargs), '.17g')}"
+            for n in grid]
+    assert out.read_bytes() == ("\n".join(["label,n,value", *rows]) + "\n").encode()
+
+
+@pytest.mark.parametrize("curve, grid", [("sparse", "0,10"), ("density", "-5,10")])
+def test_rates_rejects_non_positive_n(tmp_path, capsys, curve, grid):
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--curve", curve, f"--n-grid={grid}", "--out", str(out)]) == 2
+    assert "--n-grid entries must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_audit_subcommand_passes(capsys):

@@ -132,6 +132,38 @@ class TestMedianSgd:
         batch = _median_sgd_paths(data[None, :], 1.0, ONE, make_rng(53), [600])[0, 0]
         assert single == pytest.approx(batch, abs=1e-12)
 
+    @pytest.mark.parametrize("one_sided", [False, True])
+    def test_single_run_is_the_engine_bit_for_bit(self, one_sided):
+        data = make_rng(52).uniform(-0.5, 1.5, size=600)
+        ours, theirs = make_rng(53), make_rng(53)
+        single, iterates = private_median_sgd(
+            data, 1.0, ONE, ours, one_sided=one_sided, return_iterates=True
+        )
+        paths, engine_iterates = _median_sgd_paths(
+            data[None, :], 1.0, ONE, theirs, [600], one_sided, return_iterates=True
+        )
+        assert single == paths[0, 0]
+        assert np.array_equal(iterates, engine_iterates[0])
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_engine_iterates(self):
+        data = make_rng(54).uniform(-1, 1, size=(3, 500))
+        grid = [100, 500]
+        plain = _median_sgd_paths(data, 1.0, ONE, make_rng(55), grid)
+        paths, iterates = _median_sgd_paths(
+            data, 1.0, ONE, make_rng(55), grid, return_iterates=True
+        )
+        assert np.array_equal(paths, plain)
+        assert iterates.shape == (3, 500)
+        assert np.all(np.abs(iterates) <= 1.0)
+        for g, n in enumerate(grid):
+            np.testing.assert_allclose(paths[:, g], iterates[:, :n].mean(axis=1), atol=1e-12)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    def test_engine_rejects_bad_radius(self, radius):
+        with pytest.raises(ParameterError, match="radius"):
+            _median_sgd_paths(np.zeros((2, 10)), radius, ONE, make_rng(0), [10])
+
 
 class TestSoftThreshold:
     def test_examples(self):
@@ -285,6 +317,48 @@ class TestLogisticSgd:
         y = np.ones(5)
         with pytest.raises(DomainError):
             private_logistic_sgd((x, y), "linf", 1.0, ONE, make_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("geometry", ["l2", "linf"])
+    @pytest.mark.parametrize("mechanism", ["nonprivate", "laplace_baseline", "optimal"])
+    def test_non_finite_covariate_rejected(self, bad, geometry, mechanism):
+        x, y = self._stream(20, 2, 61)
+        x[7, 1] = bad
+        with pytest.raises(DomainError, match="covariate"):
+            private_logistic_sgd(
+                (x, y), geometry, 2.0, ONE, make_rng(0), mechanism=mechanism
+            )
+
+    @pytest.mark.parametrize(
+        "gamma0, beta_exp", [(-1.0, 0.6), (0.0, 0.6), (1.0, 0.5), (1.0, 1.0), (1.0, 3.0)]
+    )
+    def test_engine_rejects_bad_schedule(self, gamma0, beta_exp):
+        x, y = self._stream(10, 2, 61)
+        with pytest.raises(ParameterError, match="gamma0|beta_exp"):
+            _logistic_sgd_paths(
+                x[None], y[None], "l2", 2.0, ONE, gamma0, beta_exp, None, "optimal",
+                make_rng(0), [10],
+            )
+
+    def test_engine_rejects_bad_labels(self):
+        x, y = self._stream(10, 2, 61)
+        y[3] = 0.0
+        with pytest.raises(ParameterError, match="labels"):
+            _logistic_sgd_paths(
+                x[None], y[None], "l2", 2.0, ONE, 1.0, 0.6, None, "optimal", make_rng(0), [10]
+            )
+
+    def test_engine_iterates(self):
+        xs = np.stack([self._stream(300, 3, 70 + r)[0] for r in range(2)])
+        ys = np.stack([self._stream(300, 3, 80 + r)[1] for r in range(2)])
+        args = (xs, ys, "l2", math.sqrt(3), ONE, 1.0, 0.6, 5.0, "optimal")
+        plain = _logistic_sgd_paths(*args, make_rng(71), [100, 300])
+        paths, iterates = _logistic_sgd_paths(*args, make_rng(71), [100, 300], True)
+        assert np.array_equal(paths, plain)
+        assert iterates.shape == (2, 300, 3)
+        assert np.all(np.linalg.norm(iterates, axis=2) <= 5.0 + 1e-9)
+        np.testing.assert_allclose(paths[:, 0], iterates[:, :100].mean(axis=1), atol=1e-12)
+        np.testing.assert_allclose(paths[:, 1], iterates.mean(axis=1), atol=1e-12)
 
     def test_single_and_batch_implementations_agree(self):
         x, y = self._stream(400, 3, 62)

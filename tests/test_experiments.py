@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from privest.core import ConfigError, make_rng
+from privest.core import ConfigError, ParameterError, make_rng
 from privest.estimators import _FOLD_BLOCK, _projection_coeffs, trig_basis_matrix
 from privest.experiments import (
     CSV_HEADER,
@@ -86,6 +86,21 @@ class TestSpecValidation:
     def test_generator_estimator_compatibility(self):
         with pytest.raises(ConfigError, match="incompatible"):
             _tiny_spec(estimator="median", generator={"kind": "bernoulli_product", "freqs": [0.5]})
+
+    def test_d_must_match_generator(self):
+        with pytest.raises(ConfigError, match="d = 27"):
+            ExperimentSpec(
+                "lg", "logistic", "optimal", 1.0, (64,), 27, 2,
+                {"kind": "logistic_model", "theta": [0.0, 0.0]},
+            )
+        with pytest.raises(ConfigError, match="d = 2"):
+            _tiny_spec(d=2)
+        # trig_density, like the scalar generators, has dimension 1
+        with pytest.raises(ConfigError, match="d = 3"):
+            ExperimentSpec(
+                "de", "density", "optimal", 1.0, (64,), 3, 2,
+                {"kind": "trig_density", "coeffs": [0.5, 0.1, 0.2]},
+            )
 
     def test_metric_default(self):
         assert _tiny_spec().metric == "linf_error"
@@ -171,6 +186,15 @@ class TestRunExperiment:
         )
         records = run_experiment(spec)
         assert len(records) == 4 and all(np.isfinite(r.value) for r in records)
+
+    def test_logistic_runner_rejects_bad_schedule(self):
+        spec = ExperimentSpec(
+            "lg", "logistic", "optimal", 1.0, (64,), 2, 2,
+            {"kind": "logistic_model", "theta": [0.0, 0.0]}, 4,
+            options={"gamma0": -1.0, "beta_exp": 3.0},
+        )
+        with pytest.raises(ParameterError, match="gamma0"):
+            run_experiment(spec)
 
     def test_density_runner_classical_below_private(self):
         gen = {"kind": "trig_density", "coeffs": [0.5]}

@@ -14,13 +14,13 @@ from privest.core import (
 from privest.audit import halfspace_expectation_cube, sphere_halfspace_mean_quadrature
 from privest.mechanisms import (
     Channel,
-    ChannelKind,
     MomentAssumption,
     _LINF_BLOCK,
     _l2_ball_batch,
     _laplace_vector_batch,
     _linf_ball_batch,
     _naive_median_batch,
+    _sign_rr_batch,
     _truncated_laplace_batch,
     cube_halfspace_mean,
     cube_tie_gamma,
@@ -94,10 +94,8 @@ class TestBoundFormulas:
 class TestTruncatedLaplace:
     def test_mean_and_variance(self):
         assumption = MomentAssumption(k=math.inf, radius_k=1.0)
-        rng = make_rng(10)
-        draws = np.array([
-            truncated_laplace_mean_channel(0.0, assumption, 100, ONE, rng) for _ in range(200_000)
-        ])
+        t_level = truncation_level(assumption, 100, ONE)
+        draws = _truncated_laplace_batch(np.zeros(200_000), t_level, ONE, make_rng(10))
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean()) <= 5.0 * stderr
         second = draws**2
@@ -283,7 +281,8 @@ class TestKernelPins:
         want = np.clip(s, 0.0, 1.0) + laplace_sample(make_rng(502), 0.35, size=s.shape)
         assert np.array_equal(got, want)
         assumption = MomentAssumption(k=math.inf, radius_k=1.5)
-        got = _truncated_laplace_batch(s, assumption, 300, level, make_rng(503))
+        t_level = truncation_level(assumption, 300, level)
+        got = _truncated_laplace_batch(s, t_level, level, make_rng(503))
         want = np.clip(s, -1.5, 1.5) + laplace_sample(make_rng(503), 0.7 / 3.0, size=s.shape)
         assert np.array_equal(got, want)
 
@@ -300,6 +299,94 @@ class TestNonFiniteRecords:
             with pytest.raises(DomainError):
                 channel(x[2], 1.0, ONE, make_rng(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["l1", "l2_paper"])
+    def test_laplace_vector_rejects(self, bad, mode):
+        x = np.zeros((4, 3))
+        x[2, 1] = bad
+        with pytest.raises(DomainError, match=f"{mode} mode expects"):
+            _laplace_vector_batch(x, 1.0, ONE, mode, make_rng(0))
+        with pytest.raises(DomainError, match=f"{mode} mode expects"):
+            laplace_vector_channel(x[2], 1.0, ONE, mode, make_rng(0))
+
+
+_TRUNC = MomentAssumption(k=2.0)
+
+# kind -> (per-record call, kernel call, record); d = 4 gives the hypercube ties
+_PER_RECORD = {
+    "truncated_laplace": (
+        lambda x, rng: truncated_laplace_mean_channel(x, _TRUNC, 100, ONE, rng),
+        lambda b, rng: _truncated_laplace_batch(b, truncation_level(_TRUNC, 100, ONE), ONE, rng),
+        3.7,
+    ),
+    "naive_median": (
+        lambda x, rng: naive_median_channel(x, 1.0, ONE, rng, one_sided=True),
+        lambda b, rng: _naive_median_batch(b, 1.0, ONE, rng, one_sided=True),
+        -0.4,
+    ),
+    "sign_rr": (
+        lambda x, rng: sign_rr_channel(x, LN3, rng),
+        lambda b, rng: _sign_rr_batch(b, LN3, rng),
+        -1.0,
+    ),
+    "l2_ball": (
+        lambda x, rng: l2_ball_channel(x, 1.0, ONE, rng),
+        lambda b, rng: _l2_ball_batch(b, 1.0, ONE, rng),
+        [0.3, -0.4, 0.1],
+    ),
+    "l2_ball_zero": (
+        lambda x, rng: l2_ball_channel(x, 1.0, ONE, rng),
+        lambda b, rng: _l2_ball_batch(b, 1.0, ONE, rng),
+        [0.0, 0.0, 0.0],
+    ),
+    "linf_ball": (
+        lambda x, rng: linf_ball_channel(x, 1.0, ONE, rng),
+        lambda b, rng: _linf_ball_batch(b, 1.0, ONE, rng),
+        [0.5, -1.0, 0.0, 0.25],
+    ),
+    "laplace_vector": (
+        lambda x, rng: laplace_vector_channel(x, 1.0, ONE, "l2_paper", rng),
+        lambda b, rng: _laplace_vector_batch(b, 1.0, ONE, "l2_paper", rng),
+        [0.6, -0.3],
+    ),
+}
+
+_CHANNELS = {
+    "truncated_laplace": (Channel.truncated_laplace(_TRUNC, 100, ONE), 3.7),
+    "naive_median": (Channel.naive_median(1.0, ONE, one_sided=True), -0.4),
+    "sign_rr": (Channel.sign_rr(LN3), 1.0),
+    "l2_ball": (Channel.l2_ball(3, 1.0, ONE), [0.3, -0.4, 0.1]),
+    "linf_ball": (Channel.linf_ball(4, 1.0, ONE), [0.5, -1.0, 0.0, 0.25]),
+    "laplace_vector": (Channel.laplace_vector(2, 1.0, ONE, "l1"), [0.6, 0.3]),
+}
+
+
+def _assert_batch_of_one(single, batch, x, seeds=range(20)):
+    scalar = np.ndim(x) == 0
+    for seed in seeds:
+        ours, theirs = make_rng(seed), make_rng(seed)
+        got = single(x, ours)
+        want = batch(np.reshape(x, 1 if scalar else (1, -1)), theirs)
+        if scalar:
+            assert type(got) is float and got == want[0]
+        else:
+            assert got.shape == (np.size(x),) and np.array_equal(got, want[0])
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestBatchOfOne:
+    """A per-record call is the kernel on a batch of one: equal output, equal draws."""
+
+    @pytest.mark.parametrize("kind", sorted(_PER_RECORD))
+    def test_channel_functions(self, kind):
+        single, batch, x = _PER_RECORD[kind]
+        _assert_batch_of_one(single, batch, x)
+
+    @pytest.mark.parametrize("kind", sorted(_CHANNELS))
+    def test_channel_privatize(self, kind):
+        channel, x = _CHANNELS[kind]
+        _assert_batch_of_one(channel.privatize, channel.privatize_batch, x)
+
 
 class TestSignRR:
     def test_exact_outputs_and_expectation(self):
@@ -312,8 +399,7 @@ class TestSignRR:
         assert LN3.pi_eps / (1.0 - LN3.pi_eps) == pytest.approx(LN3.exp_eps, rel=1e-12)
 
     def test_unbiased_for_minus_one(self):
-        rng = make_rng(22)
-        draws = np.array([sign_rr_channel(-1.0, ONE, rng) for _ in range(200_000)])
+        draws = _sign_rr_batch(np.full(200_000, -1.0), ONE, make_rng(22))
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() + 1.0) <= 5.0 * stderr
 
@@ -325,10 +411,7 @@ class TestSignRR:
 class TestLaplaceVector:
     def test_l1_mode_variance(self):
         level = PrivacyLevel(0.5)
-        rng = make_rng(23)
-        draws = np.array([
-            laplace_vector_channel(np.zeros(27), 1.0, level, "l1", rng) for _ in range(4000)
-        ])
+        draws = _laplace_vector_batch(np.zeros((4000, 27)), 1.0, level, "l1", make_rng(23))
         coords = draws.ravel()
         second = coords**2
         stderr = second.std(ddof=1) / math.sqrt(coords.size)
@@ -336,19 +419,13 @@ class TestLaplaceVector:
 
     def test_unbiased(self):
         x = np.array([0.2, 0.8, 0.5])
-        rng = make_rng(24)
-        draws = np.array([
-            laplace_vector_channel(x, 1.0, ONE, "l1", rng) for _ in range(100_000)
-        ])
+        draws = _laplace_vector_batch(np.tile(x, (100_000, 1)), 1.0, ONE, "l1", make_rng(24))
         stderr = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - x) <= 5.0 * stderr)
 
     def test_d1_reduces_to_scalar_laplace(self):
-        rng = make_rng(25)
-        draws = np.array([
-            laplace_vector_channel(np.array([0.5]), 1.0, ONE, "l1", rng)[0]
-            for _ in range(200_000)
-        ])
+        x = np.full((200_000, 1), 0.5)
+        draws = _laplace_vector_batch(x, 1.0, ONE, "l1", make_rng(25))[:, 0]
         second = (draws - 0.5) ** 2
         stderr = second.std(ddof=1) / math.sqrt(second.size)
         assert abs(second.mean() - 2.0) <= 5.0 * stderr  # Laplace(eps/range), var 2
@@ -364,8 +441,7 @@ class TestLaplaceVector:
 
 class TestNaiveMedian:
     def test_mean_and_variance(self):
-        rng = make_rng(26)
-        draws = np.array([naive_median_channel(0.5, 1.0, ONE, rng) for _ in range(200_000)])
+        draws = _naive_median_batch(np.full(200_000, 0.5), 1.0, ONE, make_rng(26))
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 0.5) <= 5.0 * stderr
         second = (draws - 0.5) ** 2
@@ -373,14 +449,12 @@ class TestNaiveMedian:
         assert abs(second.mean() - 8.0) <= 5.0 * se2  # 2 / (eps/(2r))^2
 
     def test_clamps_before_noise(self):
-        rng = make_rng(27)
-        draws = np.array([naive_median_channel(2.0, 1.0, ONE, rng) for _ in range(200_000)])
+        draws = _naive_median_batch(np.full(200_000, 2.0), 1.0, ONE, make_rng(27))
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0) <= 5.0 * stderr
 
     def test_median_preserved(self):
-        rng = make_rng(28)
-        draws = np.array([naive_median_channel(0.0, 1.0, ONE, rng) for _ in range(1_000_000)])
+        draws = _naive_median_batch(np.zeros(1_000_000), 1.0, ONE, make_rng(28))
         iqr = np.subtract(*np.percentile(draws, [75, 25]))
         assert abs(np.median(draws)) <= 5.0 * iqr / math.sqrt(draws.size)
 
@@ -410,11 +484,6 @@ class TestChannelObjects:
         assert isinstance(Channel.naive_median(1.0, ONE).privatize(0.2, rng), float)
         batch = Channel.linf_ball(2, 1.0, ONE).privatize_batch(np.zeros((7, 2)), rng)
         assert batch.shape == (7, 2)
-
-    def test_discrete_output_flag(self):
-        assert ChannelKind.SIGN_RR.discrete_output
-        assert ChannelKind.LINF_BALL.discrete_output
-        assert not ChannelKind.L2_BALL.discrete_output
 
     def test_privatization_counter(self):
         reset_privatization_count()
