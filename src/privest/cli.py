@@ -31,24 +31,20 @@ from .core import (
     UnsupportedChannelError,
     make_rng,
 )
-from .estimators import (
-    MomentAssumption,
-    density_estimate,
-    private_mean_scalar,
-    private_mean_vector,
-    private_median_sgd,
-    private_logistic_sgd,
-    sparse_mean,
-)
+from .estimators import MomentAssumption
 from .experiments import (
+    ESTIMATORS,
     PRESETS,
+    ExperimentSpec,
     build_preset,
+    check_config_keys,
     emit_csv,
     emit_summary_csv,
     override_specs,
     run_experiment,
     spec_from_config,
     summarize,
+    typed,
 )
 from .generators import make_generator
 from .mechanisms import Channel
@@ -59,7 +55,7 @@ _MECH_CHOICES = ("l2_ball", "linf_ball", "sign_rr", "laplace_vector", "naive_med
 
 def _seed_default(value):
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("LDP_SEED")
     return int(env) if env else 0
 
@@ -103,56 +99,21 @@ def _cmd_mech_sample(args) -> int:
 def _cmd_estimate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
-    seed = _seed_default(args.seed if args.seed is not None else config.get("seed"))
-    eps = float(args.eps if args.eps is not None else config.get("eps", 1.0))
-    level = PrivacyLevel(eps)
-    estimator = config.get("estimator")
-    n = int(config.get("n", 1000))
+    check_config_keys(config, ("estimator", "generator"), ("n", "eps", "seed", "options"),
+                      "estimate config")
     gen = make_generator(config["generator"])
-    data_rng = make_rng(seed, 0, 0)
-    rng = make_rng(seed, 2, 0)
-    options = config.get("options", {})
-    if estimator == "mean_scalar":
-        assumption = MomentAssumption(
-            k=float(options.get("moment_k", math.inf)),
-            radius_k=float(options.get("radius_k", 1.0)),
-        )
-        result = private_mean_scalar(gen.sample(n, data_rng), assumption, level, rng)
-    elif estimator == "mean_vector":
-        result = private_mean_vector(
-            gen.sample(n, data_rng), options.get("geometry", "linf"),
-            float(options.get("radius", 1.0)), level, rng,
-        )
-    elif estimator == "median":
-        result = private_median_sgd(
-            gen.sample(n, data_rng), float(options.get("radius", 1.0)), level, rng,
-            one_sided=bool(options.get("one_sided", False)),
-        )
-    elif estimator == "sparse":
-        lam = options.get("lam")
-        result = sparse_mean(
-            gen.sample(n, data_rng), float(options.get("radius", 1.0)), level, rng,
-            lam=None if lam is None else float(lam),
-        )
-    elif estimator == "logistic":
-        stream = gen.sample(n, data_rng)
-        result = private_logistic_sgd(
-            stream, options.get("geometry", "l2"),
-            float(options.get("radius", math.sqrt(gen.dim))), level, rng,
-            gamma0=float(options.get("gamma0", 1.0)),
-            beta_exp=float(options.get("beta_exp", 0.6)),
-            proj_radius=options.get("proj_radius", 5.0),
-        )
-    elif estimator == "density":
-        est = density_estimate(
-            gen.sample(n, data_rng), float(options.get("beta", 1.0)), level, rng
-        )
-        result = {"k": est.k, "coeffs": [float(c) for c in est.coeffs]}
-    else:
-        raise ConfigError(f"unknown estimator {estimator!r}")
-    if isinstance(result, np.ndarray):
-        result = [float(v) for v in result]
-    print(json.dumps({"estimator": estimator, "eps": eps, "n": n, "estimate": result}))
+    n = typed("n", config.get("n", 1000), int)
+    spec = ExperimentSpec(
+        "estimate", config["estimator"], "optimal",
+        config.get("eps", 1.0) if args.eps is None else args.eps, (n,), gen.dim, 1,
+        config["generator"], _seed_default(config.get("seed") if args.seed is None else args.seed),
+        options=config.get("options", {}),
+    )
+    # one run of the bench arm: data from stream (seed, 0, 0), channel noise from (seed, 2, 0)
+    sample = gen.sample(n, make_rng(spec.seed, 0, 0))
+    estimate = ESTIMATORS[spec.estimator].arm(spec, gen, [sample], make_rng(spec.seed, 2, 0))[n][0]
+    print(json.dumps({"estimator": spec.estimator, "eps": spec.eps, "n": n,
+                      "estimate": np.asarray(estimate).tolist()}))
     return 0
 
 
@@ -234,7 +195,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    n_grid = [int(v) for v in args.n_grid.split(",")]
+    try:
+        n_grid = [int(v) for v in args.n_grid.split(",")]
+    except ValueError:
+        raise ConfigError(f"--n-grid entries must be integers, got {args.n_grid!r}") from None
     if min(n_grid) < 1:
         raise ConfigError(f"--n-grid entries must be >= 1, got {args.n_grid!r}")
     form = args.eps_form

@@ -1,4 +1,4 @@
-"""Batch experiment runner: declarative specs, deterministic replication, CSV output.
+"""Batch experiment runner: one estimator table, deterministic replication, CSV output.
 
 An :class:`ExperimentSpec` names one (estimator, mechanism) arm over a grid
 of sample sizes; :func:`run_experiment` produces one :class:`RunRecord` per
@@ -7,6 +7,11 @@ for replicate r always comes from the stream (seed, 0, r), so different
 mechanism arms of the same experiment see identical samples and their error
 curves are paired.  Channel randomness comes from per-arm streams.
 
+:data:`ESTIMATORS` is the one place that knows each estimator: its valid
+mechanisms, generators and metrics, its option schema, the arm that turns
+samples into estimates and the scorer that turns an estimate into an error.
+``bench`` and ``privest estimate`` both go through it.
+
 ``wall_ms`` is written as 0.0 unless timing is explicitly requested: the
 output contract is byte-identical CSV for identical (spec, seed), and
 wall-clock measurements would break it.
@@ -14,9 +19,11 @@ wall-clock measurements would break it.
 
 import csv
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -45,36 +52,12 @@ from .mechanisms import (
 
 CSV_HEADER = "experiment,mechanism,n,eps,replicate,metric_name,value,wall_ms"
 
-_VALID_MECHANISMS = {
-    "mean_scalar": ("optimal", "nonprivate"),
-    "mean_vector": ("optimal", "laplace_baseline", "nonprivate"),
-    "median": ("optimal", "laplace_baseline", "nonprivate"),
-    "sparse": ("optimal", "nonprivate"),
-    "logistic": ("optimal", "laplace_baseline", "nonprivate"),
-    "density": ("optimal", "nonprivate"),
-}
-
-_VALID_GENERATORS = {
-    "mean_scalar": ("bounded_uniform", "heavy_tail_k", "lognormal"),
-    "mean_vector": ("bernoulli_product", "fixed_vector"),
-    "median": ("bounded_uniform", "lognormal"),
-    "sparse": ("fixed_vector", "bernoulli_product"),
-    "logistic": ("logistic_model",),
-    "density": ("trig_density",),
-}
-
-_DEFAULT_METRIC = {
-    "mean_scalar": "l2_error_sq",
-    "mean_vector": "linf_error",
-    "median": "excess_risk",
-    "sparse": "l2_error_sq",
-    "logistic": "l2_error_sq",
-    "density": "l2_density_error",
-}
-
 # assigned stream keys: (seed, 0, rep) data, (seed, 1, j) metadata,
 # (seed, 2, arm, ...) channel noise
 _ARM_TAG = {"optimal": 1, "laplace_baseline": 2, "nonprivate": 3}
+
+# trapezoid nodes on [0, 1] for the integrated squared density error
+_QUAD_NODES = 2**12
 
 
 @dataclass(frozen=True)
@@ -101,9 +84,95 @@ class SummaryRow:
     p95: float
 
 
+def typed(key, value, kind):
+    """``value`` as a ``kind`` (bool, int, float or str), else :class:`ConfigError`.
+
+    An int field takes an integral float; a float field takes a numeric
+    string, because JSON has no literal for infinity.
+    """
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        if kind is int and number and value == int(value):
+            return int(value)
+        if kind is float and (number or isinstance(value, str)):
+            return float(value)
+    except (ValueError, OverflowError):  # a non-numeric string, or int() of nan or inf
+        pass
+    if kind in (bool, str) and isinstance(value, kind):
+        return value
+    raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+
+
+def check_config_keys(config, required, optional, what):
+    """Reject a config that is not a mapping, lacks a required key or has an unknown one."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {config!r}")
+    missing = set(required) - set(config)
+    if missing:
+        raise ConfigError(f"{what} missing keys: {sorted(missing)}")
+    extra = set(config) - set(required) - set(optional)
+    if extra:
+        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One estimator option: its type, default and, when finite, its allowed values.
+
+    ``default`` is a constant or a function of (generator, the options
+    resolved before this one); ``nullable`` also accepts JSON null.
+    """
+
+    kind: type
+    default: object
+    allowed: tuple = ()
+    nullable: bool = False
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One problem family: a channel plus an aggregator.
+
+    ``arm(spec, gen, samples, rng)`` maps each n of the grid to one estimate
+    per sample, all drawn from the one noise stream ``rng``.
+    ``scorer(spec, gen)`` returns the function that scores one estimate.
+    A ``lockstep`` arm takes a chunk of replicates at a time, any other
+    arm a single replicate.
+    """
+
+    mechanisms: tuple
+    generators: tuple
+    metrics: tuple  # the first is the default
+    options: dict
+    arm: object
+    scorer: object
+    lockstep: bool = False
+
+
+def _resolve_options(estimator, options, gen):
+    """Every option of ``estimator``, typed, checked and with its default filled in."""
+    schema = ESTIMATORS[estimator].options
+    check_config_keys(options, (), schema, f"{estimator} option")
+    out = {}
+    for key, opt in schema.items():
+        value = options.get(key, opt.default)
+        if key not in options and callable(value):
+            value = value(gen, out)
+        if not (value is None and opt.nullable):
+            value = typed(f"option {key}", value, opt.kind)
+            if opt.allowed and value not in opt.allowed:
+                raise ConfigError(f"option {key} must be one of {opt.allowed}, got {value!r}")
+        out[key] = value
+    return out
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one Monte-Carlo experiment arm."""
+    """Declarative description of one Monte-Carlo experiment arm.
+
+    Construction types every field and resolves ``options`` through the
+    estimator's schema: every option present, typed and allowed.
+    """
 
     name: str
     estimator: str
@@ -118,17 +187,20 @@ class ExperimentSpec:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.estimator not in _VALID_MECHANISMS:
-            raise ConfigError(
-                f"unknown estimator {self.estimator!r}; valid: {sorted(_VALID_MECHANISMS)}"
-            )
-        valid = _VALID_MECHANISMS[self.estimator]
-        if self.mechanism not in valid:
+        for key, kind in (("name", str), ("estimator", str), ("mechanism", str), ("eps", float),
+                          ("d", int), ("replicates", int), ("seed", int), ("metric", str)):
+            object.__setattr__(self, key, typed(key, getattr(self, key), kind))
+        if self.estimator not in ESTIMATORS:
+            raise ConfigError(f"unknown estimator {self.estimator!r}; valid: {sorted(ESTIMATORS)}")
+        entry = ESTIMATORS[self.estimator]
+        if self.mechanism not in entry.mechanisms:
             raise ConfigError(
                 f"mechanism {self.mechanism!r} is incompatible with {self.estimator!r}; "
-                f"valid pairs: {[(self.estimator, m) for m in valid]}"
+                f"valid pairs: {[(self.estimator, m) for m in entry.mechanisms]}"
             )
-        grid = tuple(int(n) for n in self.n_grid)
+        if not isinstance(self.n_grid, (list, tuple)):
+            raise ConfigError(f"n_grid must be a list of integers, got {self.n_grid!r}")
+        grid = tuple(typed("n_grid entry", n, int) for n in self.n_grid)
         if len(grid) == 0 or any(n < 1 for n in grid) or any(
             b <= a for a, b in zip(grid, grid[1:])
         ):
@@ -138,20 +210,24 @@ class ExperimentSpec:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if not (self.eps > 0.0):
             raise ConfigError(f"eps must be > 0, got {self.eps!r}")
-        gen = make_generator(dict(self.generator))
-        if gen.kind not in _VALID_GENERATORS[self.estimator]:
+        gen = make_generator(self.generator)
+        if gen.kind not in entry.generators:
             raise ConfigError(
                 f"generator {gen.kind!r} is incompatible with estimator {self.estimator!r}; "
-                f"valid: {_VALID_GENERATORS[self.estimator]}"
+                f"valid: {entry.generators}"
             )
-        gen_dim = getattr(gen, "dim", 1)
-        if self.d != gen_dim:
-            raise ConfigError(f"d = {self.d} does not match the generator's dimension {gen_dim}")
+        if self.d != gen.dim:
+            raise ConfigError(f"d = {self.d} does not match the generator's dimension {gen.dim}")
         if not self.metric:
-            object.__setattr__(self, "metric", _DEFAULT_METRIC[self.estimator])
-        for text in (self.name, self.mechanism, self.metric):
-            if "," in text or "\n" in text:
-                raise ConfigError(f"text field {text!r} must not contain commas or newlines")
+            object.__setattr__(self, "metric", entry.metrics[0])
+        if self.metric not in entry.metrics:
+            raise ConfigError(
+                f"metric {self.metric!r} does not apply to {self.estimator!r}; "
+                f"valid: {entry.metrics}"
+            )
+        if "," in self.name or "\n" in self.name:
+            raise ConfigError(f"name {self.name!r} must not contain commas or newlines")
+        object.__setattr__(self, "options", _resolve_options(self.estimator, self.options, gen))
 
     def build_generator(self):
         return make_generator(dict(self.generator))
@@ -161,70 +237,50 @@ class ExperimentSpec:
         return PrivacyLevel(self.eps)
 
 
+def _replicate_chunks(replicates, cells_per_rep, budget=4_000_000):
+    size = max(1, int(budget / max(cells_per_rep, 1)))
+    return [range(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
+
+
 def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
     """Execute one experiment arm; deterministic given (spec, seed).
 
-    Returns records ordered by (replicate, n).  ``timing=True`` fills
-    ``wall_ms`` with the per-replicate wall time split over grid cells,
-    which breaks byte-determinism of the CSV and is therefore opt-in.
+    Returns records ordered by (replicate, n).  Channel noise comes from
+    the stream (seed, 2, arm, r) of each replicate r, or for a lockstep
+    estimator from (seed, 2, arm, first replicate of the chunk).
+    ``timing=True`` fills ``wall_ms`` with the time a chunk took to sample and
+    run its arm, split over its cells, which breaks byte-determinism of the
+    CSV and is therefore opt-in.
     """
-    runner = {
-        "mean_scalar": _run_mean_scalar,
-        "mean_vector": _run_mean_vector,
-        "median": _run_median,
-        "sparse": _run_sparse,
-        "logistic": _run_logistic,
-        "density": _run_density,
-    }[spec.estimator]
-    records = runner(spec, timing)
-    return sorted(records, key=lambda r: (r.replicate, r.n))
-
-
-def _record_eps(spec):
-    return math.inf if spec.mechanism == "nonprivate" else spec.eps
-
-
-def _metric_value(metric, estimate, truth):
-    err = np.atleast_1d(np.asarray(estimate, dtype=float) - truth)
-    if metric == "linf_error":
-        return float(np.max(np.abs(err)))
-    if metric == "l2_error_sq":
-        return float(np.sum(err**2))
-    raise ConfigError(f"unknown metric {metric!r}")
-
-
-def _emit(spec, rep, values_by_n, elapsed_ms):
-    eps = _record_eps(spec)
-    per_cell = elapsed_ms / len(spec.n_grid)
-    return [
-        RunRecord(spec.name, spec.mechanism, n, eps, rep, spec.metric, v, per_cell)
-        for n, v in values_by_n
-    ]
-
-
-def _run_mean_scalar(spec, timing):
+    entry = ESTIMATORS[spec.estimator]
     gen = spec.build_generator()
-    assumption = MomentAssumption(
-        k=float(spec.options.get("moment_k", math.inf)),
-        radius_k=float(spec.options.get("radius_k", 1.0)),
-    )
-    level = spec.level
+    score = entry.scorer(spec, gen)
+    eps = math.inf if spec.mechanism == "nonprivate" else spec.eps
+    max_n = max(spec.n_grid)
+    if entry.lockstep:
+        chunks = _replicate_chunks(spec.replicates, max_n * spec.d)
+    else:
+        chunks = [range(r, r + 1) for r in range(spec.replicates)]
     records = []
-    for rep in range(spec.replicates):
+    for reps in chunks:
         start = time.perf_counter()
-        data = gen.sample(max(spec.n_grid), make_rng(spec.seed, 0, rep))
-        rng = make_rng(spec.seed, 2, _ARM_TAG[spec.mechanism], rep)
-        values = []
-        for n in spec.n_grid:
-            if spec.mechanism == "nonprivate":
-                est = float(np.mean(data[:n]))
-            else:
-                t_level = truncation_level(assumption, n, level)
-                est = float(_truncated_laplace_batch(data[:n], t_level, level, rng).mean())
-            values.append((n, _metric_value(spec.metric, est, gen.true_mean)))
-        elapsed = (time.perf_counter() - start) * 1e3 if timing else 0.0
-        records.extend(_emit(spec, rep, values, elapsed))
+        samples = [gen.sample(max_n, make_rng(spec.seed, 0, r)) for r in reps]
+        rng = make_rng(spec.seed, 2, _ARM_TAG[spec.mechanism], reps[0])
+        estimates = entry.arm(spec, gen, samples, rng)
+        cells = len(reps) * len(spec.n_grid)
+        wall_ms = (time.perf_counter() - start) * 1e3 / cells if timing else 0.0
+        records.extend(
+            RunRecord(spec.name, spec.mechanism, n, eps, rep, spec.metric,
+                      score(estimates[n][j]), wall_ms)
+            for j, rep in enumerate(reps) for n in spec.n_grid
+        )
     return records
+
+
+# ---------------------------------------------------------------------------
+# the estimator table: arms look their kernels, engines and aggregation
+# helpers up as module globals when they run, which is where perfbench's
+# tracer replaces them
 
 
 def _prefix_means(z, grid):
@@ -246,185 +302,180 @@ def _prefix_means(z, grid):
     return _running_means(fill, z.shape[1], grid)
 
 
-def _run_mean_vector(spec, timing):
-    gen = spec.build_generator()
+def _metric_value(metric, estimate, truth):
+    err = np.atleast_1d(np.asarray(estimate, dtype=float) - truth)
+    if metric == "linf_error":
+        return float(np.max(np.abs(err)))
+    return float(np.sum(err**2))
+
+
+def _error_scorer(truth):
+    """Scorer of the spec's metric against the generator attribute ``truth``."""
+    return lambda spec, gen: partial(_metric_value, spec.metric, truth=getattr(gen, truth))
+
+
+def _mean_scalar_arm(spec, gen, samples, rng):
+    (data,) = samples
     level = spec.level
-    geometry = spec.options.get("geometry", "linf")
+    assumption = MomentAssumption(k=spec.options["moment_k"], radius_k=spec.options["radius_k"])
+    estimates = {}
+    for n in spec.n_grid:
+        z = data[:n]
+        if spec.mechanism != "nonprivate":
+            z = _truncated_laplace_batch(z, truncation_level(assumption, n, level), level, rng)
+        estimates[n] = [float(np.mean(z))]
+    return estimates
+
+
+def _centered(gen):
     # [0,1]^d data is privatized in the centered ball of radius 1/2, the
     # smallest symmetric ball containing the domain; the estimate adds the
     # center back.  The Laplace baseline keeps the per-coordinate range 1.
-    centered = gen.kind == "bernoulli_product"
-    center = 0.5 if centered else 0.0
-    radius = float(spec.options.get("radius", 0.5 if centered else 1.0))
-    truth = gen.true_mean
-    records = []
-    for rep in range(spec.replicates):
-        start = time.perf_counter()
-        data = gen.sample(max(spec.n_grid), make_rng(spec.seed, 0, rep))
-        rng = make_rng(spec.seed, 2, _ARM_TAG[spec.mechanism], rep)
-        if spec.mechanism == "nonprivate":
-            z, offset = data, 0.0
-        elif spec.mechanism == "laplace_baseline":
-            range_bound = float(spec.options.get("laplace_range", 1.0)) if centered else radius
-            mode = "l1" if centered else "l2_paper"
-            z, offset = _laplace_vector_batch(data, range_bound, level, mode, rng), 0.0
-        elif geometry == "linf":
-            z, offset = _linf_ball_batch(data - center, radius, level, rng), center
-        else:
-            z, offset = _l2_ball_batch(data - center, radius, level, rng), center
-        values = [
-            (n, _metric_value(spec.metric, mean + offset, truth))
-            for n, mean in _prefix_means(z, spec.n_grid)
-        ]
-        elapsed = (time.perf_counter() - start) * 1e3 if timing else 0.0
-        records.extend(_emit(spec, rep, values, elapsed))
-    return records
+    return gen.kind == "bernoulli_product"
 
 
-def _replicate_chunks(replicates, cells_per_rep, budget=4_000_000):
-    size = max(1, int(budget / max(cells_per_rep, 1)))
-    return [range(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
+def _mean_vector_arm(spec, gen, samples, rng):
+    (data,) = samples
+    radius, level = spec.options["radius"], spec.level
+    center = 0.5 if _centered(gen) else 0.0
+    if spec.mechanism == "nonprivate":
+        z, offset = data, 0.0
+    elif spec.mechanism == "laplace_baseline":
+        range_bound, mode = (1.0, "l1") if _centered(gen) else (radius, "l2_paper")
+        z, offset = _laplace_vector_batch(data, range_bound, level, mode, rng), 0.0
+    else:
+        kernel = _linf_ball_batch if spec.options["geometry"] == "linf" else _l2_ball_batch
+        z, offset = kernel(data - center, radius, level, rng), center
+    return {n: [mean + offset] for n, mean in _prefix_means(z, spec.n_grid)}
 
 
-def _run_median(spec, timing):
-    gen = spec.build_generator()
-    level = spec.level
-    one_sided = bool(spec.options.get("one_sided", gen.kind == "lognormal"))
-    radius = spec.options.get("radius")
-    if radius is None:
-        radius = float(spec.options.get("radius_multiplier", 2.0)) * gen.true_median
-    radius = float(radius)
+def _median_arm(spec, gen, samples, rng):
+    data = np.stack(samples)
+    radius, one_sided = spec.options["radius"], spec.options["one_sided"]
+    if spec.mechanism == "optimal":
+        paths = _median_sgd_paths(data, radius, spec.level, rng, spec.n_grid, one_sided)
+        return {n: paths[:, j] for j, n in enumerate(spec.n_grid)}
+    if spec.mechanism == "laplace_baseline":
+        data = _naive_median_batch(data, radius, spec.level, rng, one_sided)
+    return {n: np.median(data[:, :n], axis=1) for n in spec.n_grid}
+
+
+def _median_scorer(spec, gen):
     risk_star = float(gen.abs_risk(gen.true_median))
-    max_n = max(spec.n_grid)
-    records = []
-    for chunk in _replicate_chunks(spec.replicates, max_n):
-        start = time.perf_counter()
-        reps = list(chunk)
-        data = np.stack([gen.sample(max_n, make_rng(spec.seed, 0, r)) for r in reps])
-        rng = make_rng(spec.seed, 2, _ARM_TAG[spec.mechanism], reps[0])
-        if spec.mechanism == "optimal":
-            paths = _median_sgd_paths(data, radius, level, rng, spec.n_grid, one_sided)
-            estimates = {n: paths[:, j] for j, n in enumerate(spec.n_grid)}
-        elif spec.mechanism == "laplace_baseline":
-            z = _naive_median_batch(data, radius, level, rng, one_sided)
-            estimates = {n: np.median(z[:, :n], axis=1) for n in spec.n_grid}
-        else:
-            estimates = {n: np.median(data[:, :n], axis=1) for n in spec.n_grid}
-        elapsed = (time.perf_counter() - start) * 1e3 / len(reps) if timing else 0.0
-        for j, rep in enumerate(reps):
-            # the gap is nonnegative by definition of the median; clip float dust
-            values = [
-                (n, max(0.0, float(gen.abs_risk(estimates[n][j])) - risk_star))
-                for n in spec.n_grid
-            ]
-            records.extend(_emit(spec, rep, values, elapsed))
-    return records
+    # the gap is nonnegative by definition of the median; clip float dust
+    return lambda estimate: max(0.0, float(gen.abs_risk(estimate)) - risk_star)
 
 
-def _run_sparse(spec, timing):
-    gen = spec.build_generator()
-    level = spec.level
-    radius = float(spec.options.get("radius", 1.0))
-    lam_override = spec.options.get("lam")
-    truth = gen.true_mean
-    d = truth.size
-    records = []
-    for rep in range(spec.replicates):
-        start = time.perf_counter()
-        data = gen.sample(max(spec.n_grid), make_rng(spec.seed, 0, rep))
-        rng = make_rng(spec.seed, 2, _ARM_TAG[spec.mechanism], rep)
-        if spec.mechanism == "nonprivate":
-            z = data
-        else:
-            z = _linf_ball_batch(data, radius, level, rng)
-        values = []
-        for n, mean in _prefix_means(z, spec.n_grid):
-            if spec.mechanism == "nonprivate":
-                est = mean
-            else:
-                lam = sparse_mean_threshold(d, n, level, radius) if lam_override is None else float(lam_override)
-                est = soft_threshold(mean, lam)
-            values.append((n, _metric_value(spec.metric, est, truth)))
-        elapsed = (time.perf_counter() - start) * 1e3 if timing else 0.0
-        records.extend(_emit(spec, rep, values, elapsed))
-    return records
+def _sparse_arm(spec, gen, samples, rng):
+    (data,) = samples
+    if spec.mechanism == "nonprivate":
+        return {n: [mean] for n, mean in _prefix_means(data, spec.n_grid)}
+    radius, lam, level = spec.options["radius"], spec.options["lam"], spec.level
+    z = _linf_ball_batch(data, radius, level, rng)
+    return {
+        n: [soft_threshold(mean, sparse_mean_threshold(gen.dim, n, level, radius)
+                           if lam is None else lam)]
+        for n, mean in _prefix_means(z, spec.n_grid)
+    }
 
 
-def _run_logistic(spec, timing):
-    gen = spec.build_generator()
-    level = spec.level
-    geometry = spec.options.get("geometry", "l2")
-    default_radius = math.sqrt(gen.dim) if geometry == "l2" else 1.0
-    radius = float(spec.options.get("radius", default_radius))
-    gamma0 = float(spec.options.get("gamma0", 1.0))
-    beta_exp = float(spec.options.get("beta_exp", 0.6))
-    proj_radius = spec.options.get("proj_radius", 5.0)
-    proj_radius = None if proj_radius is None else float(proj_radius)
-    truth = gen.true_theta
-    max_n = max(spec.n_grid)
-    records = []
-    for chunk in _replicate_chunks(spec.replicates, max_n * gen.dim):
-        start = time.perf_counter()
-        reps = list(chunk)
-        xs, ys = [], []
-        for r in reps:
-            x, y = gen.sample(max_n, make_rng(spec.seed, 0, r))
-            xs.append(x)
-            ys.append(y)
-        xs, ys = np.stack(xs), np.stack(ys)
-        rng = make_rng(spec.seed, 2, _ARM_TAG[spec.mechanism], reps[0])
-        paths = _logistic_sgd_paths(
-            xs, ys, geometry, radius, level, gamma0, beta_exp, proj_radius,
-            spec.mechanism, rng, spec.n_grid,
-        )
-        elapsed = (time.perf_counter() - start) * 1e3 / len(reps) if timing else 0.0
-        for j, rep in enumerate(reps):
-            values = [
-                (n, _metric_value(spec.metric, paths[j, g], truth))
-                for g, n in enumerate(spec.n_grid)
-            ]
-            records.extend(_emit(spec, rep, values, elapsed))
-    return records
+def _logistic_arm(spec, gen, samples, rng):
+    xs, ys = (np.stack(column) for column in zip(*samples))
+    opts = spec.options
+    paths = _logistic_sgd_paths(
+        xs, ys, opts["geometry"], opts["radius"], spec.level, opts["gamma0"], opts["beta_exp"],
+        opts["proj_radius"], spec.mechanism, rng, spec.n_grid,
+    )
+    return {n: paths[:, g] for g, n in enumerate(spec.n_grid)}
 
 
-def _run_density(spec, timing):
-    gen = spec.build_generator()
-    level = spec.level
-    beta = float(spec.options.get("beta", 1.0))
-    quad_nodes = int(spec.options.get("quad_nodes", 2**12))
-    t = np.linspace(0.0, 1.0, quad_nodes + 1)
-    f_true = gen.density(t)
+def _density_orders(spec):
+    """Basis order k for each n of the grid."""
+    beta = spec.options["beta"]
     if spec.mechanism == "nonprivate":
         # classical projection estimator at the classical bandwidth
-        k_for = {n: max(1, round(n ** (1.0 / (2.0 * beta + 1.0)))) for n in spec.n_grid}
-    else:
-        k_for = {n: series_bandwidth(n, level, beta) for n in spec.n_grid}
-    k_max = max(k_for.values())
-    basis_quad = trig_basis_matrix(k_max, t)
-    records = []
-    for rep in range(spec.replicates):
-        start = time.perf_counter()
-        data = gen.sample(max(spec.n_grid), make_rng(spec.seed, 0, rep))
-        rng = make_rng(spec.seed, 2, _ARM_TAG[spec.mechanism], rep)
-        if spec.mechanism == "nonprivate":
-            # streamed: the N x k_max basis of the data is never formed; the
-            # basis is looked up here at call time, as perfbench's tracer expects
-            coeffs = _projection_coeffs(data, k_for, trig_basis_matrix)
-        else:
-            # lower basis orders are column prefixes, so one build serves all n
-            basis_data = trig_basis_matrix(k_max, data)
-            coeffs = {
-                n: _linf_ball_batch(basis_data[:n, :k_for[n]], ORTH_BOUND, level, rng).mean(axis=0)
-                for n in spec.n_grid
-            }
-        values = []
-        for n in spec.n_grid:
-            k = k_for[n]
-            f_hat = 1.0 + basis_quad[:, :k] @ coeffs[n]
-            values.append((n, float(np.trapezoid((f_hat - f_true) ** 2, t))))
-        elapsed = (time.perf_counter() - start) * 1e3 if timing else 0.0
-        records.extend(_emit(spec, rep, values, elapsed))
-    return records
+        return {n: max(1, round(n ** (1.0 / (2.0 * beta + 1.0)))) for n in spec.n_grid}
+    return {n: series_bandwidth(n, spec.level, beta) for n in spec.n_grid}
+
+
+def _density_arm(spec, gen, samples, rng):
+    (data,) = samples
+    k_for = _density_orders(spec)
+    if spec.mechanism == "nonprivate":
+        # streamed: the N x k_max basis of the data is never formed
+        return {n: [c] for n, c in _projection_coeffs(data, k_for, trig_basis_matrix).items()}
+    # lower basis orders are column prefixes, so one build serves all n
+    basis = trig_basis_matrix(max(k_for.values()), data)
+    return {
+        n: [_linf_ball_batch(basis[:n, :k], ORTH_BOUND, spec.level, rng).mean(axis=0)]
+        for n, k in k_for.items()
+    }
+
+
+def _density_scorer(spec, gen):
+    t = np.linspace(0.0, 1.0, _QUAD_NODES + 1)
+    f_true = gen.density(t)
+    basis = trig_basis_matrix(max(_density_orders(spec).values()), t)
+    return lambda coeffs: float(
+        np.trapezoid((1.0 + basis[:, : coeffs.size] @ coeffs - f_true) ** 2, t)
+    )
+
+
+_ALL_MECHANISMS = ("optimal", "laplace_baseline", "nonprivate")
+
+ESTIMATORS = {
+    "mean_scalar": Estimator(
+        mechanisms=("optimal", "nonprivate"),
+        generators=("bounded_uniform", "heavy_tail_k", "lognormal"),
+        metrics=("l2_error_sq", "linf_error"),
+        options={"moment_k": Option(float, math.inf), "radius_k": Option(float, 1.0)},
+        arm=_mean_scalar_arm, scorer=_error_scorer("true_mean"),
+    ),
+    "mean_vector": Estimator(
+        mechanisms=_ALL_MECHANISMS, generators=("bernoulli_product", "fixed_vector"),
+        metrics=("linf_error", "l2_error_sq"),
+        options={
+            "geometry": Option(str, "linf", ("linf", "l2")),
+            "radius": Option(float, lambda gen, opts: 0.5 if _centered(gen) else 1.0),
+        },
+        arm=_mean_vector_arm, scorer=_error_scorer("true_mean"),
+    ),
+    "median": Estimator(
+        mechanisms=_ALL_MECHANISMS, generators=("bounded_uniform", "lognormal"),
+        metrics=("excess_risk",),
+        options={
+            "one_sided": Option(bool, lambda gen, opts: gen.kind == "lognormal"),
+            "radius_multiplier": Option(float, 2.0),
+            "radius": Option(float, lambda gen, opts: opts["radius_multiplier"] * gen.true_median),
+        },
+        arm=_median_arm, scorer=_median_scorer, lockstep=True,
+    ),
+    "sparse": Estimator(
+        mechanisms=("optimal", "nonprivate"), generators=("fixed_vector", "bernoulli_product"),
+        metrics=("l2_error_sq", "linf_error"),
+        options={"radius": Option(float, 1.0), "lam": Option(float, None, nullable=True)},
+        arm=_sparse_arm, scorer=_error_scorer("true_mean"),
+    ),
+    "logistic": Estimator(
+        mechanisms=_ALL_MECHANISMS, generators=("logistic_model",),
+        metrics=("l2_error_sq", "linf_error"),
+        options={
+            "geometry": Option(str, "l2", ("l2", "linf")),
+            "radius": Option(
+                float, lambda gen, opts: math.sqrt(gen.dim) if opts["geometry"] == "l2" else 1.0
+            ),
+            "gamma0": Option(float, 1.0),
+            "beta_exp": Option(float, 0.6),
+            "proj_radius": Option(float, 5.0, nullable=True),
+        },
+        arm=_logistic_arm, scorer=_error_scorer("true_theta"), lockstep=True,
+    ),
+    "density": Estimator(
+        mechanisms=("optimal", "nonprivate"), generators=("trig_density",),
+        metrics=("l2_density_error",), options={"beta": Option(float, 1.0)},
+        arm=_density_arm, scorer=_density_scorer,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -635,46 +686,22 @@ PRESETS = {
 def build_preset(name: str, full=False, eps=None, seed=None) -> list:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; valid: {sorted(PRESETS)}")
-    kwargs = {"full": full}
-    if eps is not None:
-        kwargs["eps"] = eps
-    if seed is not None:
-        kwargs["seed"] = seed
-    return PRESETS[name](**kwargs)
+    return PRESETS[name](full=full, **_given(eps=eps, seed=seed))
 
 
 def spec_from_config(config: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from a JSON-style mapping."""
-    required = {"name", "estimator", "mechanism", "eps", "n_grid", "d", "replicates", "generator"}
-    missing = required - set(config)
-    if missing:
-        raise ConfigError(f"experiment config missing keys: {sorted(missing)}")
-    known = required | {"seed", "metric", "options"}
-    extra = set(config) - known
-    if extra:
-        raise ConfigError(f"unknown experiment config keys: {sorted(extra)}")
-    return ExperimentSpec(
-        name=str(config["name"]),
-        estimator=str(config["estimator"]),
-        mechanism=str(config["mechanism"]),
-        eps=float(config["eps"]),
-        n_grid=tuple(config["n_grid"]),
-        d=int(config["d"]),
-        replicates=int(config["replicates"]),
-        generator=dict(config["generator"]),
-        seed=int(config.get("seed", 0)),
-        metric=str(config.get("metric", "")),
-        options=dict(config.get("options", {})),
+    check_config_keys(
+        config, ("name", "estimator", "mechanism", "eps", "n_grid", "d", "replicates", "generator"),
+        ("seed", "metric", "options"), "experiment config",
     )
+    return ExperimentSpec(**config)
 
 
 def override_specs(specs, eps=None, seed=None) -> list:
     """Apply CLI-style --eps/--seed overrides to a list of specs."""
-    out = []
-    for spec in specs:
-        if eps is not None:
-            spec = replace(spec, eps=float(eps))
-        if seed is not None:
-            spec = replace(spec, seed=int(seed))
-        out.append(spec)
-    return out
+    return [replace(spec, **_given(eps=eps, seed=seed)) for spec in specs]
+
+
+def _given(**overrides):
+    return {key: value for key, value in overrides.items() if value is not None}

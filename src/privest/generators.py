@@ -35,6 +35,7 @@ class BoundedUniform:
             raise ConfigError(f"radius must be > 0, got {self.radius!r}")
 
     kind = "bounded_uniform"
+    dim = 1
     true_mean = 0.0
     true_median = 0.0
 
@@ -68,6 +69,7 @@ class HeavyTail:
             raise ConfigError(f"radius_k must be > 0, got {self.radius_k!r}")
 
     kind = "heavy_tail_k"
+    dim = 1
     true_mean = 0.0
     true_median = 0.0
 
@@ -95,6 +97,11 @@ class Lognormal:
             raise ConfigError(f"sigma must be > 0, got {self.sigma!r}")
 
     kind = "lognormal"
+    dim = 1
+
+    @property
+    def true_mean(self):
+        return math.exp(self.mu + self.sigma**2 / 2.0)
 
     @property
     def true_median(self):
@@ -107,8 +114,7 @@ class Lognormal:
         """E|X - theta| in closed form (theta <= 0 degenerates to E[X] - theta)."""
         theta = np.maximum(np.asarray(theta, dtype=float), 1e-300)
         w = (np.log(theta) - self.mu) / self.sigma
-        m1 = math.exp(self.mu + self.sigma**2 / 2.0)
-        return m1 * (1.0 - 2.0 * _phi(w - self.sigma)) + theta * (2.0 * _phi(w) - 1.0)
+        return self.true_mean * (1.0 - 2.0 * _phi(w - self.sigma)) + theta * (2.0 * _phi(w) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -227,6 +233,7 @@ class TrigDensity:
         object.__setattr__(self, "cdf", cdf)
 
     kind = "trig_density"
+    dim = 1
 
     def density(self, t):
         t = np.asarray(t, dtype=float)

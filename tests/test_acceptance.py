@@ -254,7 +254,7 @@ def test_criterion_08_density_rate():
     spec = ExperimentSpec(
         "c8_density", "density", "optimal", 1.0, tuple(2**j for j in range(12, 19)),
         1, 100, {"kind": "trig_density", "coeffs": [0.5, 0.0, 0.25]}, SEED,
-        options={"beta": 1.0, "quad_nodes": 2**12},
+        options={"beta": 1.0},
     )
     means = _mean_by_n(run_experiment(spec))
     slope = slope_fit(sorted(means.items())).slope

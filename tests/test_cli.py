@@ -9,7 +9,18 @@ import numpy as np
 import pytest
 
 from privest.cli import main
+from privest.core import PrivacyLevel, make_rng
+from privest.estimators import (
+    MomentAssumption,
+    density_estimate,
+    private_logistic_sgd,
+    private_mean_scalar,
+    private_mean_vector,
+    private_median_sgd,
+    sparse_mean,
+)
 from privest.experiments import parse_csv
+from privest.generators import make_generator
 
 
 def test_mech_sample_writes_draws(tmp_path):
@@ -184,6 +195,97 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert third != first
 
 
+def _write(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def _one_config_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("configuration error:") and err.count("\n") == 1
+
+
+_BENCH = {
+    "name": "b", "estimator": "mean_vector", "mechanism": "optimal", "eps": 0.5,
+    "n_grid": [64, 128], "d": 2, "replicates": 2,
+    "generator": {"kind": "bernoulli_product", "freqs": [0.3, 0.6]},
+}
+
+
+@pytest.mark.parametrize("change", [
+    {"n_grid": ["a"]}, {"n_grid": [100.9]}, {"eps": "x"}, {"replicates": 2.7},
+    {"generator": [1]}, {"metric": "excess_risk"}, {"options": {"geometry": "bogus"}},
+], ids=["n_grid-str", "n_grid-float", "eps-str", "replicates-float", "generator-list",
+        "metric", "geometry"])
+def test_bench_malformed_config_exits_2(tmp_path, capsys, change):
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--config", _write(tmp_path, {**_BENCH, **change}),
+                 "--out", str(out)]) == 2
+    assert _one_config_error_line(capsys)
+    assert not out.exists()
+
+
+_ESTIMATE = {"estimator": "mean_scalar", "n": 100, "generator": {"kind": "bounded_uniform"}}
+
+
+@pytest.mark.parametrize("config", [
+    {**_ESTIMATE, "n": "abc"},
+    {**_ESTIMATE, "n": 100.5},
+    {"estimator": "mean_scalar", "n": 100},
+    {**_ESTIMATE, "estimator": "logistic", "generator": {"kind": "lognormal"}},
+    {**_ESTIMATE, "mechanism": "laplace_baseline"},
+    {**_ESTIMATE, "options": {"radiuss": 1.0}},
+    {**_ESTIMATE, "seed": "seven"},
+    [_ESTIMATE],
+], ids=["n-str", "n-float", "no-generator", "logistic-lognormal", "mechanism-key",
+        "unknown-option", "seed-str", "list"])
+def test_estimate_malformed_config_exits_2(tmp_path, capsys, config):
+    assert main(["estimate", "--config", _write(tmp_path, config)]) == 2
+    assert _one_config_error_line(capsys)
+
+
+_LEVEL = PrivacyLevel(0.8)
+
+# estimator -> (generator, options, the library estimator on (data, rng), exact);
+# mean_vector and sparse fold their means row by row, the library sums pairwise
+_LIBRARY = {
+    "mean_scalar": ({"kind": "heavy_tail_k", "k": 3.0}, {"moment_k": 3.0},
+                    lambda x, rng: private_mean_scalar(x, MomentAssumption(3.0), _LEVEL, rng),
+                    True),
+    "mean_vector": ({"kind": "bernoulli_product", "freqs": [0.2, 0.7, 0.4]}, {},
+                    lambda x, rng: private_mean_vector(x - 0.5, "linf", 0.5, _LEVEL, rng) + 0.5,
+                    False),
+    "median": ({"kind": "lognormal"}, {},
+               lambda x, rng: private_median_sgd(x, 2.0 * math.exp(10.0), _LEVEL, rng, True),
+               True),
+    "sparse": ({"kind": "fixed_vector", "value": [1.0, 0.0, 0.0, 0.0]}, {"lam": 0.1},
+               lambda x, rng: sparse_mean(x, 1.0, _LEVEL, rng, lam=0.1), False),
+    "logistic": ({"kind": "logistic_model", "theta": [0.5, -0.5, 0.0]}, {},
+                 lambda s, rng: private_logistic_sgd(s, "l2", math.sqrt(3.0), _LEVEL, rng,
+                                                     1.0, 0.6, 5.0),
+                 True),
+    "density": ({"kind": "trig_density", "coeffs": [0.5, 0.0, 0.25]}, {},
+                lambda x, rng: density_estimate(x, 1.0, _LEVEL, rng).coeffs, True),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(_LIBRARY))
+def test_estimate_is_one_run_of_the_library_estimator(tmp_path, capsys, estimator):
+    generator, options, reference, exact = _LIBRARY[estimator]
+    n, seed = 3000, 5
+    config = {"estimator": estimator, "n": n, "eps": 0.8, "seed": seed,
+              "generator": generator, "options": options}
+    assert main(["estimate", "--config", _write(tmp_path, config)]) == 0
+    got = json.loads(capsys.readouterr().out)["estimate"]
+    data = make_generator(generator).sample(n, make_rng(seed, 0, 0))
+    want = np.asarray(reference(data, make_rng(seed, 2, 0))).tolist()
+    if exact:
+        assert got == want
+    else:
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 def test_rates_curve(tmp_path):
     out = tmp_path / "rates.csv"
     assert main([
@@ -218,6 +320,14 @@ def test_rates_rejects_non_positive_n(tmp_path, capsys, curve, grid):
     out = tmp_path / "rates.csv"
     assert main(["rates", "--curve", curve, f"--n-grid={grid}", "--out", str(out)]) == 2
     assert "--n-grid entries must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["1e3", "100,abc", "2.5"])
+def test_rates_rejects_non_integer_n(tmp_path, capsys, grid):
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--curve", "mean", f"--n-grid={grid}", "--out", str(out)]) == 2
+    assert "--n-grid entries must be integers" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from privest.core import ConfigError, ParameterError, make_rng
 from privest.estimators import _FOLD_BLOCK, _projection_coeffs, trig_basis_matrix
 from privest.experiments import (
     CSV_HEADER,
+    ESTIMATORS,
+    PRESETS,
     ExperimentSpec,
     RunRecord,
     _prefix_means,
@@ -123,6 +126,98 @@ class TestSpecValidation:
             spec_from_config({**config, "bogus": 1})
         with pytest.raises(ConfigError):
             spec_from_config({k: v for k, v in config.items() if k != "name"})
+
+
+class TestOptionSchema:
+    def test_every_preset_spec_round_trips_unchanged(self):
+        for name in PRESETS:
+            for spec in build_preset(name, seed=2):
+                assert set(spec.options) == set(ESTIMATORS[spec.estimator].options)
+                assert replace(spec) == spec
+                assert replace(spec, replicates=1).options == spec.options
+
+    def test_defaults_depend_on_the_generator(self):
+        assert _tiny_spec().options == {"geometry": "linf", "radius": 0.5}
+        fixed = _tiny_spec(generator={"kind": "fixed_vector", "value": [0.1, 0.2, 0.3]})
+        assert fixed.options["radius"] == 1.0
+        salary = ExperimentSpec("m", "median", "optimal", 1.0, (64,), 1, 1,
+                                {"kind": "lognormal", "mu": 1.0, "sigma": 0.5},
+                                options={"radius_multiplier": 3.0})
+        assert salary.options == {"one_sided": True, "radius_multiplier": 3.0,
+                                  "radius": 3.0 * math.e}
+        logistic = ExperimentSpec("l", "logistic", "optimal", 1.0, (64,), 4, 1,
+                                  {"kind": "logistic_model", "theta": [0.0] * 4},
+                                  options={"geometry": "linf", "proj_radius": None})
+        assert logistic.options["radius"] == 1.0 and logistic.options["proj_radius"] is None
+
+    @pytest.mark.parametrize("options, match", [
+        ({"geometry": "bogus"}, "geometry must be one of"),
+        ({"radiuss": 0.5}, "unknown mean_vector option keys: \\['radiuss'\\]"),
+        ({"radius": "wide"}, "radius must be float"),
+        ({"radius": True}, "radius must be float"),
+        ({"laplace_range": 1.0}, "laplace_range"),
+        ([("geometry", "l2")], "must be a JSON object"),
+    ], ids=["geometry", "misspelt", "radius-str", "radius-bool", "laplace_range", "list"])
+    def test_bad_mean_vector_options(self, options, match):
+        with pytest.raises(ConfigError, match=match):
+            _tiny_spec(options=options)
+
+    @pytest.mark.parametrize("estimator, generator, options, match", [
+        ("median", {"kind": "bounded_uniform"}, {"one_sided": "false"}, "one_sided must be bool"),
+        ("median", {"kind": "bounded_uniform"}, {"one_sided": 0}, "one_sided must be bool"),
+        ("density", {"kind": "trig_density", "coeffs": [0.5]}, {"quad_nodes": 4096}, "quad_nodes"),
+    ], ids=["one_sided-str", "one_sided-int", "quad_nodes"])
+    def test_bad_scalar_options(self, estimator, generator, options, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentSpec("x", estimator, "optimal", 1.0, (64,), 1, 1, generator, options=options)
+
+    def test_float_option_takes_a_numeric_string(self):
+        spec = ExperimentSpec("ms", "mean_scalar", "optimal", 1.0, (64,), 1, 1,
+                              {"kind": "bounded_uniform"}, options={"moment_k": "inf"})
+        assert spec.options["moment_k"] == math.inf
+
+    @pytest.mark.parametrize("estimator, generator, d, metric", [
+        ("median", {"kind": "bounded_uniform"}, 1, "linf_error"),
+        ("density", {"kind": "trig_density", "coeffs": [0.5]}, 1, "l2_error_sq"),
+        ("mean_scalar", {"kind": "bounded_uniform"}, 1, "excess_risk"),
+        ("logistic", {"kind": "logistic_model", "theta": [0.0]}, 1, "l2_density_error"),
+        ("sparse", {"kind": "fixed_vector", "value": [1.0, 0.0]}, 2, "l1_error"),
+    ], ids=["median", "density", "mean_scalar", "logistic", "sparse"])
+    def test_metric_must_belong_to_the_estimator(self, estimator, generator, d, metric):
+        with pytest.raises(ConfigError, match=f"metric '{metric}' does not apply"):
+            ExperimentSpec("x", estimator, "optimal", 1.0, (64,), d, 1, generator, metric=metric)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("n_grid", ["a"], "n_grid entry must be int"),
+        ("n_grid", [100.9], "n_grid entry must be int"),
+        ("n_grid", 100, "n_grid must be a list"),
+        ("replicates", 2.7, "replicates must be int"),
+        ("eps", "x", "eps must be float"),
+        ("d", "3", "d must be int"),
+        ("seed", True, "seed must be int"),
+        ("name", 7, "name must be str"),
+        ("generator", [1], "generator config must be a mapping"),
+    ], ids=["n_grid-str", "n_grid-float", "n_grid-int", "replicates", "eps", "d", "seed", "name",
+            "generator"])
+    def test_spec_from_config_types_every_field(self, field, value, match):
+        config = {
+            "name": "cfg", "estimator": "mean_vector", "mechanism": "optimal", "eps": 0.5,
+            "n_grid": [64, 128], "d": 3, "replicates": 2,
+            "generator": {"kind": "bernoulli_product", "freqs": [0.2, 0.5, 0.7]},
+        }
+        with pytest.raises(ConfigError, match=match):
+            spec_from_config({**config, field: value})
+
+    def test_integral_floats_are_integers(self):
+        spec = _tiny_spec(n_grid=[64.0, 128], replicates=2.0, d=3.0)
+        assert spec.n_grid == (64, 128) and spec.replicates == 2 and spec.d == 3
+        assert all(type(v) is int for v in (*spec.n_grid, spec.replicates, spec.d))
+
+    def test_scalar_mean_of_lognormal_scores_against_its_mean(self):
+        spec = ExperimentSpec("ms", "mean_scalar", "nonprivate", 1.0, (20_000,), 1, 1,
+                              {"kind": "lognormal", "mu": 0.0, "sigma": 0.5})
+        (record,) = run_experiment(spec)
+        assert record.value < 1e-3
 
 
 class TestRunExperiment:
