@@ -57,7 +57,10 @@ def _seed_default(value):
     if value is not None:
         return value
     env = os.environ.get("LDP_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ConfigError(f"LDP_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_vector(text):

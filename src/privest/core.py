@@ -102,16 +102,20 @@ def bernoulli_pi(rng: np.random.Generator, level: PrivacyLevel, size=None):
     return (rng.random(size) < level.pi_eps).astype(np.int64)
 
 
-def uniform_sphere(rng: np.random.Generator, d: int, size=None) -> np.ndarray:
+def uniform_sphere(rng: np.random.Generator, d: int, size=None, out=None) -> np.ndarray:
     """Sample rotationally uniform unit vectors on the l2 sphere in R^d.
 
     Implemented by normalizing standard Gaussian draws.  Returns shape (d,)
-    for ``size=None``, else (size, d).
+    for ``size=None``, else (size, d).  ``out``, if given, is the
+    C-contiguous (rows, d) float array to fill and return instead; filling
+    consecutive blocks draws what one large call would.
     """
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
-    n = 1 if size is None else int(size)
-    g = rng.standard_normal((n, d))
+    if out is None:
+        g = rng.standard_normal((1 if size is None else int(size), d))
+    else:
+        g = rng.standard_normal(out=out)
     norms = np.linalg.norm(g, axis=1)
     # A zero draw has probability 0 but would poison the normalization.
     while np.any(norms == 0.0):
@@ -119,7 +123,7 @@ def uniform_sphere(rng: np.random.Generator, d: int, size=None) -> np.ndarray:
         g[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(g, axis=1)
     g /= norms[:, None]
-    return g[0] if size is None else g
+    return g[0] if size is None and out is None else g
 
 
 def clamp(x, bound: float):

@@ -22,6 +22,7 @@ from .mechanisms import (
     _l2_ball_batch,
     _laplace_vector_batch,
     _linf_ball_batch,
+    _running_means,
     _sign_rr_batch,
     _truncated_laplace_batch,
     truncation_level,
@@ -30,9 +31,8 @@ from .mechanisms import (
 # sup-norm bound of the non-constant trigonometric basis elements
 ORTH_BOUND = math.sqrt(2.0)
 
-# Entries per row block of the basis evaluation and of a running-sum fold.
+# Entries per row block of the basis evaluation.
 _BASIS_BLOCK = 1 << 15
-_FOLD_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +72,21 @@ def private_mean_vector(
     if data.ndim != 2 or data.shape[0] == 0:
         raise ParameterError("data must be a non-empty (n, d) array")
     if geometry == "l2":
-        z = _l2_ball_batch(data, radius, level, rng)
-    elif geometry == "linf":
-        z = _linf_ball_batch(data, radius, level, rng)
-    else:
-        raise ParameterError(f"unknown geometry {geometry!r} (use 'l2' or 'linf')")
-    return z.mean(axis=0)
+        return _channel_mean(_l2_ball_batch, data, radius, level, rng)
+    if geometry == "linf":
+        return _channel_mean(_linf_ball_batch, data, radius, level, rng)
+    raise ParameterError(f"unknown geometry {geometry!r} (use 'l2' or 'linf')")
+
+
+def _channel_mean(kernel, x, *args):
+    """``kernel(x, *args).mean(axis=0)`` bit for bit, for a vector kernel and (n, d) x.
+
+    Streamed through the kernel's ``grid`` when d >= 2.  numpy sums a
+    single column pairwise, so a d = 1 mean takes the whole column.
+    """
+    if x.shape[1] == 1:
+        return kernel(x, *args).mean(axis=0)
+    return kernel(x, *args, grid=(len(x),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +195,7 @@ def sparse_mean(
         raise ParameterError(f"sparse mean needs dimension >= 2, got {d}")
     if lam is None:
         lam = sparse_mean_threshold(d, n, level, radius)
-    z_bar = _linf_ball_batch(data, radius, level, rng).mean(axis=0)
-    return soft_threshold(z_bar, lam)
+    return soft_threshold(_channel_mean(_linf_ball_batch, data, radius, level, rng), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -406,28 +414,6 @@ def trig_basis_matrix(k: int, t, out=None) -> np.ndarray:
     return out
 
 
-def _running_means(fill, d, grid):
-    """Mean of the first n rows of an (N, d) array, d >= 2, for each n of the increasing grid.
-
-    ``fill(lo, out)`` writes rows lo, lo + 1, ... into ``out``, a block that
-    sits below the sum so far in one C-contiguous buffer.  There numpy's
-    axis-0 sum adds rows one after another, as cumsum and an axis-0 mean do,
-    so each mean is theirs bit for bit (``initial=-0.0`` is an exact identity).
-    """
-    rows = max(1, _FOLD_BLOCK // d)
-    buf = np.empty((rows + 1, d))
-    buf[0] = -0.0
-    out, prev = [], 0
-    for n in grid:
-        for lo in range(prev, n, rows):
-            r = min(rows, n - lo)
-            fill(lo, buf[1 : r + 1])
-            buf[0] = np.add.reduce(buf[: r + 1], axis=0, initial=-0.0)
-        out.append((n, buf[0] / n))
-        prev = n
-    return out
-
-
 def _projection_coeffs(data, k_for, basis):
     """Map each n of ``k_for`` (n -> order k, n increasing) to ``basis(k, data[:n]).mean(axis=0)``.
 
@@ -498,6 +484,5 @@ def density_estimate(
     if level is None:
         coeffs = _projection_coeffs(data, {data.size: k}, trig_basis_matrix)[data.size]
     else:
-        basis_values = trig_basis_matrix(k, data)
-        coeffs = _linf_ball_batch(basis_values, ORTH_BOUND, level, rng).mean(axis=0)
+        coeffs = _channel_mean(_linf_ball_batch, trig_basis_matrix(k, data), ORTH_BOUND, level, rng)
     return DensityEstimate(k=k, coeffs=coeffs, beta=beta)

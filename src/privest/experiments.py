@@ -31,10 +31,10 @@ from .core import ConfigError, PrivacyLevel, make_rng
 from .estimators import (
     ORTH_BOUND,
     MomentAssumption,
+    _channel_mean,
     _logistic_sgd_paths,
     _median_sgd_paths,
     _projection_coeffs,
-    _running_means,
     series_bandwidth,
     soft_threshold,
     sparse_mean_threshold,
@@ -46,6 +46,7 @@ from .mechanisms import (
     _laplace_vector_batch,
     _linf_ball_batch,
     _naive_median_batch,
+    _running_means,
     _truncated_laplace_batch,
     truncation_level,
 )
@@ -284,17 +285,13 @@ def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
 
 
 def _prefix_means(z, grid):
-    """Mean of the first n rows of z for each n of the increasing grid.
+    """Mean of the first n rows of an (N, d) z for each n of the increasing grid.
 
     Each mean equals ``np.cumsum(z, axis=0)[n - 1] / n`` bit for bit, but
     only the grid rows are formed: a running sum is folded through z one
-    block at a time (see :func:`_running_means`).  A single column would be
-    summed pairwise there, so it takes the cumsum of its n entries.
+    block at a time (see :func:`_running_means`).
     """
     z = np.asarray(z, dtype=float)
-    if z.ndim == 1 or z.shape[1] == 1:
-        csum = np.cumsum(z, axis=0)
-        return [(n, csum[n - 1] / n) for n in grid]
 
     def fill(lo, out):
         out[...] = z[lo : lo + len(out)]
@@ -336,17 +333,17 @@ def _centered(gen):
 
 def _mean_vector_arm(spec, gen, samples, rng):
     (data,) = samples
-    radius, level = spec.options["radius"], spec.level
-    center = 0.5 if _centered(gen) else 0.0
+    radius, level, grid = spec.options["radius"], spec.level, spec.n_grid
     if spec.mechanism == "nonprivate":
-        z, offset = data, 0.0
-    elif spec.mechanism == "laplace_baseline":
+        return {n: [mean] for n, mean in _prefix_means(data, grid)}
+    if spec.mechanism == "laplace_baseline":
         range_bound, mode = (1.0, "l1") if _centered(gen) else (radius, "l2_paper")
-        z, offset = _laplace_vector_batch(data, range_bound, level, mode, rng), 0.0
-    else:
-        kernel = _linf_ball_batch if spec.options["geometry"] == "linf" else _l2_ball_batch
-        z, offset = kernel(data - center, radius, level, rng), center
-    return {n: [mean + offset] for n, mean in _prefix_means(z, spec.n_grid)}
+        means = _laplace_vector_batch(data, range_bound, level, mode, rng, grid=grid)
+        return {n: [mean] for n, mean in zip(grid, means)}
+    kernel = _linf_ball_batch if spec.options["geometry"] == "linf" else _l2_ball_batch
+    center = 0.5 if _centered(gen) else 0.0
+    means = kernel(data - center if center else data, radius, level, rng, grid=grid)
+    return {n: [mean + center] for n, mean in zip(grid, means)}
 
 
 def _median_arm(spec, gen, samples, rng):
@@ -371,11 +368,11 @@ def _sparse_arm(spec, gen, samples, rng):
     if spec.mechanism == "nonprivate":
         return {n: [mean] for n, mean in _prefix_means(data, spec.n_grid)}
     radius, lam, level = spec.options["radius"], spec.options["lam"], spec.level
-    z = _linf_ball_batch(data, radius, level, rng)
+    means = _linf_ball_batch(data, radius, level, rng, grid=spec.n_grid)
     return {
         n: [soft_threshold(mean, sparse_mean_threshold(gen.dim, n, level, radius)
                            if lam is None else lam)]
-        for n, mean in _prefix_means(z, spec.n_grid)
+        for n, mean in zip(spec.n_grid, means)
     }
 
 
@@ -407,7 +404,7 @@ def _density_arm(spec, gen, samples, rng):
     # lower basis orders are column prefixes, so one build serves all n
     basis = trig_basis_matrix(max(k_for.values()), data)
     return {
-        n: [_linf_ball_batch(basis[:n, :k], ORTH_BOUND, spec.level, rng).mean(axis=0)]
+        n: [_channel_mean(_linf_ball_batch, basis[:n, :k], ORTH_BOUND, spec.level, rng)]
         for n, k in k_for.items()
     }
 

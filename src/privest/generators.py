@@ -268,7 +268,9 @@ def make_generator(config: dict):
     kwargs = {p: config[p] for p in params if p in config}
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # e.g. float("a") of a vector parameter "ab"
         raise ConfigError(f"bad parameters for {kind!r}: {exc}") from exc
 
 

@@ -44,6 +44,9 @@ _DOMAIN_SLACK = 1e-9
 # Entries per row block of the hypercube kernel's draws.
 _LINF_BLOCK = 1 << 15
 
+# Entries per row block of a running-sum fold and of a vector kernel's output.
+_FOLD_BLOCK = 1 << 16
+
 # Count of raw records pushed through any channel; test-only bookkeeping
 # used to assert the one-channel-call-per-record privacy structure.
 _records_privatized = 0
@@ -241,44 +244,53 @@ def l2_ball_channel(
     return _l2_ball_batch(np.reshape(x, (1, -1)), radius, level, rng)[0]
 
 
-def _l2_ball_batch(x, radius, level, rng):
+def _l2_ball_batch(x, radius, level, rng, grid=None):
     """The l2 channel of :func:`l2_ball_channel` for an (n, d) batch.
 
     A uniform sphere point reflected onto the required halfspace side
     follows the conditional law exactly, by the negation symmetry of the
-    sphere measure (ties have measure zero).
+    sphere measure (ties have measure zero).  The n-length draws come
+    first, then the sphere points one row block at a time; ``grid`` is as
+    in :func:`_vector_output`.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     if not (radius > 0.0):
         raise ParameterError(f"radius must be > 0, got {radius!r}")
-    norms = np.linalg.norm(x, axis=1)
+    norms = _row_norms(x)
     limit = radius * (1.0 + _DOMAIN_SLACK)
     if n and not (norms.max() <= limit):  # NaN fails too
         i = int(np.argmax(~(norms <= limit)))
         raise DomainError(
             f"record {i}: ||x||_2 = {norms[i]:.6g} exceeds the channel radius {radius:.6g}"
         )
-    zero = norms == 0.0
-    n_zero = int(np.count_nonzero(zero))
-    if n_zero:
-        directions = uniform_sphere(rng, d, size=n_zero)
+    zero_rows = np.flatnonzero(norms == 0.0)
+    if zero_rows.size:
+        directions = uniform_sphere(rng, d, size=zero_rows.size)
     # sign prob 1/2 + ||x||/(2r); reduces to a fair sign for zero records
     sign = np.where(rng.random(n) < 0.5 + norms / (2.0 * radius), 1.0, -1.0)
     t_sign = np.where(rng.random(n) < level.pi_eps, 1.0, -1.0)
-    u = uniform_sphere(rng, d, size=n)
-    # The rounded input is radius * sign * x/||x||, so for a nonzero record
-    # the side of <u, x_rounded> is that of sign * <u, x>; only zero records
-    # need the inner product with their drawn direction.
-    ip = sign * np.einsum("ij,ij->i", u, x)
-    if n_zero:
-        x_rounded = radius * sign[zero, None] * directions
-        ip[zero] = np.einsum("ij,ij->i", u[zero], x_rounded)
-    side = np.where(ip >= 0.0, 1.0, -1.0)
+    if zero_rows.size:
+        x_rounded = radius * sign[zero_rows, None] * directions
+    bound = l2_bound_B(d, radius, level)
     _count(n)
-    u *= l2_bound_B(d, radius, level)
-    u *= (side * t_sign)[:, None]
-    return u
+
+    def fill(lo, u):
+        hi = lo + len(u)
+        uniform_sphere(rng, d, out=u)
+        # The rounded input is radius * sign * x/||x||, so for a nonzero record
+        # the side of <u, x_rounded> is that of sign * <u, x>; only zero records
+        # need the inner product with their drawn direction.
+        ip = sign[lo:hi] * np.einsum("ij,ij->i", u, x[lo:hi])
+        a, b = np.searchsorted(zero_rows, (lo, hi)) if zero_rows.size else (0, 0)
+        if b > a:
+            rows = zero_rows[a:b] - lo
+            ip[rows] = np.einsum("ij,ij->i", u[rows], x_rounded[a:b])
+        side = np.where(ip >= 0.0, 1.0, -1.0)
+        u *= bound
+        u *= (side * t_sign[lo:hi])[:, None]
+
+    return _vector_output(fill, n, d, grid)
 
 
 def linf_ball_channel(
@@ -299,11 +311,13 @@ def linf_ball_channel(
     return _linf_ball_batch(np.reshape(x, (1, -1)), radius, level, rng)[0]
 
 
-def _linf_ball_batch(x, radius, level, rng):
+def _linf_ball_batch(x, radius, level, rng, grid=None):
     """The hypercube channel of :func:`linf_ball_channel` for an (n, d) batch.
 
     The (n, d) uniform draws fill one reused buffer block by block, the
-    stream of one large draw; only their boolean comparisons are kept.
+    stream of one large draw; only their boolean comparisons are kept, and
+    the output is built from them one row block at a time.  ``grid`` is as
+    in :func:`_vector_output`.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
@@ -338,7 +352,15 @@ def _linf_ball_batch(x, radius, level, rng):
     flip = np.where(ip == 0, 1.0, np.sign(ip) * side)
     _count(n)
     signed_bound = (linf_bound_B(d, radius, level) * flip)[:, None]
-    return np.where(vertex, signed_bound, -signed_bound)
+
+    def fill(lo, out):
+        # (2 vertex - 1) * signed_bound: exact, and faster than a broadcast np.where
+        hi = lo + len(out)
+        np.multiply(vertex[lo:hi], 2.0, out=out)
+        np.subtract(out, 1.0, out=out)
+        np.multiply(out, signed_bound[lo:hi], out=out)
+
+    return _vector_output(fill, n, d, grid)
 
 
 def laplace_vector_channel(
@@ -373,21 +395,97 @@ def _laplace_vector_inv_scale(x2d, d, radius, level, sensitivity_norm):
             raise DomainError(f"l1 mode expects coordinates in [0, {radius:.6g}]")
         return level.epsilon / (d * radius)
     if sensitivity_norm == "l2_paper":
-        norms = np.linalg.norm(x2d, axis=1)
+        norms = _row_norms(x2d)
         if norms.size and not (norms.max() <= radius * (1.0 + _DOMAIN_SLACK)):
             raise DomainError(f"l2_paper mode expects ||x||_2 <= {radius:.6g}")
         return level.epsilon / (2.0 * radius * math.sqrt(d))
     raise ParameterError(f"unknown sensitivity_norm {sensitivity_norm!r}")
 
 
-def _laplace_vector_batch(x, radius, level, sensitivity_norm, rng):
+def _laplace_vector_batch(x, radius, level, sensitivity_norm, rng, grid=None):
+    """The additive-Laplace channel for an (n, d) batch, its noise drawn one row
+    block at a time; ``grid`` is as in :func:`_vector_output`."""
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     inv = _laplace_vector_inv_scale(x, d, radius, level, sensitivity_norm)
     _count(n)
-    noise = laplace_sample(rng, inv, size=(n, d))
-    noise += x
-    return noise
+
+    def fill(lo, out):
+        np.add(laplace_sample(rng, inv, size=out.shape), x[lo : lo + len(out)], out=out)
+
+    return _vector_output(fill, n, d, grid)
+
+
+# ---------------------------------------------------------------------------
+# row-blocked output and aggregation of the vector kernels
+
+
+def _row_norms(x):
+    """``np.linalg.norm(x, axis=1)`` of an (n, d) array, one row block at a time.
+
+    Each row's norm is computed as in one whole-array call, without its
+    (n, d) temporary of squares.
+    """
+    n, d = x.shape
+    rows = max(1, _FOLD_BLOCK // max(d, 1))
+    if n <= rows:
+        return np.linalg.norm(x, axis=1)
+    norms = np.empty(n)
+    for lo in range(0, n, rows):
+        norms[lo : lo + rows] = np.linalg.norm(x[lo : lo + rows], axis=1)
+    return norms
+
+
+def _running_means(fill, d, grid):
+    """Mean of the first n rows of an (N, d) array for each n of the increasing grid.
+
+    ``fill(lo, out)`` writes rows lo, lo + 1, ... into ``out``, a block that
+    sits below the sum so far in one C-contiguous buffer.  For d >= 2
+    numpy's axis-0 sum there adds rows one after another, as cumsum and an
+    axis-0 mean do, so each mean is theirs bit for bit (``initial=-0.0`` is
+    an exact identity).  That sum would take a single column pairwise, so
+    for d = 1 the block is accumulated in place: each mean is cumsum's.
+    """
+    rows = max(1, _FOLD_BLOCK // d)
+    buf = np.empty((rows + 1, d))
+    buf[0] = -0.0
+    out, prev = [], 0
+    for n in grid:
+        for lo in range(prev, n, rows):
+            r = min(rows, n - lo)
+            fill(lo, buf[1 : r + 1])
+            if d == 1:
+                buf[0] = np.add.accumulate(buf[: r + 1], axis=0, out=buf[: r + 1])[r]
+            else:
+                buf[0] = np.add.reduce(buf[: r + 1], axis=0, initial=-0.0)
+        out.append((n, buf[0] / n))
+        prev = n
+    return out
+
+
+def _vector_output(fill, n, d, grid):
+    """The n rows of a vector kernel's output, which ``fill(lo, out)`` writes in order.
+
+    Without ``grid``, the (n, d) array.  With an increasing ``grid`` of row
+    counts, the (len(grid), d) array whose row g is the mean of the first
+    grid[g] rows: bit for bit the prefix means of the array, from one
+    running sum in O(block) memory.  Rows past the last grid point are
+    still filled, so the kernel consumes the same draws either way.
+    """
+    rows = max(1, _FOLD_BLOCK // max(d, 1))
+    if grid is None:
+        z = np.empty((n, d))
+        for lo in range(0, n, rows):
+            fill(lo, z[lo : lo + rows])
+        return z
+    grid = [int(g) for g in grid]
+    if not grid or grid[0] < 1 or grid[-1] > n or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ParameterError(f"grid must increase strictly within 1..{n}, got {grid!r}")
+    means = np.array([mean for _, mean in _running_means(fill, d, grid)])
+    tail = np.empty((min(rows, n - grid[-1]), d))
+    for lo in range(grid[-1], n, rows):
+        fill(lo, tail[: min(rows, n - lo)])
+    return means
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from privest.cli import main
-from privest.core import PrivacyLevel, make_rng
+from privest.core import ConfigError, PrivacyLevel, make_rng
 from privest.estimators import (
     MomentAssumption,
     density_estimate,
@@ -245,45 +245,67 @@ def test_estimate_malformed_config_exits_2(tmp_path, capsys, config):
     assert _one_config_error_line(capsys)
 
 
+_STRING_VECTOR = {"kind": "fixed_vector", "value": "ab"}
+
+
+def test_estimate_string_vector_parameter_exits_2(tmp_path, capsys):
+    config = {"estimator": "mean_vector", "n": 100, "generator": _STRING_VECTOR}
+    assert main(["estimate", "--config", _write(tmp_path, config)]) == 2
+    assert _one_config_error_line(capsys)
+
+
+def test_bench_string_vector_parameter_exits_2(tmp_path, capsys):
+    config = {**_BENCH, "generator": {"kind": "bernoulli_product", "freqs": "ab"}}
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--config", _write(tmp_path, config), "--out", str(out)]) == 2
+    assert _one_config_error_line(capsys)
+    assert not out.exists()
+
+
+def test_generator_config_error_keeps_its_message():
+    with pytest.raises(ConfigError) as excinfo:
+        make_generator({"kind": "fixed_vector", "value": []})
+    assert str(excinfo.value) == "fixed vector must be non-empty"
+
+
+def test_non_integer_seed_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LDP_SEED", "abc")
+    assert main(["estimate", "--config", _write(tmp_path, _ESTIMATE)]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: LDP_SEED must be an integer, got 'abc'\n"
+
+
 _LEVEL = PrivacyLevel(0.8)
 
-# estimator -> (generator, options, the library estimator on (data, rng), exact);
-# mean_vector and sparse fold their means row by row, the library sums pairwise
+# estimator -> (generator, options, the library estimator on (data, rng)); the
+# printed estimate equals the library's bit for bit
 _LIBRARY = {
     "mean_scalar": ({"kind": "heavy_tail_k", "k": 3.0}, {"moment_k": 3.0},
-                    lambda x, rng: private_mean_scalar(x, MomentAssumption(3.0), _LEVEL, rng),
-                    True),
+                    lambda x, rng: private_mean_scalar(x, MomentAssumption(3.0), _LEVEL, rng)),
     "mean_vector": ({"kind": "bernoulli_product", "freqs": [0.2, 0.7, 0.4]}, {},
-                    lambda x, rng: private_mean_vector(x - 0.5, "linf", 0.5, _LEVEL, rng) + 0.5,
-                    False),
+                    lambda x, rng: private_mean_vector(x - 0.5, "linf", 0.5, _LEVEL, rng) + 0.5),
     "median": ({"kind": "lognormal"}, {},
-               lambda x, rng: private_median_sgd(x, 2.0 * math.exp(10.0), _LEVEL, rng, True),
-               True),
+               lambda x, rng: private_median_sgd(x, 2.0 * math.exp(10.0), _LEVEL, rng, True)),
     "sparse": ({"kind": "fixed_vector", "value": [1.0, 0.0, 0.0, 0.0]}, {"lam": 0.1},
-               lambda x, rng: sparse_mean(x, 1.0, _LEVEL, rng, lam=0.1), False),
+               lambda x, rng: sparse_mean(x, 1.0, _LEVEL, rng, lam=0.1)),
     "logistic": ({"kind": "logistic_model", "theta": [0.5, -0.5, 0.0]}, {},
                  lambda s, rng: private_logistic_sgd(s, "l2", math.sqrt(3.0), _LEVEL, rng,
-                                                     1.0, 0.6, 5.0),
-                 True),
+                                                     1.0, 0.6, 5.0)),
     "density": ({"kind": "trig_density", "coeffs": [0.5, 0.0, 0.25]}, {},
-                lambda x, rng: density_estimate(x, 1.0, _LEVEL, rng).coeffs, True),
+                lambda x, rng: density_estimate(x, 1.0, _LEVEL, rng).coeffs),
 }
 
 
 @pytest.mark.parametrize("estimator", sorted(_LIBRARY))
 def test_estimate_is_one_run_of_the_library_estimator(tmp_path, capsys, estimator):
-    generator, options, reference, exact = _LIBRARY[estimator]
+    generator, options, reference = _LIBRARY[estimator]
     n, seed = 3000, 5
     config = {"estimator": estimator, "n": n, "eps": 0.8, "seed": seed,
               "generator": generator, "options": options}
     assert main(["estimate", "--config", _write(tmp_path, config)]) == 0
     got = json.loads(capsys.readouterr().out)["estimate"]
     data = make_generator(generator).sample(n, make_rng(seed, 0, 0))
-    want = np.asarray(reference(data, make_rng(seed, 2, 0))).tolist()
-    if exact:
-        assert got == want
-    else:
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert got == np.asarray(reference(data, make_rng(seed, 2, 0))).tolist()
 
 
 def test_rates_curve(tmp_path):

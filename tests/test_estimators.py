@@ -11,7 +11,6 @@ from privest.estimators import (
     ORTH_BOUND,
     MomentAssumption,
     _BASIS_BLOCK,
-    _FOLD_BLOCK,
     _logistic_sgd_paths,
     _median_sgd_paths,
     density_estimate,
@@ -27,7 +26,13 @@ from privest.estimators import (
     trig_basis_eval,
     trig_basis_matrix,
 )
-from privest.mechanisms import privatization_count, reset_privatization_count
+from privest.mechanisms import (
+    _FOLD_BLOCK,
+    _l2_ball_batch,
+    _linf_ball_batch,
+    privatization_count,
+    reset_privatization_count,
+)
 
 ONE = PrivacyLevel(1.0)
 
@@ -473,6 +478,50 @@ class TestBlockedBasis:
         for level in (ONE, None):
             with pytest.raises(DomainError):
                 density_estimate(t, 1.0, level, make_rng(0), k=3)
+
+
+class TestStreamedMeans:
+    """The streamed library means equal the materialised channel output's ``.mean(axis=0)``."""
+
+    @staticmethod
+    def _assert_equal_streams(estimate, reference, seed):
+        ours, theirs = make_rng(seed), make_rng(seed)
+        got, want = estimate(ours), reference(theirs)
+        assert np.array_equal(got, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("geometry, kernel", [("l2", _l2_ball_batch),
+                                                  ("linf", _linf_ball_batch)])
+    @pytest.mark.parametrize("d", [1, 2, 27])
+    def test_private_mean_vector(self, geometry, kernel, d):
+        n = 2 * (_FOLD_BLOCK // d) + 5
+        x = make_rng(90, d).uniform(-1.0, 1.0, size=(n, d)) * (0.9 / math.sqrt(d))
+        self._assert_equal_streams(
+            lambda rng: private_mean_vector(x, geometry, 1.0, ONE, rng),
+            lambda rng: kernel(x, 1.0, ONE, rng).mean(axis=0), d,
+        )
+
+    @pytest.mark.parametrize("d", [2, 32])
+    def test_sparse_mean(self, d):
+        n = 2 * (_FOLD_BLOCK // d) + 5
+        x = np.zeros((n, d))
+        x[:, 0] = 1.0
+        self._assert_equal_streams(
+            lambda rng: sparse_mean(x, 1.0, ONE, rng, lam=0.05),
+            lambda rng: soft_threshold(_linf_ball_batch(x, 1.0, ONE, rng).mean(axis=0), 0.05),
+            d,
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 23])
+    def test_density_estimate(self, k):
+        data = make_rng(91, k).random(2 * (_FOLD_BLOCK // k) + 5)
+        self._assert_equal_streams(
+            lambda rng: density_estimate(data, 1.0, ONE, rng, k=k).coeffs,
+            lambda rng: _linf_ball_batch(
+                trig_basis_matrix(k, data), ORTH_BOUND, ONE, rng
+            ).mean(axis=0),
+            k,
+        )
 
 
 class TestDensityEstimate:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from privest.core import ConfigError, ParameterError, make_rng
-from privest.estimators import _FOLD_BLOCK, _projection_coeffs, trig_basis_matrix
+from privest.estimators import _projection_coeffs, trig_basis_matrix
 from privest.experiments import (
     CSV_HEADER,
     ESTIMATORS,
@@ -21,6 +21,7 @@ from privest.experiments import (
     spec_from_config,
     summarize,
 )
+from privest.mechanisms import _FOLD_BLOCK
 
 
 def _tiny_spec(mechanism="optimal", **overrides):

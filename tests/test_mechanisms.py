@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from privest.core import (
     uniform_sphere,
 )
 from privest.audit import halfspace_expectation_cube, sphere_halfspace_mean_quadrature
+from privest.experiments import _prefix_means
 from privest.mechanisms import (
+    _FOLD_BLOCK,
     Channel,
     MomentAssumption,
     _LINF_BLOCK,
@@ -285,6 +288,68 @@ class TestKernelPins:
         got = _truncated_laplace_batch(s, t_level, level, make_rng(503))
         want = np.clip(s, -1.5, 1.5) + laplace_sample(make_rng(503), 0.7 / 3.0, size=s.shape)
         assert np.array_equal(got, want)
+
+
+# name -> the kernel on (x, rng, **grid), for records x inside the unit l2 ball
+_VECTOR_KERNELS = {
+    "l2_ball": lambda x, rng, **g: _l2_ball_batch(x, 1.0, LN3, rng, **g),
+    "linf_ball": lambda x, rng, **g: _linf_ball_batch(x, 1.0, LN3, rng, **g),
+    "laplace_l1": lambda x, rng, **g: _laplace_vector_batch(np.abs(x), 1.0, LN3, "l1", rng, **g),
+    "laplace_l2_paper": lambda x, rng, **g: _laplace_vector_batch(
+        x, 1.0, LN3, "l2_paper", rng, **g
+    ),
+}
+
+
+def _streamed_records(d, n):
+    x = make_rng(700, d).uniform(-1.0, 1.0, size=(n, d)) * (0.9 / math.sqrt(d))
+    x[::9] = 0.0  # zero-norm rows take the l2 kernel's drawn directions
+    return x
+
+
+class TestStreamedKernels:
+    """``grid=`` returns the prefix means of the materialised output, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(_VECTOR_KERNELS))
+    @pytest.mark.parametrize("d", [1, 2, 27, 64])
+    def test_equals_prefix_means_of_output(self, kind, d):
+        kernel = _VECTOR_KERNELS[kind]
+        rows = _FOLD_BLOCK // d
+        n = 3 * rows + 17
+        x = _streamed_records(d, n)
+        grids = [(n,), (1,), (rows - 1, rows + 1, 2 * rows + 5, n - 3), (7, 1000)]
+        for grid in grids:
+            streamed, whole = make_rng(701, d), make_rng(701, d)
+            reset_privatization_count()
+            got = kernel(x, streamed, grid=grid)
+            assert privatization_count() == n
+            want = np.array([mean for _, mean in _prefix_means(kernel(x, whole), grid)])
+            assert got.shape == (len(grid), d)
+            assert np.array_equal(got, want)
+            # rows past the last grid point still draw: both generators end in one state
+            assert streamed.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("kind", sorted(_VECTOR_KERNELS))
+    def test_rejects_a_grid_outside_the_batch(self, kind):
+        x = _streamed_records(3, 50)
+        for grid in [(), (0, 10), (10, 10), (20, 10), (51,)]:
+            with pytest.raises(ParameterError):
+                _VECTOR_KERNELS[kind](x, make_rng(0), grid=grid)
+
+
+@pytest.mark.parametrize("kind", ["l2_ball", "linf_ball", "laplace_l2_paper"])
+def test_streamed_kernels_hold_no_channel_output(kind):
+    """With ``grid=``, a kernel's extra memory is O(block), plus 2 n d bytes for the hypercube."""
+    x = _streamed_records(64, 20_000)
+    kernel = _VECTOR_KERNELS[kind]
+    kernel(x[:100], make_rng(0), grid=(100,))  # warm up any one-time allocations
+    tracemalloc.start()
+    try:
+        kernel(x, make_rng(1), grid=(5000, 20_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * x.nbytes
 
 
 class TestNonFiniteRecords:
