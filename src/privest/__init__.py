@@ -18,15 +18,9 @@ from .mechanisms import (
     ChannelKind,
     MomentAssumption,
     cube_halfspace_mean,
-    l2_ball_channel,
     l2_bound_B,
-    laplace_vector_channel,
-    linf_ball_channel,
     linf_bound_B,
-    naive_median_channel,
-    sign_rr_channel,
     sphere_halfspace_mean,
-    truncated_laplace_mean_channel,
     truncation_level,
 )
 from .estimators import (
@@ -67,6 +61,6 @@ from .experiments import (
     run_experiment,
     summarize,
 )
-from .generators import generate, make_generator
+from .generators import make_generator
 
 __version__ = "0.1.0"

@@ -151,10 +151,7 @@ def monte_carlo_unbias(channel: Channel, x, n: int, rng) -> tuple:
     if n < 1000:
         raise ParameterError(f"need at least 1000 draws for a stable stderr, got {n}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if channel.kind is ChannelKind.SIGN_RR:
-        draws = channel.privatize_batch(np.full(n, float(x[0])), rng)[:, None]
-    else:
-        draws = channel.privatize_batch(np.broadcast_to(x, (n, x.size)), rng)
+    draws = channel.privatize_batch(np.broadcast_to(x, (n, x.size)), rng)
     mean = draws.mean(axis=0)
     stderr = draws.std(axis=0, ddof=1) / math.sqrt(n)
     return mean, stderr

@@ -64,7 +64,10 @@ def _seed_default(value):
 
 
 def _parse_vector(text):
-    return np.array([float(v) for v in text.split(",") if v != ""])
+    try:
+        return np.array([float(v) for v in text.split(",") if v != ""])
+    except ValueError:
+        raise ConfigError(f"--x entries must be numbers, got {text!r}") from None
 
 
 def _cmd_mech_sample(args) -> int:
@@ -73,6 +76,8 @@ def _cmd_mech_sample(args) -> int:
     rng = make_rng(seed)
     x = _parse_vector(args.x)
     d = x.size
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     if args.mechanism == "l2_ball":
         channel = Channel.l2_ball(d, args.radius, level)
     elif args.mechanism == "linf_ball":
@@ -86,10 +91,7 @@ def _cmd_mech_sample(args) -> int:
     else:
         assumption = MomentAssumption(k=args.moment_k, radius_k=args.radius)
         channel = Channel.truncated_laplace(assumption, args.n, level)
-    if channel.dim == 1:
-        draws = channel.privatize_batch(np.full(args.n, float(x[0])), rng)[:, None]
-    else:
-        draws = channel.privatize_batch(np.broadcast_to(x, (args.n, d)), rng)
+    draws = channel.privatize_batch(np.broadcast_to(x, (args.n, d)), rng)
     header = ",".join(f"z{j}" for j in range(draws.shape[1]))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
@@ -146,6 +148,8 @@ def _cmd_bench(args) -> int:
 def _cmd_audit(args) -> int:
     seed = _seed_default(args.seed)
     level = PrivacyLevel(args.eps)
+    if args.d_max < 1:
+        raise ConfigError(f"--d-max must be >= 1, got {args.d_max}")
     failures = 0
 
     def check(name, ok, detail=""):

@@ -71,22 +71,12 @@ def private_mean_vector(
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ParameterError("data must be a non-empty (n, d) array")
+    grid = (len(data),)
     if geometry == "l2":
-        return _channel_mean(_l2_ball_batch, data, radius, level, rng)
+        return _l2_ball_batch(data, radius, level, rng, grid=grid)[0]
     if geometry == "linf":
-        return _channel_mean(_linf_ball_batch, data, radius, level, rng)
+        return _linf_ball_batch(data, radius, level, rng, grid=grid)[0]
     raise ParameterError(f"unknown geometry {geometry!r} (use 'l2' or 'linf')")
-
-
-def _channel_mean(kernel, x, *args):
-    """``kernel(x, *args).mean(axis=0)`` bit for bit, for a vector kernel and (n, d) x.
-
-    Streamed through the kernel's ``grid`` when d >= 2.  numpy sums a
-    single column pairwise, so a d = 1 mean takes the whole column.
-    """
-    if x.shape[1] == 1:
-        return kernel(x, *args).mean(axis=0)
-    return kernel(x, *args, grid=(len(x),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +185,7 @@ def sparse_mean(
         raise ParameterError(f"sparse mean needs dimension >= 2, got {d}")
     if lam is None:
         lam = sparse_mean_threshold(d, n, level, radius)
-    return soft_threshold(_channel_mean(_linf_ball_batch, data, radius, level, rng), lam)
+    return soft_threshold(_linf_ball_batch(data, radius, level, rng, grid=(n,))[0], lam)
 
 
 # ---------------------------------------------------------------------------
@@ -415,21 +405,15 @@ def trig_basis_matrix(k: int, t, out=None) -> np.ndarray:
 
 
 def _projection_coeffs(data, k_for, basis):
-    """Map each n of ``k_for`` (n -> order k, n increasing) to ``basis(k, data[:n]).mean(axis=0)``.
+    """Map each n of ``k_for`` (n -> order k, n increasing) to the mean of ``basis(k, data[:n])``.
 
-    Bit for bit, from one running sum of basis rows at the largest order
-    (lower orders are column prefixes).  numpy sums a single column
-    pairwise, so k = 1 cells evaluate their column whole.
+    One running sum of basis rows at the largest order (lower orders are
+    column prefixes), each mean summed in the order of
+    :func:`~privest.mechanisms._running_means`.
     """
     k_max = max(k_for.values())
-    coeffs = {}
-    if k_max > 1:
-        fill = lambda lo, out: basis(k_max, data[lo : lo + len(out)], out=out)
-        coeffs = {n: mean[: k_for[n]] for n, mean in _running_means(fill, k_max, list(k_for))}
-    for n, k in k_for.items():
-        if k == 1:
-            coeffs[n] = basis(1, data[:n]).mean(axis=0)
-    return coeffs
+    fill = lambda lo, out: basis(k_max, data[lo : lo + len(out)], out=out)
+    return {n: mean[: k_for[n]] for n, mean in _running_means(fill, k_max, list(k_for))}
 
 
 @dataclass(frozen=True)
@@ -484,5 +468,6 @@ def density_estimate(
     if level is None:
         coeffs = _projection_coeffs(data, {data.size: k}, trig_basis_matrix)[data.size]
     else:
-        coeffs = _channel_mean(_linf_ball_batch, trig_basis_matrix(k, data), ORTH_BOUND, level, rng)
+        basis = trig_basis_matrix(k, data)
+        coeffs = _linf_ball_batch(basis, ORTH_BOUND, level, rng, grid=(len(basis),))[0]
     return DensityEstimate(k=k, coeffs=coeffs, beta=beta)

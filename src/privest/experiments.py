@@ -31,7 +31,6 @@ from .core import ConfigError, PrivacyLevel, make_rng
 from .estimators import (
     ORTH_BOUND,
     MomentAssumption,
-    _channel_mean,
     _logistic_sgd_paths,
     _median_sgd_paths,
     _projection_coeffs,
@@ -404,7 +403,7 @@ def _density_arm(spec, gen, samples, rng):
     # lower basis orders are column prefixes, so one build serves all n
     basis = trig_basis_matrix(max(k_for.values()), data)
     return {
-        n: [_channel_mean(_linf_ball_batch, basis[:n, :k], ORTH_BOUND, spec.level, rng)]
+        n: [_linf_ball_batch(basis[:n, :k], ORTH_BOUND, spec.level, rng, grid=(n,))[0]]
         for n, k in k_for.items()
     }
 

@@ -272,10 +272,3 @@ def make_generator(config: dict):
         raise
     except (TypeError, ValueError) as exc:  # e.g. float("a") of a vector parameter "ab"
         raise ConfigError(f"bad parameters for {kind!r}: {exc}") from exc
-
-
-def generate(generator, n: int, rng: np.random.Generator):
-    """Draw n i.i.d. records from a generator (built by :func:`make_generator`)."""
-    if n < 1:
-        raise ConfigError(f"sample size must be >= 1, got {n}")
-    return generator.sample(n, rng)

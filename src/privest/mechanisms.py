@@ -2,7 +2,9 @@
 
 Implements the minimax-optimal channels (truncated-Laplace scalar, l2-ball
 and hypercube halfspace samplers, sign randomized response) together with
-the additive-Laplace baselines they are benchmarked against.
+the additive-Laplace baselines they are benchmarked against.  Each law has
+one batch kernel; :class:`Channel` describes the law on its constructor and
+is the public entry, per record (``privatize``) or per batch.
 
 Every channel is unbiased, ``E[Z | X = x] = x``, and emits each raw record
 exactly once.  The halfspace samplers condition a uniform point of a sphere
@@ -159,19 +161,8 @@ def truncation_level(assumption: MomentAssumption, n: int, level: PrivacyLevel) 
 
 
 # ---------------------------------------------------------------------------
-# scalar channels
-
-
-def truncated_laplace_mean_channel(
-    x: float, assumption: MomentAssumption, n: int, level: PrivacyLevel, rng: np.random.Generator
-) -> float:
-    """Privatize a scalar for mean estimation: clamp to [-T, T], add Laplace noise.
-
-    T = truncation_level(assumption, n, level) and the noise has inverse
-    scale eps / (2T), so the output variance given x is 8 T^2 / eps^2.
-    """
-    t_level = truncation_level(assumption, n, level)
-    return float(_truncated_laplace_batch(np.reshape(x, 1), t_level, level, rng)[0])
+# channel kernels: one per law (described on its :class:`Channel` constructor),
+# each privatizing a whole batch of records
 
 
 def _truncated_laplace_batch(x, t_level, level, rng):
@@ -180,22 +171,6 @@ def _truncated_laplace_batch(x, t_level, level, rng):
     noise = laplace_sample(rng, level.epsilon / (2.0 * t_level), size=x.shape)
     noise += clamp(x, t_level)
     return noise
-
-
-def naive_median_channel(
-    x: float,
-    radius: float,
-    level: PrivacyLevel,
-    rng: np.random.Generator,
-    one_sided: bool = False,
-) -> float:
-    """Baseline for median estimation: project onto the interval, add Laplace(eps/(2r)).
-
-    ``one_sided=True`` projects onto [0, r] instead of [-r, r] (useful when
-    the median is known to be non-negative); the noise scale is kept at
-    eps/(2r) in both cases, so the mechanism stays eps-LDP.
-    """
-    return float(_naive_median_batch(np.reshape(x, 1), radius, level, rng, one_sided)[0])
 
 
 def _naive_median_batch(x, radius, level, rng, one_sided=False):
@@ -209,15 +184,6 @@ def _naive_median_batch(x, radius, level, rng, one_sided=False):
     return noise
 
 
-def sign_rr_channel(s: float, level: PrivacyLevel, rng: np.random.Generator) -> float:
-    """Randomized response on a sign: return phi_eps * s w.p. pi_eps, else -phi_eps * s.
-
-    Unbiased for s, and the likelihood ratio between the two inputs is
-    exactly exp(eps).
-    """
-    return float(_sign_rr_batch(np.reshape(s, 1), level, rng)[0])
-
-
 def _sign_rr_batch(s, level, rng):
     s = np.asarray(s, dtype=float)
     if not np.all(np.abs(s) == 1.0):
@@ -227,25 +193,8 @@ def _sign_rr_batch(s, level, rng):
     return level.phi_eps * w * s
 
 
-# ---------------------------------------------------------------------------
-# vector channels
-
-
-def l2_ball_channel(
-    x, radius: float, level: PrivacyLevel, rng: np.random.Generator
-) -> np.ndarray:
-    """Privatize a vector with ||x||_2 <= radius; output lies on the sphere ||Z||_2 = B.
-
-    Steps: (i) round x to +/- radius * x/||x|| with P(+) = 1/2 + ||x||/(2 radius)
-    (a uniform direction with a fair sign when x = 0); (ii) draw the channel
-    bit T; (iii) draw a uniform sphere point on the halfspace side selected
-    by T, scaled to norm B = :func:`l2_bound_B`.
-    """
-    return _l2_ball_batch(np.reshape(x, (1, -1)), radius, level, rng)[0]
-
-
 def _l2_ball_batch(x, radius, level, rng, grid=None):
-    """The l2 channel of :func:`l2_ball_channel` for an (n, d) batch.
+    """The channel of :meth:`Channel.l2_ball` for an (n, d) batch.
 
     A uniform sphere point reflected onto the required halfspace side
     follows the conditional law exactly, by the negation symmetry of the
@@ -293,26 +242,8 @@ def _l2_ball_batch(x, radius, level, rng, grid=None):
     return _vector_output(fill, n, d, grid)
 
 
-def linf_ball_channel(
-    x, radius: float, level: PrivacyLevel, rng: np.random.Generator
-) -> np.ndarray:
-    """Privatize a vector with ||x||_inf <= radius; output in {-B, +B}^d.
-
-    Steps: (i) round each coordinate independently to +/- radius with
-    P(+radius) = 1/2 + x_j/(2 radius); (ii) draw a uniform hypercube vertex
-    V; (iii) if <V, X~> = 0 (possible for even d) output B * V as is, else
-    flip V onto the positive side of X~ with probability
-    (1 + gamma_d / phi_eps) / 2 and onto the negative side otherwise,
-    scaled by B = :func:`linf_bound_B`.  The flip probability combines the
-    channel bit T ~ Bernoulli(pi_eps) with the tie correction
-    :func:`cube_tie_gamma`; for odd d it reduces to sampling the closed
-    halfspace selected by T uniformly.
-    """
-    return _linf_ball_batch(np.reshape(x, (1, -1)), radius, level, rng)[0]
-
-
 def _linf_ball_batch(x, radius, level, rng, grid=None):
-    """The hypercube channel of :func:`linf_ball_channel` for an (n, d) batch.
+    """The channel of :meth:`Channel.linf_ball` for an (n, d) batch.
 
     The (n, d) uniform draws fill one reused buffer block by block, the
     stream of one large draw; only their boolean comparisons are kept, and
@@ -361,28 +292,6 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
         np.multiply(out, signed_bound[lo:hi], out=out)
 
     return _vector_output(fill, n, d, grid)
-
-
-def laplace_vector_channel(
-    x,
-    radius: float,
-    level: PrivacyLevel,
-    sensitivity_norm: str,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Additive-Laplace baseline: Z = x + W with i.i.d. Laplace coordinates.
-
-    Args:
-        x: The record to privatize.
-        radius: Domain bound; ``sensitivity_norm`` fixes its meaning.
-        level: Privacy budget.
-        sensitivity_norm: ``"l1"`` calibrates for x in [0, radius]^d per
-            coordinate (l1 sensitivity d * radius, noise inverse scale
-            eps / (d * radius)); ``"l2_paper"`` calibrates for ||x||_2 <=
-            radius (inverse scale eps / (2 * radius * sqrt(d))).
-        rng: Source of randomness.
-    """
-    return _laplace_vector_batch(np.reshape(x, (1, -1)), radius, level, sensitivity_norm, rng)[0]
 
 
 def _laplace_vector_inv_scale(x2d, d, radius, level, sensitivity_norm):
@@ -526,22 +435,55 @@ class Channel:
 
     @staticmethod
     def l2_ball(dim: int, radius: float, level: PrivacyLevel) -> "Channel":
+        """Records with ||x||_2 <= radius; output on the sphere ||Z||_2 = B.
+
+        Steps: (i) round x to +/- radius * x/||x|| with P(+) = 1/2 + ||x||/(2 radius)
+        (a uniform direction with a fair sign when x = 0); (ii) draw the channel
+        bit T; (iii) draw a uniform sphere point on the halfspace side selected
+        by T, scaled to norm B = :func:`l2_bound_B`.
+        """
         return Channel(ChannelKind.L2_BALL, level, radius, dim, l2_bound_B(dim, radius, level))
 
     @staticmethod
     def linf_ball(dim: int, radius: float, level: PrivacyLevel) -> "Channel":
+        """Records with ||x||_inf <= radius; output in {-B, +B}^d.
+
+        Steps: (i) round each coordinate independently to +/- radius with
+        P(+radius) = 1/2 + x_j/(2 radius); (ii) draw a uniform hypercube vertex
+        V; (iii) if <V, X~> = 0 (possible for even d) output B * V as is, else
+        flip V onto the positive side of X~ with probability
+        (1 + gamma_d / phi_eps) / 2 and onto the negative side otherwise,
+        scaled by B = :func:`linf_bound_B`.  The flip probability combines the
+        channel bit T ~ Bernoulli(pi_eps) with the tie correction
+        :func:`cube_tie_gamma`; for odd d it reduces to sampling the closed
+        halfspace selected by T uniformly.
+        """
         return Channel(
             ChannelKind.LINF_BALL, level, radius, dim, linf_bound_B(dim, radius, level)
         )
 
     @staticmethod
     def sign_rr(level: PrivacyLevel) -> "Channel":
+        """Randomized response on a sign s: phi_eps * s w.p. pi_eps, else -phi_eps * s.
+
+        Unbiased for s, and the likelihood ratio between the two inputs is
+        exactly exp(eps).
+        """
         return Channel(ChannelKind.SIGN_RR, level, 1.0, 1, level.phi_eps)
 
     @staticmethod
     def laplace_vector(
         dim: int, radius: float, level: PrivacyLevel, sensitivity_norm: str = "l1"
     ) -> "Channel":
+        """Additive-Laplace baseline: Z = x + W with i.i.d. Laplace coordinates.
+
+        ``sensitivity_norm="l1"`` calibrates for x in [0, radius]^d per
+        coordinate (l1 sensitivity d * radius, noise inverse scale
+        eps / (d * radius)); ``"l2_paper"`` calibrates for ||x||_2 <= radius
+        (inverse scale eps / (2 * radius * sqrt(d))).
+        """
+        if dim < 1:
+            raise ParameterError(f"dimension must be >= 1, got {dim}")
         if sensitivity_norm not in ("l1", "l2_paper"):
             raise ParameterError(f"unknown sensitivity_norm {sensitivity_norm!r}")
         return Channel(
@@ -550,6 +492,12 @@ class Channel:
 
     @staticmethod
     def naive_median(radius: float, level: PrivacyLevel, one_sided: bool = False) -> "Channel":
+        """Median baseline: project onto [-r, r], add Laplace noise of inverse scale eps/(2r).
+
+        ``one_sided=True`` projects onto [0, r] instead (useful when the
+        median is known to be non-negative); the noise scale stays eps/(2r),
+        so the channel stays eps-LDP.
+        """
         return Channel(
             ChannelKind.NAIVE_MEDIAN, level, radius, 1, math.inf, one_sided=one_sided
         )
@@ -558,6 +506,11 @@ class Channel:
     def truncated_laplace(
         assumption: MomentAssumption, n: int, level: PrivacyLevel
     ) -> "Channel":
+        """Scalar mean channel: clamp to [-T, T], add Laplace noise of inverse scale eps/(2T).
+
+        T = :func:`truncation_level` (assumption, n, level), so the output
+        variance given x is 8 T^2 / eps^2.
+        """
         t_level = truncation_level(assumption, n, level)
         return Channel(ChannelKind.TRUNCATED_LAPLACE_SCALAR, level, t_level, 1, t_level)
 
@@ -566,12 +519,22 @@ class Channel:
 
         Scalar kinds return a float, vector kinds a length-dim array.
         """
-        if self.kind in _SCALAR_KINDS:
-            return float(self.privatize_batch(np.reshape(x, 1), rng)[0])
-        return self.privatize_batch(np.reshape(x, (1, -1)), rng)[0]
+        z = self.privatize_batch(np.reshape(x, (1, -1)), rng)[0]
+        return float(z[0]) if self.kind in _SCALAR_KINDS else z
 
     def privatize_batch(self, x, rng: np.random.Generator):
-        """Privatize an (n,) or (n, dim) batch of records in one vectorized call."""
+        """Privatize a batch of records in one vectorized call.
+
+        Vector kinds take an (n, dim) batch, scalar kinds an (n,) or (n, 1)
+        one; the output has the shape of the batch.
+        """
+        x = np.asarray(x, dtype=float)
+        if not (x.ndim == 2 and x.shape[1] == self.dim
+                or x.ndim == 1 and self.kind in _SCALAR_KINDS):
+            raise ParameterError(
+                f"{self.kind.value} records have dimension {self.dim}; "
+                f"got a batch of shape {x.shape}"
+            )
         k = self.kind
         if k is ChannelKind.L2_BALL:
             return _l2_ball_batch(x, self.radius, self.level, rng)

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from privest.cli import main
+from privest.cli import _MECH_CHOICES, main
 from privest.core import ConfigError, PrivacyLevel, make_rng
 from privest.estimators import (
     MomentAssumption,
@@ -49,6 +54,27 @@ def test_mech_sample_scalar_channel(tmp_path):
     ]) == 0
     values = {float(line) for line in out.read_text().splitlines()[1:]}
     assert all(abs(abs(v) - 2.0) < 1e-9 for v in values)
+
+
+@pytest.mark.parametrize("mechanism", ["sign_rr", "naive_median", "truncated_laplace"])
+def test_mech_sample_scalar_channel_rejects_a_vector_record(tmp_path, capsys, mechanism):
+    out = tmp_path / "z.csv"
+    assert main(["mech-sample", "--mechanism", mechanism, "--x", "1,1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "records have dimension 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--x", "abc"), ("--x", ","), ("--x", "1,-"),
+                                         ("--n", "-1"), ("--n", "0")])
+def test_mech_sample_bad_argument_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "z.csv"
+    argv = ["mech-sample", "--mechanism", "linf_ball", f"{flag}={value}", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bench_preset_roundtrip(tmp_path):
@@ -277,28 +303,34 @@ def test_non_integer_seed_env_exits_2(tmp_path, capsys, monkeypatch):
 
 _LEVEL = PrivacyLevel(0.8)
 
-# estimator -> (generator, options, the library estimator on (data, rng)); the
-# printed estimate equals the library's bit for bit
+# case -> (estimator, generator, options, the library estimator on (data, rng));
+# the printed estimate equals the library's bit for bit, at d = 1 too
 _LIBRARY = {
-    "mean_scalar": ({"kind": "heavy_tail_k", "k": 3.0}, {"moment_k": 3.0},
+    "mean_scalar": ("mean_scalar", {"kind": "heavy_tail_k", "k": 3.0}, {"moment_k": 3.0},
                     lambda x, rng: private_mean_scalar(x, MomentAssumption(3.0), _LEVEL, rng)),
-    "mean_vector": ({"kind": "bernoulli_product", "freqs": [0.2, 0.7, 0.4]}, {},
+    "mean_vector": ("mean_vector", {"kind": "bernoulli_product", "freqs": [0.2, 0.7, 0.4]}, {},
                     lambda x, rng: private_mean_vector(x - 0.5, "linf", 0.5, _LEVEL, rng) + 0.5),
-    "median": ({"kind": "lognormal"}, {},
+    "mean_vector_d1_linf": ("mean_vector", {"kind": "fixed_vector", "value": [0.3]},
+                            {"geometry": "linf"},
+                            lambda x, rng: private_mean_vector(x, "linf", 1.0, _LEVEL, rng)),
+    "mean_vector_d1_l2": ("mean_vector", {"kind": "fixed_vector", "value": [0.3]},
+                          {"geometry": "l2"},
+                          lambda x, rng: private_mean_vector(x, "l2", 1.0, _LEVEL, rng)),
+    "median": ("median", {"kind": "lognormal"}, {},
                lambda x, rng: private_median_sgd(x, 2.0 * math.exp(10.0), _LEVEL, rng, True)),
-    "sparse": ({"kind": "fixed_vector", "value": [1.0, 0.0, 0.0, 0.0]}, {"lam": 0.1},
+    "sparse": ("sparse", {"kind": "fixed_vector", "value": [1.0, 0.0, 0.0, 0.0]}, {"lam": 0.1},
                lambda x, rng: sparse_mean(x, 1.0, _LEVEL, rng, lam=0.1)),
-    "logistic": ({"kind": "logistic_model", "theta": [0.5, -0.5, 0.0]}, {},
+    "logistic": ("logistic", {"kind": "logistic_model", "theta": [0.5, -0.5, 0.0]}, {},
                  lambda s, rng: private_logistic_sgd(s, "l2", math.sqrt(3.0), _LEVEL, rng,
                                                      1.0, 0.6, 5.0)),
-    "density": ({"kind": "trig_density", "coeffs": [0.5, 0.0, 0.25]}, {},
+    "density": ("density", {"kind": "trig_density", "coeffs": [0.5, 0.0, 0.25]}, {},
                 lambda x, rng: density_estimate(x, 1.0, _LEVEL, rng).coeffs),
 }
 
 
-@pytest.mark.parametrize("estimator", sorted(_LIBRARY))
-def test_estimate_is_one_run_of_the_library_estimator(tmp_path, capsys, estimator):
-    generator, options, reference = _LIBRARY[estimator]
+@pytest.mark.parametrize("case", sorted(_LIBRARY))
+def test_estimate_is_one_run_of_the_library_estimator(tmp_path, capsys, case):
+    estimator, generator, options, reference = _LIBRARY[case]
     n, seed = 3000, 5
     config = {"estimator": estimator, "n": n, "eps": 0.8, "seed": seed,
               "generator": generator, "options": options}
@@ -358,3 +390,47 @@ def test_audit_subcommand_passes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("PASS") for line in lines)
     assert not any(line.startswith("FAIL") for line in lines)
+
+
+@pytest.mark.parametrize("d_max", ["0", "-3"])
+def test_audit_rejects_a_d_max_below_one(capsys, d_max):
+    assert main(["audit", f"--d-max={d_max}", "--mc", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: --d-max must be >= 1, got {d_max}\n"
+
+
+def _run_in_process(argv):
+    """``main(argv)``'s exit code and stderr; an uncaught exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_documented_exit(code, err):
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert err.count("\n") == 1
+        assert err.startswith(("configuration error:", "input error:", "I/O error:"))
+
+
+_X_TOKENS = list("0123456789,.-e") + ["nan", "inf", "abc"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(mechanism=st.sampled_from(_MECH_CHOICES),
+       x=st.lists(st.sampled_from(_X_TOKENS), max_size=10).map("".join),
+       n=st.integers(-3, 50))
+def test_mech_sample_argv_exits_as_documented(mechanism, x, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["mech-sample", "--mechanism", mechanism, f"--x={x}", f"--n={n}",
+                "--out", os.path.join(tmp, "z.csv")]
+        _assert_documented_exit(*_run_in_process(argv))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(d_max=st.integers(-2, 3), mc=st.integers(-5, 2000))
+def test_audit_argv_exits_as_documented(d_max, mc):
+    _assert_documented_exit(*_run_in_process(["audit", f"--d-max={d_max}", f"--mc={mc}"]))

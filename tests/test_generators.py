@@ -12,7 +12,6 @@ from privest.generators import (
     LogisticModel,
     Lognormal,
     TrigDensity,
-    generate,
     make_generator,
 )
 
@@ -34,15 +33,11 @@ class TestFactory:
         with pytest.raises(ConfigError):
             make_generator({"radius": 1.0})
 
-    def test_generate_rejects_empty(self):
-        with pytest.raises(ConfigError):
-            generate(BoundedUniform(), 0, make_rng(0))
-
 
 class TestBoundedUniform:
     def test_support_and_risk(self):
         gen = BoundedUniform(radius=1.0)
-        draws = generate(gen, 10_000, make_rng(80))
+        draws = gen.sample(10_000, make_rng(80))
         assert np.all(np.abs(draws) <= 1.0)
         assert gen.abs_risk(0.0) == pytest.approx(0.5)
         assert gen.abs_risk(0.5) == pytest.approx(0.5 + 0.125)

@@ -28,17 +28,11 @@ from privest.mechanisms import (
     cube_halfspace_mean,
     cube_tie_gamma,
     cube_vertices,
-    l2_ball_channel,
     l2_bound_B,
-    laplace_vector_channel,
-    linf_ball_channel,
     linf_bound_B,
-    naive_median_channel,
     privatization_count,
     reset_privatization_count,
-    sign_rr_channel,
     sphere_halfspace_mean,
-    truncated_laplace_mean_channel,
     truncation_level,
 )
 
@@ -123,13 +117,14 @@ class TestL2Ball:
     def test_support_norm_exact(self):
         rng = make_rng(12)
         bound = l2_bound_B(4, 1.0, ONE)
+        channel = Channel.l2_ball(4, 1.0, ONE)
         for _ in range(50):
-            z = l2_ball_channel([0.1, -0.2, 0.05, 0.3], 1.0, ONE, rng)
+            z = channel.privatize([0.1, -0.2, 0.05, 0.3], rng)
             assert abs(np.linalg.norm(z) - bound) <= 1e-12 * bound
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            l2_ball_channel([1.0, 1.0], 1.0, ONE, make_rng(0))
+            Channel.l2_ball(2, 1.0, ONE).privatize([1.0, 1.0], make_rng(0))
 
     def test_unbiased_at_interior_point(self):
         x = np.array([0.3, 0.4])
@@ -146,7 +141,8 @@ class TestL2Ball:
         x = np.array([0.5, -0.25])
         n = 40_000
         rng = make_rng(15)
-        singles = np.array([l2_ball_channel(x, 1.0, ONE, rng) for _ in range(n)])
+        channel = Channel.l2_ball(2, 1.0, ONE)
+        singles = np.array([channel.privatize(x, rng) for _ in range(n)])
         batch = _l2_ball_batch(np.tile(x, (n, 1)), 1.0, ONE, make_rng(16))
         gap = singles.mean(axis=0) - batch.mean(axis=0)
         joint_se = np.sqrt(
@@ -158,14 +154,15 @@ class TestL2Ball:
 class TestLinfBall:
     def test_support_is_vertex_set(self):
         rng = make_rng(17)
+        channel = Channel.linf_ball(3, 1.0, ONE)
         bound = linf_bound_B(3, 1.0, ONE)
         for _ in range(50):
-            z = linf_ball_channel([0.2, -0.9, 0.5], 1.0, ONE, rng)
+            z = channel.privatize([0.2, -0.9, 0.5], rng)
             assert np.all(np.isin(z, (-bound, bound)))
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            linf_ball_channel([1.2, 0.0], 1.0, ONE, make_rng(0))
+            Channel.linf_ball(2, 1.0, ONE).privatize([1.2, 0.0], make_rng(0))
 
     def test_batch_reports_offending_record(self):
         data = np.zeros((5, 2))
@@ -183,7 +180,8 @@ class TestLinfBall:
         x = np.array([0.7, 0.0, -0.4])
         n = 40_000
         rng = make_rng(19)
-        singles = np.array([linf_ball_channel(x, 1.0, ONE, rng) for _ in range(n)])
+        channel = Channel.linf_ball(3, 1.0, ONE)
+        singles = np.array([channel.privatize(x, rng) for _ in range(n)])
         batch = _linf_ball_batch(np.tile(x, (n, 1)), 1.0, ONE, make_rng(20))
         gap = singles.mean(axis=0) - batch.mean(axis=0)
         joint_se = np.sqrt(singles.var(axis=0, ddof=1) / n + batch.var(axis=0, ddof=1) / n)
@@ -360,9 +358,9 @@ class TestNonFiniteRecords:
         for kernel in (_linf_ball_batch, _l2_ball_batch):
             with pytest.raises(DomainError, match="record 2"):
                 kernel(x, 1.0, ONE, make_rng(0))
-        for channel in (linf_ball_channel, l2_ball_channel):
+        for channel in (Channel.linf_ball(3, 1.0, ONE), Channel.l2_ball(3, 1.0, ONE)):
             with pytest.raises(DomainError):
-                channel(x[2], 1.0, ONE, make_rng(0))
+                channel.privatize(x[2], make_rng(0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("mode", ["l1", "l2_paper"])
@@ -372,55 +370,18 @@ class TestNonFiniteRecords:
         with pytest.raises(DomainError, match=f"{mode} mode expects"):
             _laplace_vector_batch(x, 1.0, ONE, mode, make_rng(0))
         with pytest.raises(DomainError, match=f"{mode} mode expects"):
-            laplace_vector_channel(x[2], 1.0, ONE, mode, make_rng(0))
+            Channel.laplace_vector(3, 1.0, ONE, mode).privatize(x[2], make_rng(0))
 
 
 _TRUNC = MomentAssumption(k=2.0)
 
-# kind -> (per-record call, kernel call, record); d = 4 gives the hypercube ties
-_PER_RECORD = {
-    "truncated_laplace": (
-        lambda x, rng: truncated_laplace_mean_channel(x, _TRUNC, 100, ONE, rng),
-        lambda b, rng: _truncated_laplace_batch(b, truncation_level(_TRUNC, 100, ONE), ONE, rng),
-        3.7,
-    ),
-    "naive_median": (
-        lambda x, rng: naive_median_channel(x, 1.0, ONE, rng, one_sided=True),
-        lambda b, rng: _naive_median_batch(b, 1.0, ONE, rng, one_sided=True),
-        -0.4,
-    ),
-    "sign_rr": (
-        lambda x, rng: sign_rr_channel(x, LN3, rng),
-        lambda b, rng: _sign_rr_batch(b, LN3, rng),
-        -1.0,
-    ),
-    "l2_ball": (
-        lambda x, rng: l2_ball_channel(x, 1.0, ONE, rng),
-        lambda b, rng: _l2_ball_batch(b, 1.0, ONE, rng),
-        [0.3, -0.4, 0.1],
-    ),
-    "l2_ball_zero": (
-        lambda x, rng: l2_ball_channel(x, 1.0, ONE, rng),
-        lambda b, rng: _l2_ball_batch(b, 1.0, ONE, rng),
-        [0.0, 0.0, 0.0],
-    ),
-    "linf_ball": (
-        lambda x, rng: linf_ball_channel(x, 1.0, ONE, rng),
-        lambda b, rng: _linf_ball_batch(b, 1.0, ONE, rng),
-        [0.5, -1.0, 0.0, 0.25],
-    ),
-    "laplace_vector": (
-        lambda x, rng: laplace_vector_channel(x, 1.0, ONE, "l2_paper", rng),
-        lambda b, rng: _laplace_vector_batch(b, 1.0, ONE, "l2_paper", rng),
-        [0.6, -0.3],
-    ),
-}
-
+# kind -> (channel, record); d = 4 gives the hypercube ties
 _CHANNELS = {
     "truncated_laplace": (Channel.truncated_laplace(_TRUNC, 100, ONE), 3.7),
     "naive_median": (Channel.naive_median(1.0, ONE, one_sided=True), -0.4),
     "sign_rr": (Channel.sign_rr(LN3), 1.0),
     "l2_ball": (Channel.l2_ball(3, 1.0, ONE), [0.3, -0.4, 0.1]),
+    "l2_ball_zero": (Channel.l2_ball(3, 1.0, ONE), [0.0, 0.0, 0.0]),
     "linf_ball": (Channel.linf_ball(4, 1.0, ONE), [0.5, -1.0, 0.0, 0.25]),
     "laplace_vector": (Channel.laplace_vector(2, 1.0, ONE, "l1"), [0.6, 0.3]),
 }
@@ -442,21 +403,55 @@ def _assert_batch_of_one(single, batch, x, seeds=range(20)):
 class TestBatchOfOne:
     """A per-record call is the kernel on a batch of one: equal output, equal draws."""
 
-    @pytest.mark.parametrize("kind", sorted(_PER_RECORD))
-    def test_channel_functions(self, kind):
-        single, batch, x = _PER_RECORD[kind]
-        _assert_batch_of_one(single, batch, x)
-
     @pytest.mark.parametrize("kind", sorted(_CHANNELS))
     def test_channel_privatize(self, kind):
         channel, x = _CHANNELS[kind]
         _assert_batch_of_one(channel.privatize, channel.privatize_batch, x)
 
 
+
+class TestBatchShape:
+    """A batch's records must have the channel's dimension."""
+
+    @pytest.mark.parametrize("kind", sorted(_CHANNELS))
+    def test_rejects_a_wider_record(self, kind):
+        channel, _ = _CHANNELS[kind]
+        with pytest.raises(ParameterError, match=f"dimension {channel.dim}"):
+            channel.privatize_batch(np.zeros((5, channel.dim + 1)), make_rng(0))
+
+    @pytest.mark.parametrize("kind", ["l2_ball", "linf_ball", "laplace_vector"])
+    def test_vector_kinds_reject_a_flat_batch(self, kind):
+        channel, _ = _CHANNELS[kind]
+        with pytest.raises(ParameterError):
+            channel.privatize_batch(np.zeros(5), make_rng(0))
+
+    def test_privatize_rejects_a_record_of_another_dimension(self):
+        # a short record once came out of the l2 channel off the sphere of radius B
+        with pytest.raises(ParameterError):
+            Channel.l2_ball(3, 1.0, ONE).privatize([0.1, 0.2], make_rng(0))
+        with pytest.raises(ParameterError):
+            Channel.sign_rr(ONE).privatize([1.0, 1.0], make_rng(0))
+        with pytest.raises(ParameterError):
+            Channel.laplace_vector(3, 1.0, ONE).privatize([], make_rng(0))
+
+    @pytest.mark.parametrize("kind", ["truncated_laplace", "naive_median", "sign_rr"])
+    def test_scalar_kinds_take_a_column_with_the_same_draws(self, kind):
+        channel, x = _CHANNELS[kind]
+        flat, column = make_rng(31), make_rng(31)
+        got = channel.privatize_batch(np.full((1001, 1), x), column)
+        assert got.shape == (1001, 1)
+        assert np.array_equal(got[:, 0], channel.privatize_batch(np.full(1001, x), flat))
+        assert flat.bit_generator.state == column.bit_generator.state
+
+    def test_laplace_vector_needs_a_dimension(self):
+        with pytest.raises(ParameterError):
+            Channel.laplace_vector(0, 1.0, ONE)
+
 class TestSignRR:
     def test_exact_outputs_and_expectation(self):
         rng = make_rng(21)
-        values = {sign_rr_channel(1.0, LN3, rng) for _ in range(1000)}
+        channel = Channel.sign_rr(LN3)
+        values = {channel.privatize(1.0, rng) for _ in range(1000)}
         assert values == {LN3.phi_eps, -LN3.phi_eps}
         assert LN3.phi_eps == pytest.approx(2.0, abs=1e-12)
 
@@ -470,7 +465,7 @@ class TestSignRR:
 
     def test_rejects_non_sign(self):
         with pytest.raises(DomainError):
-            sign_rr_channel(0.5, ONE, make_rng(0))
+            Channel.sign_rr(ONE).privatize(0.5, make_rng(0))
 
 
 class TestLaplaceVector:
@@ -497,11 +492,11 @@ class TestLaplaceVector:
 
     def test_l2_mode_domain_check(self):
         with pytest.raises(DomainError):
-            laplace_vector_channel(np.array([1.0, 1.0]), 1.0, ONE, "l2_paper", make_rng(0))
+            Channel.laplace_vector(2, 1.0, ONE, "l2_paper").privatize([1.0, 1.0], make_rng(0))
 
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):
-            laplace_vector_channel(np.array([0.0]), 1.0, ONE, "l3", make_rng(0))
+            Channel.laplace_vector(1, 1.0, ONE, "l3")
 
 
 class TestNaiveMedian:
