@@ -375,7 +375,46 @@ class TestNonFiniteRecords:
 
 _TRUNC = MomentAssumption(k=2.0)
 
-# kind -> (channel, record); d = 4 gives the hypercube ties
+# kind -> (per-record call, kernel call, record); d = 4 gives the hypercube ties
+_PER_RECORD = {
+    "truncated_laplace": (
+        Channel.truncated_laplace(_TRUNC, 100, ONE).privatize,
+        lambda b, rng: _truncated_laplace_batch(b, truncation_level(_TRUNC, 100, ONE), ONE, rng),
+        3.7,
+    ),
+    "naive_median": (
+        Channel.naive_median(1.0, ONE, one_sided=True).privatize,
+        lambda b, rng: _naive_median_batch(b, 1.0, ONE, rng, one_sided=True),
+        -0.4,
+    ),
+    "sign_rr": (
+        Channel.sign_rr(LN3).privatize,
+        lambda b, rng: _sign_rr_batch(b, LN3, rng),
+        -1.0,
+    ),
+    "l2_ball": (
+        Channel.l2_ball(3, 1.0, ONE).privatize,
+        lambda b, rng: _l2_ball_batch(b, 1.0, ONE, rng),
+        [0.3, -0.4, 0.1],
+    ),
+    "l2_ball_zero": (
+        Channel.l2_ball(3, 1.0, ONE).privatize,
+        lambda b, rng: _l2_ball_batch(b, 1.0, ONE, rng),
+        [0.0, 0.0, 0.0],
+    ),
+    "linf_ball": (
+        Channel.linf_ball(4, 1.0, ONE).privatize,
+        lambda b, rng: _linf_ball_batch(b, 1.0, ONE, rng),
+        [0.5, -1.0, 0.0, 0.25],
+    ),
+    "laplace_vector": (
+        Channel.laplace_vector(2, 1.0, ONE, "l2_paper").privatize,
+        lambda b, rng: _laplace_vector_batch(b, 1.0, ONE, "l2_paper", rng),
+        [0.6, -0.3],
+    ),
+}
+
+# kind -> (channel, record)
 _CHANNELS = {
     "truncated_laplace": (Channel.truncated_laplace(_TRUNC, 100, ONE), 3.7),
     "naive_median": (Channel.naive_median(1.0, ONE, one_sided=True), -0.4),
@@ -403,11 +442,16 @@ def _assert_batch_of_one(single, batch, x, seeds=range(20)):
 class TestBatchOfOne:
     """A per-record call is the kernel on a batch of one: equal output, equal draws."""
 
+    @pytest.mark.parametrize("kind", sorted(_PER_RECORD))
+    def test_channel_functions(self, kind):
+        # each constructor wires its per-record entry to the right kernel and parameters
+        single, batch, x = _PER_RECORD[kind]
+        _assert_batch_of_one(single, batch, x)
+
     @pytest.mark.parametrize("kind", sorted(_CHANNELS))
     def test_channel_privatize(self, kind):
         channel, x = _CHANNELS[kind]
         _assert_batch_of_one(channel.privatize, channel.privatize_batch, x)
-
 
 
 class TestBatchShape:
