@@ -22,6 +22,7 @@ from .core import DomainError, ParameterError, SizeError, UnsupportedChannelErro
 from .mechanisms import Channel, ChannelKind, cube_vertices
 
 _ENUMERATION_DIM_CAP = 20
+MC_MIN_DRAWS = 1000  # fewest draws monte_carlo_unbias accepts
 _PMF_DIM_CAP = 8
 
 
@@ -148,8 +149,8 @@ def monte_carlo_unbias(channel: Channel, x, n: int, rng) -> tuple:
 
     The harness assertion is |mean_j - x_j| <= 5 stderr_j for all j.
     """
-    if n < 1000:
-        raise ParameterError(f"need at least 1000 draws for a stable stderr, got {n}")
+    if n < MC_MIN_DRAWS:
+        raise ParameterError(f"need at least {MC_MIN_DRAWS} draws for a stable stderr, got {n}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     draws = channel.privatize_batch(np.broadcast_to(x, (n, x.size)), rng)
     mean = draws.mean(axis=0)

@@ -150,6 +150,8 @@ def _cmd_audit(args) -> int:
     level = PrivacyLevel(args.eps)
     if args.d_max < 1:
         raise ConfigError(f"--d-max must be >= 1, got {args.d_max}")
+    if args.mc < audit_mod.MC_MIN_DRAWS:  # checked before any enumeration runs
+        raise ConfigError(f"--mc must be >= {audit_mod.MC_MIN_DRAWS}, got {args.mc}")
     failures = 0
 
     def check(name, ok, detail=""):

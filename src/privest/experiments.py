@@ -134,7 +134,9 @@ class Estimator:
     """One problem family: a channel plus an aggregator.
 
     ``arm(spec, gen, samples, rng)`` maps each n of the grid to one estimate
-    per sample, all drawn from the one noise stream ``rng``.
+    per sample, all drawn from the one noise stream ``rng``.  The arm owns
+    ``samples`` and may overwrite them; a sample may also be a read-only
+    view (see :class:`~privest.generators.FixedVector`).
     ``scorer(spec, gen)`` returns the function that scores one estimate.
     A ``lockstep`` arm takes a chunk of replicates at a time, any other
     arm a single replicate.
@@ -274,6 +276,8 @@ def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
                       score(estimates[n][j]), wall_ms)
             for j, rep in enumerate(reps) for n in spec.n_grid
         )
+        # released before the next chunk is drawn, so only one chunk's data is held
+        del samples, estimates
     return records
 
 
@@ -341,7 +345,9 @@ def _mean_vector_arm(spec, gen, samples, rng):
         return {n: [mean] for n, mean in zip(grid, means)}
     kernel = _linf_ball_batch if spec.options["geometry"] == "linf" else _l2_ball_batch
     center = 0.5 if _centered(gen) else 0.0
-    means = kernel(data - center if center else data, radius, level, rng, grid=grid)
+    if center:
+        data -= center  # in place: the arm owns its sample
+    means = kernel(data, radius, level, rng, grid=grid)
     return {n: [mean + center] for n, mean in zip(grid, means)}
 
 

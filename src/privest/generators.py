@@ -15,6 +15,7 @@ from .core import ConfigError
 from .estimators import _sigmoid, trig_basis_matrix
 
 _CDF_GRID = 2**14  # inverse-CDF resolution for density sampling
+_BLOCK = 1 << 16  # entries per row block of a Bernoulli product's uniform draws
 
 
 def _phi(z):
@@ -140,7 +141,15 @@ class BernoulliProduct:
         return np.array(self.freqs)
 
     def sample(self, n, rng):
-        return (rng.random((n, self.dim)) < np.array(self.freqs)).astype(float)
+        # row blocks of uniforms, the stream of one (n, d) draw, compared straight into the output
+        freqs = np.array(self.freqs)
+        out = np.empty((n, self.dim))
+        rows = max(1, _BLOCK // self.dim)
+        u = np.empty((min(rows, n), self.dim))
+        for lo in range(0, n, rows):
+            r = min(rows, n - lo)
+            np.less(rng.random(out=u[:r]), freqs, out=out[lo : lo + r])
+        return out
 
 
 @dataclass(frozen=True)
@@ -148,7 +157,9 @@ class FixedVector:
     """Point mass at a fixed vector; the degenerate member of every ball family.
 
     Used by the dimension-scaling experiment, where the mean-squared error
-    must isolate the channel variance.
+    must isolate the channel variance.  ``sample`` returns a read-only
+    (n, d) view of the one point, so a write into it raises instead of
+    changing every record.
     """
 
     value: tuple
@@ -169,7 +180,7 @@ class FixedVector:
         return np.array(self.value)
 
     def sample(self, n, rng):
-        return np.tile(np.array(self.value), (n, 1))
+        return np.broadcast_to(np.array(self.value), (n, self.dim))
 
 
 @dataclass(frozen=True)

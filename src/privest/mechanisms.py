@@ -165,8 +165,15 @@ def truncation_level(assumption: MomentAssumption, n: int, level: PrivacyLevel) 
 # each privatizing a whole batch of records
 
 
+def _reject_nan(x):
+    """DomainError if a scalar record is NaN, before any draw; +-inf are clamped as usual."""
+    if x.size and np.isnan(x.min()):  # min propagates NaN, with no temporary
+        raise DomainError(f"record {int(np.argmax(np.isnan(x.ravel())))} is NaN")
+
+
 def _truncated_laplace_batch(x, t_level, level, rng):
     x = np.asarray(x, dtype=float)
+    _reject_nan(x)
     _count(x.size)
     noise = laplace_sample(rng, level.epsilon / (2.0 * t_level), size=x.shape)
     noise += clamp(x, t_level)
@@ -178,6 +185,7 @@ def _naive_median_batch(x, radius, level, rng, one_sided=False):
         raise ParameterError(f"radius must be > 0, got {radius!r}")
     lo = 0.0 if one_sided else -radius
     x = np.asarray(x, dtype=float)
+    _reject_nan(x)
     _count(x.size)
     noise = laplace_sample(rng, level.epsilon / (2.0 * radius), size=x.shape)
     noise += np.clip(x, lo, radius)
@@ -333,15 +341,17 @@ def _row_norms(x):
     """``np.linalg.norm(x, axis=1)`` of an (n, d) array, one row block at a time.
 
     Each row's norm is computed as in one whole-array call, without its
-    (n, d) temporary of squares.
+    (n, d) temporary of squares.  A row whose squares overflow gets norm
+    inf, silently: the caller's domain check rejects it.
     """
     n, d = x.shape
     rows = max(1, _FOLD_BLOCK // max(d, 1))
-    if n <= rows:
-        return np.linalg.norm(x, axis=1)
-    norms = np.empty(n)
-    for lo in range(0, n, rows):
-        norms[lo : lo + rows] = np.linalg.norm(x[lo : lo + rows], axis=1)
+    with np.errstate(over="ignore"):
+        if n <= rows:
+            return np.linalg.norm(x, axis=1)
+        norms = np.empty(n)
+        for lo in range(0, n, rows):
+            norms[lo : lo + rows] = np.linalg.norm(x[lo : lo + rows], axis=1)
     return norms
 
 

@@ -153,6 +153,28 @@ def test_nan_record_exits_2(tmp_path, mechanism):
     assert not (tmp_path / "z.csv").exists()
 
 
+@pytest.mark.parametrize("mechanism", ["naive_median", "truncated_laplace"])
+def test_nan_scalar_record_exits_2(tmp_path, mechanism):
+    proc = _run_cli(
+        "mech-sample", "--mechanism", mechanism, "--x", "nan", "--n", "3",
+        "--out", str(tmp_path / "o.csv"),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "input error: record 0 is NaN\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_overflowing_record_norm_prints_one_error_line(tmp_path):
+    proc = _run_cli(
+        "mech-sample", "--mechanism", "l2_ball", "--x", "1e200,0",
+        "--out", str(tmp_path / "o.csv"),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error:")
+    assert proc.stderr.count("\n") == 1  # no numpy overflow warning before it
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_nan_laplace_vector_record_exits_2(tmp_path):
     proc = _run_cli(
         "mech-sample", "--mechanism", "laplace_vector", "--x", "nan,0", "--n", "2",
@@ -398,6 +420,13 @@ def test_audit_rejects_a_d_max_below_one(capsys, d_max):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"configuration error: --d-max must be >= 1, got {d_max}\n"
+
+
+def test_audit_checks_mc_before_any_enumeration(capsys):
+    assert main(["audit", "--d-max", "2", "--mc", "500"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: --mc must be >= 1000, got 500\n"
 
 
 def _run_in_process(argv):

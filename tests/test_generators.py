@@ -12,6 +12,7 @@ from privest.generators import (
     LogisticModel,
     Lognormal,
     TrigDensity,
+    _BLOCK,
     make_generator,
 )
 
@@ -89,6 +90,19 @@ class TestBernoulliProduct:
         with pytest.raises(ConfigError):
             BernoulliProduct((0.5, 1.2))
 
+    @pytest.mark.parametrize("d", [27, 1])
+    @pytest.mark.parametrize("blocks", [0.001, 1, 3, 3.4])
+    def test_blocked_draws_equal_one_whole_draw(self, d, blocks):
+        """Row blocks of uniforms are the stream of one (n, d) draw, bit for bit."""
+        gen = BernoulliProduct(tuple(np.linspace(0.05, 0.95, d)))
+        n = int(blocks * (_BLOCK // d))  # under one block, a multiple of it, or neither
+        blocked, whole = make_rng(86, d), make_rng(86, d)
+        got = gen.sample(n, blocked)
+        want = (whole.random((n, d)) < np.array(gen.freqs)).astype(float)
+        assert got.dtype == want.dtype and got.shape == (n, d)
+        assert np.array_equal(got, want)
+        assert blocked.bit_generator.state == whole.bit_generator.state
+
 
 class TestFixedVector:
     def test_point_mass(self):
@@ -96,6 +110,15 @@ class TestFixedVector:
         draws = gen.sample(7, make_rng(85))
         assert draws.shape == (7, 2)
         assert np.all(draws == np.array([0.5, -0.25]))
+
+    def test_sample_is_a_read_only_view(self):
+        draws = FixedVector((0.5, -0.25, 1.0)).sample(100_000, make_rng(85))
+        assert draws.shape == (100_000, 3)
+        assert np.array_equal(draws, np.tile([0.5, -0.25, 1.0], (100_000, 1)))
+        assert not draws.flags.writeable
+        assert draws.strides[0] == 0  # every row is the one stored point
+        with pytest.raises(ValueError):
+            draws[0, 0] = 0.0
 
 
 class TestLogisticModel:

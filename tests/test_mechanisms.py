@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -371,6 +373,36 @@ class TestNonFiniteRecords:
             _laplace_vector_batch(x, 1.0, ONE, mode, make_rng(0))
         with pytest.raises(DomainError, match=f"{mode} mode expects"):
             Channel.laplace_vector(3, 1.0, ONE, mode).privatize(x[2], make_rng(0))
+
+    @pytest.mark.parametrize("kind", ["naive_median", "truncated_laplace"])
+    def test_scalar_clamp_channels_reject_nan_before_any_draw(self, kind):
+        kernel, channel = {
+            "naive_median": (partial(_naive_median_batch, radius=1.0),
+                             Channel.naive_median(1.0, ONE)),
+            "truncated_laplace": (partial(_truncated_laplace_batch, t_level=1.0),
+                                  Channel.truncated_laplace(_TRUNC, 100, ONE)),
+        }[kind]
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        reset_privatization_count()
+        with pytest.raises(DomainError, match="record 2 is NaN"):
+            kernel(np.array([0.1, -0.2, np.nan, 0.3]), level=ONE, rng=rng)
+        with pytest.raises(DomainError, match="record 0 is NaN"):
+            channel.privatize(np.nan, rng)
+        assert rng.bit_generator.state == state
+        assert privatization_count() == 0
+        # infinities stay clamped to the channel's interval
+        z = kernel(np.array([np.inf, -np.inf]), level=ONE, rng=rng)
+        assert np.all(np.isfinite(z))
+
+    def test_row_norm_overflow_raises_no_warning(self):
+        x = np.array([[0.1, 0.0], [1e200, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="record 1"):
+                _l2_ball_batch(x, 1.0, ONE, make_rng(0))
+            with pytest.raises(DomainError, match="l2_paper mode expects"):
+                _laplace_vector_batch(x, 1.0, ONE, "l2_paper", make_rng(0))
 
 
 _TRUNC = MomentAssumption(k=2.0)
