@@ -19,6 +19,7 @@ from .core import DomainError, ParameterError, PrivacyLevel
 from .mechanisms import (
     _DOMAIN_SLACK,
     MomentAssumption,
+    _check_grid,
     _l2_ball_batch,
     _laplace_vector_batch,
     _linf_ball_batch,
@@ -89,8 +90,7 @@ def private_median_sgd(
     level: PrivacyLevel,
     rng: np.random.Generator,
     one_sided: bool = False,
-    return_iterates: bool = False,
-):
+) -> float:
     """Median estimate by projected SGD over sign randomized response.
 
     Starting from theta_0 uniform on the projection interval, each step
@@ -105,45 +105,49 @@ def private_median_sgd(
     x = np.asarray(stream, dtype=float).reshape(1, -1)
     if x.size == 0:
         raise ParameterError("cannot estimate a median from an empty stream")
-    out = _median_sgd_paths(x, radius, level, rng, [x.size], one_sided, return_iterates)
-    if not return_iterates:
-        return float(out[0, 0])
-    paths, iterates = out
-    return float(paths[0, 0]), iterates[0]
+    return float(_median_sgd_paths(x, radius, level, rng, [x.size], one_sided)[0, 0])
 
 
-def _median_sgd_paths(x_mat, radius, level, rng, grid, one_sided=False, return_iterates=False):
+def _median_sgd_paths(x_mat, radius, level, rng, grid, one_sided=False):
     """Replicate-lockstep median SGD returning prefix Polyak averages.
 
     ``x_mat`` is (reps, n); the returned array is (reps, len(grid)) with
-    column g holding the average of the first grid[g] iterates.
-    ``return_iterates`` adds the (reps, n) iterates at which the signs
-    were taken.
+    column g holding the average of the first grid[g] iterates.  Runs
+    :func:`_sgd_paths` on sign RR of sign(theta - x_i), step eps r / sqrt(i)
+    and the clip to the projection interval.
     """
     if not (radius > 0.0):
         raise ParameterError(f"radius must be > 0, got {radius!r}")
     reps, n = x_mat.shape
+    grid = _check_grid(grid, n)  # before theta_0 is drawn
     lo = 0.0 if one_sided else -radius
-    grid = list(grid)
-    theta = rng.uniform(lo, radius, size=reps)
-    theta_sum = np.zeros(reps)
-    out = np.empty((reps, len(grid)))
-    iterates = np.empty((reps, n)) if return_iterates else None
     eps_r = level.epsilon * radius
-    g = 0
+
+    def gradient(theta, j):
+        return _sign_rr_batch(np.where(theta >= x_mat[:, j], 1.0, -1.0), level, rng)
+
+    step = lambda i: eps_r / math.sqrt(i)
+    return _sgd_paths(rng.uniform(lo, radius, size=reps), gradient, step,
+                      lambda t: np.clip(t, lo, radius), n, grid)
+
+
+def _sgd_paths(theta0, gradient, step, project, n, grid):
+    """The one projected-SGD step loop, run by a block of replicates in lockstep.
+
+    From the (reps, ...) block ``theta0``, step i = 1..n adds theta to the
+    running sum and sets theta = project(theta - step(i) gradient(theta, i - 1)),
+    ``gradient`` privatizing the (sub)gradient at record i - 1.  Returns
+    (reps, len(grid), ...): plane g is the Polyak average of the first grid[g]
+    iterates.  All n steps run, so the channel draws do not depend on the grid.
+    """
+    grid = set(_check_grid(grid, n))
+    theta, theta_sum, means = theta0, np.zeros_like(theta0), []
     for i in range(1, n + 1):
-        if return_iterates:
-            iterates[:, i - 1] = theta
         theta_sum += theta
-        sign = np.where(theta >= x_mat[:, i - 1], 1.0, -1.0)
-        z = _sign_rr_batch(sign, level, rng)
-        theta = np.clip(theta - eps_r / math.sqrt(i) * z, lo, radius)
-        if g < len(grid) and i == grid[g]:
-            out[:, g] = theta_sum / i
-            g += 1
-    if g != len(grid):
-        raise ParameterError("grid entries must be increasing and <= stream length")
-    return (out, iterates) if return_iterates else out
+        theta = project(theta - step(i) * gradient(theta, i - 1))
+        if i in grid:
+            means.append(theta_sum / i)
+    return np.stack(means, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +226,18 @@ def _logistic_grad_batch(theta, x, y):
     return -(y * _sigmoid(-margin))[:, None] * x
 
 
-def _privatize_gradient(g, geometry, grad_bound, level, mechanism, rng):
+def _gradient_channel(mechanism, geometry, grad_bound, level, rng, d):
+    """The map that privatizes a (reps, d) gradient block, chosen once per run."""
     if mechanism == "nonprivate":
-        return g
+        return lambda g: g
     if mechanism == "laplace_baseline":
         # calibrate on the l2 ball enclosing the gradient domain
-        l2_bound = grad_bound if geometry == "l2" else grad_bound * math.sqrt(g.shape[1])
-        return _laplace_vector_batch(g, l2_bound, level, "l2_paper", rng)
+        l2_bound = grad_bound if geometry == "l2" else grad_bound * math.sqrt(d)
+        return lambda g: _laplace_vector_batch(g, l2_bound, level, "l2_paper", rng)
     if mechanism != "optimal":
         raise ParameterError(f"unknown mechanism {mechanism!r}")
-    if geometry == "l2":
-        return _l2_ball_batch(g, grad_bound, level, rng)
-    if geometry == "linf":
-        return _linf_ball_batch(g, grad_bound, level, rng)
-    raise ParameterError(f"unknown geometry {geometry!r} (use 'l2' or 'linf')")
+    ball = _l2_ball_batch if geometry == "l2" else _linf_ball_batch
+    return lambda g: ball(g, grad_bound, level, rng)
 
 
 def private_logistic_sgd(
@@ -248,8 +250,7 @@ def private_logistic_sgd(
     beta_exp: float = 0.6,
     proj_radius: float | None = None,
     mechanism: str = "optimal",
-    return_iterates: bool = False,
-):
+) -> np.ndarray:
     """Logistic regression by SGD over privatized gradients.
 
     Each step privatizes the current log-loss gradient with the ball channel
@@ -268,19 +269,13 @@ def private_logistic_sgd(
         level: Privacy budget.
         rng: Source of randomness.
     """
-    x, y = stream
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = (np.asarray(column, dtype=float) for column in stream)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[0] != y.size:
         raise ParameterError("stream must be a non-empty (n, d) design with n labels")
-    out = _logistic_sgd_paths(
+    return _logistic_sgd_paths(
         x[None], y.reshape(1, -1), geometry, radius, level, gamma0, beta_exp, proj_radius,
-        mechanism, rng, [y.size], return_iterates,
-    )
-    if not return_iterates:
-        return out[0, 0]
-    paths, iterates = out
-    return paths[0, 0], iterates[0]
+        mechanism, rng, [y.size],
+    )[0, 0]
 
 
 def _check_covariates(x, geometry, radius):
@@ -296,16 +291,14 @@ def _check_covariates(x, geometry, radius):
         raise DomainError(f"covariate {geometry} norm {worst:.6g} exceeds radius {radius:.6g}")
 
 
-def _logistic_sgd_paths(
-    xs, ys, geometry, radius, level, gamma0, beta_exp, proj_radius, mechanism, rng, grid,
-    return_iterates=False,
-):
+def _logistic_sgd_paths(xs, ys, geometry, radius, level, gamma0, beta_exp, proj_radius, mechanism,
+                        rng, grid):
     """Replicate-lockstep logistic SGD returning prefix Polyak averages.
 
     ``xs`` is (reps, n, d), ``ys`` is (reps, n); returns (reps, G, d) with
-    plane g holding the iterate average after grid[g] steps.
-    ``return_iterates`` adds the (reps, n, d) iterates at which the
-    gradients were taken.
+    plane g holding the iterate average after grid[g] steps.  Runs
+    :func:`_sgd_paths` on the privatized log-loss gradient, step
+    gamma0 i^(-beta_exp) and the optional l2 projection.
     """
     if not np.all(np.abs(ys) == 1.0):
         raise ParameterError("labels must be -1 or +1")
@@ -315,30 +308,21 @@ def _logistic_sgd_paths(
     if not (0.5 < beta_exp < 1.0):
         raise ParameterError(f"beta_exp must lie in (1/2, 1), got {beta_exp!r}")
     reps, n, d = xs.shape
-    grid = list(grid)
-    theta = np.zeros((reps, d))
-    theta_sum = np.zeros((reps, d))
-    out = np.empty((reps, len(grid), d))
-    iterates = np.empty((reps, n, d)) if return_iterates else None
-    g_idx = 0
-    for i in range(1, n + 1):
-        if return_iterates:
-            iterates[:, i - 1] = theta
-        theta_sum += theta
-        g = _logistic_grad_batch(theta, xs[:, i - 1, :], ys[:, i - 1])
-        z = _privatize_gradient(g, geometry, 2.0 * radius, level, mechanism, rng)
-        theta = theta - gamma0 * i ** (-beta_exp) * z
+    privatize = _gradient_channel(mechanism, geometry, 2.0 * radius, level, rng, d)
+
+    def gradient(theta, j):
+        return privatize(_logistic_grad_batch(theta, xs[:, j, :], ys[:, j]))
+
+    def project(theta):
         if proj_radius is not None:
             norms = np.linalg.norm(theta, axis=1)
             over = norms > proj_radius
             if np.any(over):
                 theta[over] *= (proj_radius / norms[over])[:, None]
-        if g_idx < len(grid) and i == grid[g_idx]:
-            out[:, g_idx, :] = theta_sum / i
-            g_idx += 1
-    if g_idx != len(grid):
-        raise ParameterError("grid entries must be increasing and <= stream length")
-    return (out, iterates) if return_iterates else out
+        return theta
+
+    step = lambda i: gamma0 * i ** (-beta_exp)
+    return _sgd_paths(np.zeros((reps, d)), gradient, step, project, n, grid)
 
 
 # ---------------------------------------------------------------------------

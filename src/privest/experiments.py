@@ -21,7 +21,6 @@ import csv
 import math
 import numbers
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -165,6 +164,14 @@ def _resolve_options(estimator, options, gen):
             if opt.allowed and value not in opt.allowed:
                 raise ConfigError(f"option {key} must be one of {opt.allowed}, got {value!r}")
         out[key] = value
+    # radius_multiplier only sets the default radius (a resolved spec holds both, agreeing)
+    if {"radius", "radius_multiplier"} <= options.keys() and (
+        out["radius"] != schema["radius"].default(gen, out)
+    ):
+        raise ConfigError(f"options.radius_multiplier only sets the default radius, which "
+                          f"options.radius {out['radius']!r} overrides; give one of them")
+    if "radius" in out and not (0.0 < out["radius"] < math.inf):  # NaN fails too
+        raise ConfigError(f"options.radius must be finite and > 0, got {out['radius']!r}")
     return out
 
 
@@ -498,9 +505,6 @@ def summarize(records) -> list:
         groups.setdefault((rec.experiment, rec.mechanism, rec.n), []).append(rec.value)
     rows = []
     for (experiment, mechanism, n), values in sorted(groups.items()):
-        if not values:
-            warnings.warn(f"empty cell ({experiment}, {mechanism}, n={n}); skipped")
-            continue
         rows.append(
             SummaryRow(
                 experiment,

@@ -382,6 +382,14 @@ def _running_means(fill, d, grid):
     return out
 
 
+def _check_grid(grid, n):
+    """``grid`` as a list of ints, if it is non-empty and increases strictly within 1..n."""
+    grid = [int(g) for g in grid]
+    if not grid or grid[0] < 1 or grid[-1] > n or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ParameterError(f"grid must increase strictly within 1..{n}, got {grid!r}")
+    return grid
+
+
 def _vector_output(fill, n, d, grid):
     """The n rows of a vector kernel's output, which ``fill(lo, out)`` writes in order.
 
@@ -397,9 +405,7 @@ def _vector_output(fill, n, d, grid):
         for lo in range(0, n, rows):
             fill(lo, z[lo : lo + rows])
         return z
-    grid = [int(g) for g in grid]
-    if not grid or grid[0] < 1 or grid[-1] > n or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParameterError(f"grid must increase strictly within 1..{n}, got {grid!r}")
+    grid = _check_grid(grid, n)
     means = np.array([mean for _, mean in _running_means(fill, d, grid)])
     tail = np.empty((min(rows, n - grid[-1]), d))
     for lo in range(grid[-1], n, rows):

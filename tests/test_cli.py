@@ -120,6 +120,24 @@ def test_bench_bad_config_returns_2(tmp_path):
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_bench_config_checks_every_radius_before_any_arm(tmp_path, capsys, monkeypatch):
+    import privest.cli
+
+    arms = []
+    monkeypatch.setattr(privest.cli, "run_experiment", lambda spec, **kw: arms.append(spec) or [])
+    good = {
+        "name": "salary", "estimator": "median", "mechanism": "optimal", "eps": 1.0,
+        "n_grid": [64], "d": 1, "replicates": 1, "generator": {"kind": "lognormal"},
+    }
+    # the default radius, twice the true median, is 0 on the centred uniform
+    centred = {**good, "name": "centred", "generator": {"kind": "bounded_uniform"}}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps([good, centred]))
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "options.radius must be finite and > 0, got 0.0" in capsys.readouterr().err
+    assert arms == [] and not out.exists()
+
+
 def _run_cli(*args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privest import estimators
 from privest.core import DomainError, ParameterError, PrivacyLevel, make_rng
 from privest.estimators import (
     DensityEstimate,
@@ -35,6 +36,34 @@ from privest.mechanisms import (
 )
 
 ONE = PrivacyLevel(1.0)
+
+# SGD grids for a 10-record stream: empty, below 1, repeated, decreasing, past n
+BAD_GRIDS = [[], [0, 10], [5, 5], [10, 5], [11]]
+
+
+@pytest.fixture
+def sgd_iterates(monkeypatch):
+    """Spy on the SGD engine: the list of each run's (reps, n, ...) iterates.
+
+    Each entry stacks the points at which the run's ``gradient`` callback
+    was called, one per step, so entry r of a run is replicate r's path.
+    """
+    runs = []
+    engine = estimators._sgd_paths
+
+    def spy(theta0, gradient, step, project, n, grid):
+        points = []
+
+        def recorded(theta, j):
+            points.append(theta.copy())
+            return gradient(theta, j)
+
+        out = engine(theta0, recorded, step, project, n, grid)
+        runs.append(np.stack(points, axis=1))
+        return out
+
+    monkeypatch.setattr(estimators, "_sgd_paths", spy)
+    return runs
 
 
 def _row_order_mean(z):
@@ -94,21 +123,19 @@ class TestMedianSgd:
         with pytest.raises(ParameterError):
             private_median_sgd([], 1.0, ONE, make_rng(0))
 
-    def test_iterates_stay_projected_and_average_exactly(self):
+    def test_iterates_stay_projected_and_average_exactly(self, sgd_iterates):
         rng = make_rng(42)
         data = rng.uniform(-1, 1, size=2000)
-        estimate, iterates = private_median_sgd(
-            data, 1.0, ONE, make_rng(43), return_iterates=True
-        )
+        estimate = private_median_sgd(data, 1.0, ONE, make_rng(43))
+        (iterates,) = sgd_iterates[0]
         assert np.all(iterates >= -1.0) and np.all(iterates <= 1.0)
         assert estimate == pytest.approx(iterates.mean(), abs=1e-12)
 
-    def test_one_sided_projection(self):
+    def test_one_sided_projection(self, sgd_iterates):
         rng = make_rng(44)
         data = rng.lognormal(0.0, 0.5, size=500)
-        _, iterates = private_median_sgd(
-            data, 3.0, ONE, make_rng(45), one_sided=True, return_iterates=True
-        )
+        private_median_sgd(data, 3.0, ONE, make_rng(45), one_sided=True)
+        (iterates,) = sgd_iterates[0]
         assert np.all(iterates >= 0.0)
 
     def test_constant_stream_within_bound(self):
@@ -149,27 +176,23 @@ class TestMedianSgd:
         assert single == pytest.approx(batch, abs=1e-12)
 
     @pytest.mark.parametrize("one_sided", [False, True])
-    def test_single_run_is_the_engine_bit_for_bit(self, one_sided):
+    def test_single_run_is_the_engine_bit_for_bit(self, one_sided, sgd_iterates):
         data = make_rng(52).uniform(-0.5, 1.5, size=600)
         ours, theirs = make_rng(53), make_rng(53)
-        single, iterates = private_median_sgd(
-            data, 1.0, ONE, ours, one_sided=one_sided, return_iterates=True
-        )
-        paths, engine_iterates = _median_sgd_paths(
-            data[None, :], 1.0, ONE, theirs, [600], one_sided, return_iterates=True
-        )
+        single = private_median_sgd(data, 1.0, ONE, ours, one_sided=one_sided)
+        paths = _median_sgd_paths(data[None, :], 1.0, ONE, theirs, [600], one_sided)
         assert single == paths[0, 0]
-        assert np.array_equal(iterates, engine_iterates[0])
+        iterates, engine_iterates = sgd_iterates
+        assert np.array_equal(iterates, engine_iterates)
         assert ours.bit_generator.state == theirs.bit_generator.state
 
-    def test_engine_iterates(self):
+    def test_engine_iterates(self, sgd_iterates, monkeypatch):
         data = make_rng(54).uniform(-1, 1, size=(3, 500))
         grid = [100, 500]
-        plain = _median_sgd_paths(data, 1.0, ONE, make_rng(55), grid)
-        paths, iterates = _median_sgd_paths(
-            data, 1.0, ONE, make_rng(55), grid, return_iterates=True
-        )
-        assert np.array_equal(paths, plain)
+        paths = _median_sgd_paths(data, 1.0, ONE, make_rng(55), grid)
+        (iterates,) = sgd_iterates
+        monkeypatch.undo()
+        assert np.array_equal(paths, _median_sgd_paths(data, 1.0, ONE, make_rng(55), grid))
         assert iterates.shape == (3, 500)
         assert np.all(np.abs(iterates) <= 1.0)
         for g, n in enumerate(grid):
@@ -179,6 +202,14 @@ class TestMedianSgd:
     def test_engine_rejects_bad_radius(self, radius):
         with pytest.raises(ParameterError, match="radius"):
             _median_sgd_paths(np.zeros((2, 10)), radius, ONE, make_rng(0), [10])
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_engine_rejects_bad_grid_before_any_draw(self, grid):
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="grid"):
+            _median_sgd_paths(np.zeros((2, 10)), 1.0, ONE, rng, grid)
+        assert rng.bit_generator.state == state
 
 
 class TestSoftThreshold:
@@ -314,11 +345,10 @@ class TestLogisticSgd:
             y = np.where(rng.random(n) < p, 1.0, -1.0)
         return x, y
 
-    def test_polyak_identity_and_projection(self):
+    def test_polyak_identity_and_projection(self, sgd_iterates):
         x, y = self._stream(500, 4, 59)
-        estimate, iterates = private_logistic_sgd(
-            (x, y), "l2", 2.0, ONE, make_rng(60), proj_radius=5.0, return_iterates=True
-        )
+        estimate = private_logistic_sgd((x, y), "l2", 2.0, ONE, make_rng(60), proj_radius=5.0)
+        (iterates,) = sgd_iterates[0]
         np.testing.assert_allclose(estimate, iterates.mean(axis=0), atol=1e-12)
         assert np.all(np.linalg.norm(iterates, axis=1) <= 5.0 + 1e-9)
         assert np.all(np.isfinite(iterates))
@@ -356,6 +386,17 @@ class TestLogisticSgd:
                 make_rng(0), [10],
             )
 
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_engine_rejects_bad_grid_before_any_draw(self, grid):
+        x, y = self._stream(10, 2, 61)
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="grid"):
+            _logistic_sgd_paths(
+                x[None], y[None], "l2", 2.0, ONE, 1.0, 0.6, None, "optimal", rng, grid
+            )
+        assert rng.bit_generator.state == state
+
     def test_engine_rejects_bad_labels(self):
         x, y = self._stream(10, 2, 61)
         y[3] = 0.0
@@ -364,13 +405,14 @@ class TestLogisticSgd:
                 x[None], y[None], "l2", 2.0, ONE, 1.0, 0.6, None, "optimal", make_rng(0), [10]
             )
 
-    def test_engine_iterates(self):
+    def test_engine_iterates(self, sgd_iterates, monkeypatch):
         xs = np.stack([self._stream(300, 3, 70 + r)[0] for r in range(2)])
         ys = np.stack([self._stream(300, 3, 80 + r)[1] for r in range(2)])
         args = (xs, ys, "l2", math.sqrt(3), ONE, 1.0, 0.6, 5.0, "optimal")
-        plain = _logistic_sgd_paths(*args, make_rng(71), [100, 300])
-        paths, iterates = _logistic_sgd_paths(*args, make_rng(71), [100, 300], True)
-        assert np.array_equal(paths, plain)
+        paths = _logistic_sgd_paths(*args, make_rng(71), [100, 300])
+        (iterates,) = sgd_iterates
+        monkeypatch.undo()
+        assert np.array_equal(paths, _logistic_sgd_paths(*args, make_rng(71), [100, 300]))
         assert iterates.shape == (2, 300, 3)
         assert np.all(np.linalg.norm(iterates, axis=2) <= 5.0 + 1e-9)
         np.testing.assert_allclose(paths[:, 0], iterates[:, :100].mean(axis=1), atol=1e-12)

@@ -171,10 +171,32 @@ class TestOptionSchema:
         ("median", {"kind": "bounded_uniform"}, {"one_sided": "false"}, "one_sided must be bool"),
         ("median", {"kind": "bounded_uniform"}, {"one_sided": 0}, "one_sided must be bool"),
         ("density", {"kind": "trig_density", "coeffs": [0.5]}, {"quad_nodes": 4096}, "quad_nodes"),
-    ], ids=["one_sided-str", "one_sided-int", "quad_nodes"])
+        ("median", {"kind": "lognormal"}, {"radius": 50000, "radius_multiplier": 7},
+         "radius_multiplier only sets the default radius"),
+    ], ids=["one_sided-str", "one_sided-int", "quad_nodes", "radius-and-multiplier"])
     def test_bad_scalar_options(self, estimator, generator, options, match):
         with pytest.raises(ConfigError, match=match):
             ExperimentSpec("x", estimator, "optimal", 1.0, (64,), 1, 1, generator, options=options)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, "inf", "nan"])
+    @pytest.mark.parametrize("estimator, generator, d", [
+        ("mean_vector", {"kind": "bernoulli_product", "freqs": [0.2, 0.5]}, 2),
+        ("median", {"kind": "lognormal"}, 1),
+        ("sparse", {"kind": "fixed_vector", "value": [0.5, 0.0]}, 2),
+        ("logistic", {"kind": "logistic_model", "theta": [0.0, 0.0]}, 2),
+    ], ids=["mean_vector", "median", "sparse", "logistic"])
+    def test_radius_must_be_finite_and_positive(self, estimator, generator, d, radius):
+        with pytest.raises(ConfigError, match="options.radius must be finite and > 0"):
+            ExperimentSpec("x", estimator, "optimal", 1.0, (64,), d, 1, generator,
+                           options={"radius": radius})
+
+    def test_default_median_radius_is_checked(self):
+        # twice the true median is 0 on the centred uniform
+        with pytest.raises(ConfigError, match="options.radius must be finite and > 0, got 0.0"):
+            ExperimentSpec("x", "median", "optimal", 1.0, (64,), 1, 1, {"kind": "bounded_uniform"})
+        spec = ExperimentSpec("x", "median", "optimal", 1.0, (64,), 1, 1,
+                              {"kind": "bounded_uniform"}, options={"radius": 1.0})
+        assert spec.options["radius"] == 1.0
 
     def test_float_option_takes_a_numeric_string(self):
         spec = ExperimentSpec("ms", "mean_scalar", "optimal", 1.0, (64,), 1, 1,
