@@ -138,14 +138,15 @@ def _sgd_paths(theta0, gradient, step, project, n, grid):
     running sum and sets theta = project(theta - step(i) gradient(theta, i - 1)),
     ``gradient`` privatizing the (sub)gradient at record i - 1.  Returns
     (reps, len(grid), ...): plane g is the Polyak average of the first grid[g]
-    iterates.  All n steps run, so the channel draws do not depend on the grid.
+    iterates, ``grid`` being checked by the caller before any draw.  All n
+    steps run, so the channel draws do not depend on the grid.
     """
-    grid = set(_check_grid(grid, n))
+    stops = set(grid)
     theta, theta_sum, means = theta0, np.zeros_like(theta0), []
     for i in range(1, n + 1):
         theta_sum += theta
         theta = project(theta - step(i) * gradient(theta, i - 1))
-        if i in grid:
+        if i in stops:
             means.append(theta_sum / i)
     return np.stack(means, axis=1)
 
@@ -308,6 +309,7 @@ def _logistic_sgd_paths(xs, ys, geometry, radius, level, gamma0, beta_exp, proj_
     if not (0.5 < beta_exp < 1.0):
         raise ParameterError(f"beta_exp must lie in (1/2, 1), got {beta_exp!r}")
     reps, n, d = xs.shape
+    grid = _check_grid(grid, n)
     privatize = _gradient_channel(mechanism, geometry, 2.0 * radius, level, rng, d)
 
     def gradient(theta, j):
@@ -317,8 +319,7 @@ def _logistic_sgd_paths(xs, ys, geometry, radius, level, gamma0, beta_exp, proj_
         if proj_radius is not None:
             norms = np.linalg.norm(theta, axis=1)
             over = norms > proj_radius
-            if np.any(over):
-                theta[over] *= (proj_radius / norms[over])[:, None]
+            theta[over] *= (proj_radius / norms[over])[:, None]
         return theta
 
     step = lambda i: gamma0 * i ** (-beta_exp)

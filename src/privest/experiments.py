@@ -164,12 +164,14 @@ def _resolve_options(estimator, options, gen):
             if opt.allowed and value not in opt.allowed:
                 raise ConfigError(f"option {key} must be one of {opt.allowed}, got {value!r}")
         out[key] = value
-    # radius_multiplier only sets the default radius (a resolved spec holds both, agreeing)
-    if {"radius", "radius_multiplier"} <= options.keys() and (
-        out["radius"] != schema["radius"].default(gen, out)
-    ):
-        raise ConfigError(f"options.radius_multiplier only sets the default radius, which "
-                          f"options.radius {out['radius']!r} overrides; give one of them")
+    # radius_multiplier only sets the default radius: a given radius drops it, and a given
+    # pair must agree, so a resolved spec resolves to itself
+    if "radius_multiplier" in out and "radius" in options:
+        if "radius_multiplier" not in options:
+            del out["radius_multiplier"]
+        elif out["radius"] != schema["radius"].default(gen, out):
+            raise ConfigError(f"options.radius_multiplier only sets the default radius, which "
+                              f"options.radius {out['radius']!r} overrides; give one of them")
     if "radius" in out and not (0.0 < out["radius"] < math.inf):  # NaN fails too
         raise ConfigError(f"options.radius must be finite and > 0, got {out['radius']!r}")
     return out
@@ -180,7 +182,8 @@ class ExperimentSpec:
     """Declarative description of one Monte-Carlo experiment arm.
 
     Construction types every field and resolves ``options`` through the
-    estimator's schema: every option present, typed and allowed.
+    estimator's schema: every option present, typed and allowed, except
+    the median's ``radius_multiplier`` when ``radius`` is given.
     """
 
     name: str

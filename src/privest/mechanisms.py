@@ -383,11 +383,11 @@ def _running_means(fill, d, grid):
 
 
 def _check_grid(grid, n):
-    """``grid`` as a list of ints, if it is non-empty and increases strictly within 1..n."""
-    grid = [int(g) for g in grid]
-    if not grid or grid[0] < 1 or grid[-1] > n or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParameterError(f"grid must increase strictly within 1..{n}, got {grid!r}")
-    return grid
+    """``grid`` as a list of ints, if its entries are integral and increase strictly within 1..n."""
+    ints = [int(g) for g in grid]
+    if not (ints and ints == list(grid) == sorted(set(ints)) and 1 <= ints[0] and ints[-1] <= n):
+        raise ParameterError(f"grid must be strictly increasing integers in 1..{n}, got {grid!r}")
+    return ints
 
 
 def _vector_output(fill, n, d, grid):

@@ -138,6 +138,21 @@ def test_bench_config_checks_every_radius_before_any_arm(tmp_path, capsys, monke
     assert arms == [] and not out.exists()
 
 
+@pytest.mark.parametrize("generator, options", [
+    ({"kind": "bounded_uniform"}, {"radius": 1.0}),
+    ({"kind": "lognormal"}, {"radius": 50000}),
+], ids=["uniform", "lognormal"])
+def test_bench_config_median_with_a_radius_runs(tmp_path, generator, options):
+    config = {
+        "name": "m", "estimator": "median", "mechanism": "optimal", "eps": 1.0,
+        "n_grid": [16], "d": 1, "replicates": 1, "generator": generator, "options": options,
+    }
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps(config))
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(parse_csv(out)) == 1
+
+
 def _run_cli(*args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -38,7 +38,7 @@ from privest.mechanisms import (
 ONE = PrivacyLevel(1.0)
 
 # SGD grids for a 10-record stream: empty, below 1, repeated, decreasing, past n
-BAD_GRIDS = [[], [0, 10], [5, 5], [10, 5], [11]]
+BAD_GRIDS = [[], [0, 10], [5, 5], [10, 5], [11], [5.5]]
 
 
 @pytest.fixture

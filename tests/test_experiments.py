@@ -190,6 +190,18 @@ class TestOptionSchema:
             ExperimentSpec("x", estimator, "optimal", 1.0, (64,), d, 1, generator,
                            options={"radius": radius})
 
+    @pytest.mark.parametrize("generator, options", [
+        ({"kind": "bounded_uniform"}, {"radius": 1.0}),
+        ({"kind": "lognormal"}, {"radius": 50000}),
+        ({"kind": "lognormal"}, {"radius_multiplier": 7}),
+    ], ids=["uniform-radius", "lognormal-radius", "multiplier"])
+    def test_resolved_median_spec_round_trips(self, generator, options):
+        spec = ExperimentSpec("x", "median", "optimal", 1.0, (64,), 1, 1, generator,
+                              options=options)
+        assert replace(spec) == spec and replace(spec, eps=2.0).options == spec.options
+        # a given radius leaves no multiplier to disagree with
+        assert ("radius_multiplier" in spec.options) == ("radius" not in options)
+
     def test_default_median_radius_is_checked(self):
         # twice the true median is 0 on the centred uniform
         with pytest.raises(ConfigError, match="options.radius must be finite and > 0, got 0.0"):
