@@ -9,16 +9,19 @@ choice so plotted curves are unambiguous.
 import math
 from dataclasses import dataclass
 
-from .core import ParameterError
+from .core import ParameterError, PrivacyLevel
+from .mechanisms import _check_radius
 
 
 def _effective_eps_sq(eps: float, eps_form: str) -> float:
-    if not (eps > 0.0):
-        raise ParameterError(f"eps must be > 0, got {eps!r}")
+    eps = PrivacyLevel(eps).epsilon  # the one eps rule: finite and > 0
     if eps_form == "eps2":
         return eps * eps
     if eps_form == "exp":
-        return (math.expm1(eps)) ** 2
+        try:
+            return math.expm1(eps) ** 2
+        except OverflowError:
+            raise ParameterError(f"(e^eps - 1)^2 overflows a float at eps = {eps!r}") from None
     raise ParameterError(f"unknown eps_form {eps_form!r} (use 'eps2' or 'exp')")
 
 
@@ -34,8 +37,7 @@ def mean_rate(k: float, n: int, eps: float, eps_form: str = "eps2") -> float:
 
 def median_rate(radius: float, n: int, eps: float, eps_form: str = "eps2") -> float:
     """Median excess-risk rate radius * min(1, (n eps^2)^(-1/2))."""
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be > 0, got {radius!r}")
+    _check_radius(radius)
     return radius * min(1.0, (n * _effective_eps_sq(eps, eps_form)) ** -0.5)
 
 
@@ -43,7 +45,7 @@ def sparse_mean_lower(d: int, n: int, eps: float) -> float:
     """1-sparse mean linf lower bound sqrt(d log(2d) / (n (e^eps - 1)^2))."""
     if d < 2:
         raise ParameterError(f"dimension must be >= 2, got {d}")
-    return math.sqrt(d * math.log(2 * d) / (n * math.expm1(eps) ** 2))
+    return math.sqrt(d * math.log(2 * d) / (n * _effective_eps_sq(eps, "exp")))
 
 
 def density_rate(beta: float, n: int, eps: float, eps_form: str = "eps2") -> float:
@@ -58,7 +60,7 @@ def logistic_lower(d: int, n: int, eps: float) -> float:
     """Logistic-regression lower bound min(d/4, d^2 / (4 n (e^eps - 1)^2))."""
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
-    return min(d / 4.0, d * d / (4.0 * n * math.expm1(eps) ** 2))
+    return min(d / 4.0, d * d / (4.0 * n * _effective_eps_sq(eps, "exp")))
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,7 @@ def _cmd_estimate(args) -> int:
     n = typed("n", config.get("n", 1000), int)
     spec = ExperimentSpec(
         "estimate", config["estimator"], "optimal",
-        config.get("eps", 1.0) if args.eps is None else args.eps, (n,), gen.dim, 1,
+        config.get("eps", 1.0) if args.eps is None else args.eps, (n,), 1,
         config["generator"], _seed_default(config.get("seed") if args.seed is None else args.seed),
         options=config.get("options", {}),
     )

@@ -20,6 +20,7 @@ from .mechanisms import (
     _DOMAIN_SLACK,
     MomentAssumption,
     _check_grid,
+    _check_radius,
     _l2_ball_batch,
     _laplace_vector_batch,
     _linf_ball_batch,
@@ -116,8 +117,7 @@ def _median_sgd_paths(x_mat, radius, level, rng, grid, one_sided=False):
     :func:`_sgd_paths` on sign RR of sign(theta - x_i), step eps r / sqrt(i)
     and the clip to the projection interval.
     """
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be > 0, got {radius!r}")
+    _check_radius(radius)
     reps, n = x_mat.shape
     grid = _check_grid(grid, n)  # before theta_0 is drawn
     lo = 0.0 if one_sided else -radius
@@ -280,8 +280,7 @@ def private_logistic_sgd(
 
 
 def _check_covariates(x, geometry, radius):
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be > 0, got {radius!r}")
+    _check_radius(radius)
     if geometry == "l2":
         worst = np.linalg.norm(x, axis=-1).max(initial=0.0)
     elif geometry == "linf":

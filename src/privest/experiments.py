@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ConfigError, PrivacyLevel, make_rng
+from .core import ConfigError, ParameterError, PrivacyLevel, make_rng
 from .estimators import (
     ORTH_BOUND,
     MomentAssumption,
@@ -164,14 +164,6 @@ def _resolve_options(estimator, options, gen):
             if opt.allowed and value not in opt.allowed:
                 raise ConfigError(f"option {key} must be one of {opt.allowed}, got {value!r}")
         out[key] = value
-    # radius_multiplier only sets the default radius: a given radius drops it, and a given
-    # pair must agree, so a resolved spec resolves to itself
-    if "radius_multiplier" in out and "radius" in options:
-        if "radius_multiplier" not in options:
-            del out["radius_multiplier"]
-        elif out["radius"] != schema["radius"].default(gen, out):
-            raise ConfigError(f"options.radius_multiplier only sets the default radius, which "
-                              f"options.radius {out['radius']!r} overrides; give one of them")
     if "radius" in out and not (0.0 < out["radius"] < math.inf):  # NaN fails too
         raise ConfigError(f"options.radius must be finite and > 0, got {out['radius']!r}")
     return out
@@ -182,8 +174,9 @@ class ExperimentSpec:
     """Declarative description of one Monte-Carlo experiment arm.
 
     Construction types every field and resolves ``options`` through the
-    estimator's schema: every option present, typed and allowed, except
-    the median's ``radius_multiplier`` when ``radius`` is given.
+    estimator's schema: every option present, typed and allowed.  ``d`` is
+    the generator's dimension and ``level`` the privacy level of ``eps``;
+    neither is given.
     """
 
     name: str
@@ -191,16 +184,17 @@ class ExperimentSpec:
     mechanism: str
     eps: float
     n_grid: tuple
-    d: int
     replicates: int
     generator: dict
     seed: int = 0
     metric: str = ""
     options: dict = field(default_factory=dict)
+    d: int = field(init=False)
+    level: PrivacyLevel = field(init=False)
 
     def __post_init__(self):
         for key, kind in (("name", str), ("estimator", str), ("mechanism", str), ("eps", float),
-                          ("d", int), ("replicates", int), ("seed", int), ("metric", str)):
+                          ("replicates", int), ("seed", int), ("metric", str)):
             object.__setattr__(self, key, typed(key, getattr(self, key), kind))
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}; valid: {sorted(ESTIMATORS)}")
@@ -220,16 +214,17 @@ class ExperimentSpec:
         object.__setattr__(self, "n_grid", grid)
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if not (self.eps > 0.0):
-            raise ConfigError(f"eps must be > 0, got {self.eps!r}")
+        try:
+            object.__setattr__(self, "level", PrivacyLevel(self.eps))
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from None
         gen = make_generator(self.generator)
         if gen.kind not in entry.generators:
             raise ConfigError(
                 f"generator {gen.kind!r} is incompatible with estimator {self.estimator!r}; "
                 f"valid: {entry.generators}"
             )
-        if self.d != gen.dim:
-            raise ConfigError(f"d = {self.d} does not match the generator's dimension {gen.dim}")
+        object.__setattr__(self, "d", gen.dim)
         if not self.metric:
             object.__setattr__(self, "metric", entry.metrics[0])
         if self.metric not in entry.metrics:
@@ -243,10 +238,6 @@ class ExperimentSpec:
 
     def build_generator(self):
         return make_generator(dict(self.generator))
-
-    @property
-    def level(self) -> PrivacyLevel:
-        return PrivacyLevel(self.eps)
 
 
 def _replicate_chunks(replicates, cells_per_rep, budget=4_000_000):
@@ -457,8 +448,7 @@ ESTIMATORS = {
         metrics=("excess_risk",),
         options={
             "one_sided": Option(bool, lambda gen, opts: gen.kind == "lognormal"),
-            "radius_multiplier": Option(float, 2.0),
-            "radius": Option(float, lambda gen, opts: opts["radius_multiplier"] * gen.true_median),
+            "radius": Option(float, lambda gen, opts: 2.0 * gen.true_median),
         },
         arm=_median_arm, scorer=_median_scorer, lockstep=True,
     ),
@@ -575,19 +565,22 @@ def _dyadic(lo: int, hi: int) -> tuple:
     return tuple(grid)
 
 
+def _arms(name, estimator, eps, grid, reps, gen, seed, **fields) -> list:
+    """One spec per mechanism of ``estimator``, in the table's order, all on the same data."""
+    return [
+        ExperimentSpec(name, estimator, mech, eps, grid, reps, gen, seed, **fields)
+        for mech in ESTIMATORS[estimator].mechanisms
+    ]
+
+
 def preset_drug_use(full=False, eps=0.5, seed=0) -> list:
     """Proportion estimation at d = 27 with product-Bernoulli admissions data."""
     freqs = make_rng(seed, 1, 0).uniform(0.05, 0.5, size=27)
     gen = {"kind": "bernoulli_product", "freqs": [float(f) for f in freqs]}
     grid = _dyadic(2**10, 600_000 if full else 2**16)
     reps = 100 if full else 20
-    return [
-        ExperimentSpec(
-            "drug_use", "mean_vector", mech, eps, grid, 27, reps, gen, seed,
-            options={"geometry": "linf"},
-        )
-        for mech in ("optimal", "laplace_baseline", "nonprivate")
-    ]
+    return _arms("drug_use", "mean_vector", eps, grid, reps, gen, seed,
+                 options={"geometry": "linf"})
 
 
 def preset_median_salary(full=False, eps=1.0, seed=0) -> list:
@@ -597,13 +590,9 @@ def preset_median_salary(full=False, eps=1.0, seed=0) -> list:
     reps = 200 if full else 20
     specs = []
     for mult in (1.5, 2.0, 4.0, 8.0, 16.0):
-        for mech in ("optimal", "laplace_baseline", "nonprivate"):
-            specs.append(
-                ExperimentSpec(
-                    f"median_salary_r{mult:g}", "median", mech, eps, grid, 1, reps, gen,
-                    seed, options={"radius_multiplier": mult, "one_sided": True},
-                )
-            )
+        # each guess is a multiple of the true median e^mu
+        specs.extend(_arms(f"median_salary_r{mult:g}", "median", eps, grid, reps, gen, seed,
+                           options={"radius": mult * math.exp(gen["mu"]), "one_sided": True}))
     return specs
 
 
@@ -618,11 +607,7 @@ def preset_mean_rates(full=False, eps=1.0, seed=0) -> list:
         ("mean_rate_k2", {"kind": "heavy_tail_k", "k": 2.0, "radius_k": 1.0},
          {"moment_k": 2.0, "radius_k": 1.0}),
     ):
-        for mech in ("optimal", "nonprivate"):
-            specs.append(
-                ExperimentSpec(label, "mean_scalar", mech, eps, grid, 1, reps, gen, seed,
-                               options=options)
-            )
+        specs.extend(_arms(label, "mean_scalar", eps, grid, reps, gen, seed, options=options))
     return specs
 
 
@@ -633,14 +618,8 @@ def preset_dimension_scaling(full=False, eps=1.0, seed=0) -> list:
     for d in (4, 16, 64):
         theta = [0.5] + [0.0] * (d - 1)
         gen = {"kind": "fixed_vector", "value": theta}
-        for mech in ("optimal", "laplace_baseline", "nonprivate"):
-            specs.append(
-                ExperimentSpec(
-                    f"dim_scaling_d{d}", "mean_vector", mech, eps, (100_000,), d, reps,
-                    gen, seed, metric="l2_error_sq",
-                    options={"geometry": "l2", "radius": 1.0},
-                )
-            )
+        specs.extend(_arms(f"dim_scaling_d{d}", "mean_vector", eps, (100_000,), reps, gen, seed,
+                           metric="l2_error_sq", options={"geometry": "l2", "radius": 1.0}))
     return specs
 
 
@@ -649,11 +628,8 @@ def preset_density_rate(full=False, eps=1.0, seed=0) -> list:
     gen = {"kind": "trig_density", "coeffs": [0.5, 0.0, 0.25]}
     grid = _dyadic(2**12, 2**18)
     reps = 100 if full else 20
-    return [
-        ExperimentSpec("density_rate_beta1", "density", mech, eps, grid, 1, reps, gen,
-                       seed, options={"beta": 1.0})
-        for mech in ("optimal", "nonprivate")
-    ]
+    return _arms("density_rate_beta1", "density", eps, grid, reps, gen, seed,
+                 options={"beta": 1.0})
 
 
 def preset_sparse_mean(full=False, eps=1.0, seed=0) -> list:
@@ -662,11 +638,7 @@ def preset_sparse_mean(full=False, eps=1.0, seed=0) -> list:
     gen = {"kind": "fixed_vector", "value": theta}
     grid = (2**14, 100_000) if full else (2**14,)
     reps = 100 if full else 30
-    return [
-        ExperimentSpec("sparse_mean_d32", "sparse", mech, eps, grid, 32, reps, gen, seed,
-                       options={"radius": 1.0})
-        for mech in ("optimal", "nonprivate")
-    ]
+    return _arms("sparse_mean_d32", "sparse", eps, grid, reps, gen, seed, options={"radius": 1.0})
 
 
 def preset_logistic(full=False, eps=1.0, seed=0) -> list:
@@ -674,11 +646,8 @@ def preset_logistic(full=False, eps=1.0, seed=0) -> list:
     gen = {"kind": "logistic_model", "theta": [0.0] * 8}
     grid = (10_000,)
     reps = 50 if full else 20
-    return [
-        ExperimentSpec("logistic_d8", "logistic", mech, eps, grid, 8, reps, gen, seed,
-                       options={"geometry": "l2", "proj_radius": 5.0})
-        for mech in ("optimal", "laplace_baseline", "nonprivate")
-    ]
+    return _arms("logistic_d8", "logistic", eps, grid, reps, gen, seed,
+                 options={"geometry": "l2", "proj_radius": 5.0})
 
 
 PRESETS = {
@@ -701,7 +670,7 @@ def build_preset(name: str, full=False, eps=None, seed=None) -> list:
 def spec_from_config(config: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from a JSON-style mapping."""
     check_config_keys(
-        config, ("name", "estimator", "mechanism", "eps", "n_grid", "d", "replicates", "generator"),
+        config, ("name", "estimator", "mechanism", "eps", "n_grid", "replicates", "generator"),
         ("seed", "metric", "options"), "experiment config",
     )
     return ExperimentSpec(**config)

@@ -1,9 +1,11 @@
 """Synthetic data generators for the benchmark experiments.
 
-Each generator knows its own domain (so experiment configs can be checked
-against the mechanism they are paired with) and exposes the ground truth
-needed by its error metric: the mean, the median plus the absolute-loss
-risk function, the model parameter, or the density.
+Each generator exposes its ``kind``, its record dimension ``dim`` (which an
+experiment spec takes as its ``d``) and the ground truth needed by its
+error metric: the mean, the median plus the absolute-loss risk function,
+the model parameter, or the density.  It does not describe its support:
+the radius of a channel is an estimator option, checked against each
+record by the channel kernel.
 """
 
 import math
@@ -277,6 +279,13 @@ def make_generator(config: dict):
     if extra:
         raise ConfigError(f"unknown parameters for {kind!r}: {sorted(extra)}")
     kwargs = {p: config[p] for p in params if p in config}
+    for key, value in kwargs.items():
+        try:
+            finite = np.isfinite(np.asarray(value, dtype=float)).all()
+        except (TypeError, ValueError):
+            continue  # not numeric: the generator's own checks reject it
+        if not finite:  # JSON's Infinity and NaN literals parse
+            raise ConfigError(f"{kind!r} parameter {key} must be finite, got {value!r}")
     try:
         return cls(**kwargs)
     except ConfigError:

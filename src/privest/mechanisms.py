@@ -86,6 +86,12 @@ class MomentAssumption:
             raise ParameterError(f"radius_k must be finite and > 0, got {self.radius_k!r}")
 
 
+def _check_radius(radius) -> None:
+    """ParameterError unless ``radius`` is finite and > 0 (NaN fails too): the one radius rule."""
+    if not (0.0 < radius < math.inf):
+        raise ParameterError(f"radius must be finite and > 0, got {radius!r}")
+
+
 def sphere_halfspace_mean(d: int) -> float:
     """First coordinate of the mean of a uniform point on a closed unit hemisphere.
 
@@ -139,15 +145,13 @@ def l2_bound_B(d: int, radius: float, level: PrivacyLevel) -> float:
     equivalently radius * phi_eps * (sqrt(pi)/2) * d * Gamma((d-1)/2 + 1)
     / Gamma(d/2 + 1).  Satisfies B <= radius * phi_eps * (3 sqrt(pi)/4) * sqrt(d).
     """
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be > 0, got {radius!r}")
+    _check_radius(radius)
     return radius * level.phi_eps / sphere_halfspace_mean(d)
 
 
 def linf_bound_B(d: int, radius: float, level: PrivacyLevel) -> float:
     """Output magnitude B of the hypercube channel: radius * phi_eps * C_d."""
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be > 0, got {radius!r}")
+    _check_radius(radius)
     return radius * level.phi_eps / cube_halfspace_mean(d)
 
 
@@ -181,8 +185,7 @@ def _truncated_laplace_batch(x, t_level, level, rng):
 
 
 def _naive_median_batch(x, radius, level, rng, one_sided=False):
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be > 0, got {radius!r}")
+    _check_radius(radius)
     lo = 0.0 if one_sided else -radius
     x = np.asarray(x, dtype=float)
     _reject_nan(x)
@@ -212,8 +215,7 @@ def _l2_ball_batch(x, radius, level, rng, grid=None):
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be > 0, got {radius!r}")
+    _check_radius(radius)
     norms = _row_norms(x)
     limit = radius * (1.0 + _DOMAIN_SLACK)
     if n and not (norms.max() <= limit):  # NaN fails too
@@ -260,8 +262,7 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be > 0, got {radius!r}")
+    _check_radius(radius)
     # one global test (NaN fails it too); the record is found only on failure
     limit = radius * (1.0 + _DOMAIN_SLACK)
     if x.size and not (max(x.max(), -x.min()) <= limit):
@@ -303,8 +304,7 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
 
 
 def _laplace_vector_inv_scale(x2d, d, radius, level, sensitivity_norm):
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be > 0, got {radius!r}")
+    _check_radius(radius)
     # every test is phrased so that NaN fails it too
     if sensitivity_norm == "l1":
         slack = radius * _DOMAIN_SLACK

@@ -160,7 +160,7 @@ def test_criterion_04_mean_rate_exponents():
         ("k2", {"kind": "heavy_tail_k", "k": 2.0, "radius_k": 1.0}, 2.0),
     ):
         spec = ExperimentSpec(
-            f"c4_{label}", "mean_scalar", "optimal", 1.0, grid, 1, 200, gen, SEED,
+            f"c4_{label}", "mean_scalar", "optimal", 1.0, grid, 200, gen, SEED,
             options={"moment_k": k, "radius_k": 1.0},
         )
         means = _mean_by_n(run_experiment(spec))
@@ -204,7 +204,7 @@ def test_criterion_06_mechanism_ordering():
     means = {}
     for mech in ("optimal", "laplace_baseline", "nonprivate"):
         spec = ExperimentSpec(
-            "c6_drug_use", "mean_vector", mech, 0.5, grid, 27, 50, gen, SEED,
+            "c6_drug_use", "mean_vector", mech, 0.5, grid, 50, gen, SEED,
             options={"geometry": "linf"},
         )
         means[mech] = _mean_by_n(run_experiment(spec))
@@ -231,7 +231,7 @@ def test_criterion_07_dimension_scaling():
         gen = {"kind": "fixed_vector", "value": theta}
         for mech in mse:
             spec = ExperimentSpec(
-                f"c7_d{d}", "mean_vector", mech, 1.0, (100_000,), d, 40, gen, SEED,
+                f"c7_d{d}", "mean_vector", mech, 1.0, (100_000,), 40, gen, SEED,
                 metric="l2_error_sq", options={"geometry": "l2", "radius": 1.0},
             )
             mse[mech][d] = _mean_by_n(run_experiment(spec))[100_000]
@@ -253,7 +253,7 @@ def test_criterion_08_density_rate():
     start = time.perf_counter()
     spec = ExperimentSpec(
         "c8_density", "density", "optimal", 1.0, tuple(2**j for j in range(12, 19)),
-        1, 100, {"kind": "trig_density", "coeffs": [0.5, 0.0, 0.25]}, SEED,
+        100, {"kind": "trig_density", "coeffs": [0.5, 0.0, 0.25]}, SEED,
         options={"beta": 1.0},
     )
     means = _mean_by_n(run_experiment(spec))
@@ -284,7 +284,7 @@ def test_criterion_09_sparse_mean():
     d, n = 32, 100_000
     theta = [1.0] + [0.0] * (d - 1)
     spec = ExperimentSpec(
-        "c9_sparse", "sparse", "optimal", 1.0, (n,), d, 100,
+        "c9_sparse", "sparse", "optimal", 1.0, (n,), 100,
         {"kind": "fixed_vector", "value": theta}, SEED, options={"radius": 1.0},
     )
     errors = [r.value for r in run_experiment(spec)]
@@ -331,7 +331,7 @@ def test_criterion_10_logistic_sanity():
 
     def run(mechanism, eps):
         spec = ExperimentSpec(
-            "c10_logistic", "logistic", mechanism, eps, (n,), d, reps, gen, SEED,
+            "c10_logistic", "logistic", mechanism, eps, (n,), reps, gen, SEED,
             options={"geometry": "l2", "proj_radius": 5.0},
         )
         return _mean_by_n(run_experiment(spec))[n]

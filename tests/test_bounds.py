@@ -129,3 +129,23 @@ class TestRateCurve:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ParameterError):
             RateCurve("bad", ((10, 0.0),))
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, 400.0])
+@pytest.mark.parametrize("fn", [
+    lambda eps: sparse_mean_lower(d=8, n=100, eps=eps),
+    lambda eps: logistic_lower(d=8, n=100, eps=eps),
+    lambda eps: mean_rate(k=2.0, n=100, eps=eps, eps_form="exp"),
+    lambda eps: median_rate(radius=1.0, n=100, eps=eps, eps_form="exp"),
+    lambda eps: density_rate(beta=1.0, n=100, eps=eps, eps_form="exp"),
+], ids=["sparse", "logistic", "mean", "median", "density"])
+def test_one_eps_rule(fn, eps):
+    # eps must be finite and > 0; at 400, (e^eps - 1)^2 overflows a float
+    with pytest.raises(ParameterError):
+        fn(eps)
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
+def test_median_rate_takes_the_one_radius_rule(radius):
+    with pytest.raises(ParameterError, match="radius must be finite and > 0"):
+        median_rate(radius=radius, n=100, eps=1.0)

@@ -77,6 +77,18 @@ def test_mech_sample_bad_argument_exits_2(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mechanism", ["l2_ball", "linf_ball", "laplace_vector", "naive_median"])
+@pytest.mark.parametrize("radius", ["inf", "nan", "0"])
+def test_mech_sample_rejects_a_bad_radius(tmp_path, capsys, mechanism, radius):
+    out = tmp_path / "z.csv"
+    x = "0" if mechanism == "naive_median" else "0.1,0.2"
+    assert main(["mech-sample", "--mechanism", mechanism, "--x", x, "--radius", radius,
+                 "--n", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: radius must be finite and > 0, got {float(radius)!r}\n"
+    assert not out.exists()
+
+
 def test_bench_preset_roundtrip(tmp_path):
     out = tmp_path / "bench.csv"
     summary = tmp_path / "summary.csv"
@@ -97,7 +109,6 @@ def test_bench_config_and_determinism(tmp_path):
         "mechanism": "optimal",
         "eps": 0.5,
         "n_grid": [64, 128],
-        "d": 2,
         "replicates": 3,
         "generator": {"kind": "bernoulli_product", "freqs": [0.3, 0.6]},
         "seed": 7,
@@ -127,7 +138,7 @@ def test_bench_config_checks_every_radius_before_any_arm(tmp_path, capsys, monke
     monkeypatch.setattr(privest.cli, "run_experiment", lambda spec, **kw: arms.append(spec) or [])
     good = {
         "name": "salary", "estimator": "median", "mechanism": "optimal", "eps": 1.0,
-        "n_grid": [64], "d": 1, "replicates": 1, "generator": {"kind": "lognormal"},
+        "n_grid": [64], "replicates": 1, "generator": {"kind": "lognormal"},
     }
     # the default radius, twice the true median, is 0 on the centred uniform
     centred = {**good, "name": "centred", "generator": {"kind": "bounded_uniform"}}
@@ -138,6 +149,34 @@ def test_bench_config_checks_every_radius_before_any_arm(tmp_path, capsys, monke
     assert arms == [] and not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan", 0.0])
+def test_bench_config_checks_every_eps_before_any_arm(tmp_path, capsys, monkeypatch, eps):
+    import privest.cli
+
+    arms = []
+    monkeypatch.setattr(privest.cli, "run_experiment", lambda spec, **kw: arms.append(spec) or [])
+    good = {**_BENCH, "name": "good"}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps([good, {**good, "name": "bad", "eps": eps}]))
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+    assert _one_config_error_line(capsys)
+    assert arms == [] and not out.exists()
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"d": 2}, "d"),
+    ({"estimator": "median", "generator": {"kind": "lognormal"},
+      "options": {"radius_multiplier": 4.0}}, "radius_multiplier"),
+], ids=["d", "radius_multiplier"])
+def test_bench_config_with_a_removed_field_exits_2(tmp_path, capsys, change, key):
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--config", _write(tmp_path, {**_BENCH, **change}),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unknown") and err.count("\n") == 1
+    assert f"['{key}']" in err and not out.exists()
+
+
 @pytest.mark.parametrize("generator, options", [
     ({"kind": "bounded_uniform"}, {"radius": 1.0}),
     ({"kind": "lognormal"}, {"radius": 50000}),
@@ -145,7 +184,7 @@ def test_bench_config_checks_every_radius_before_any_arm(tmp_path, capsys, monke
 def test_bench_config_median_with_a_radius_runs(tmp_path, generator, options):
     config = {
         "name": "m", "estimator": "median", "mechanism": "optimal", "eps": 1.0,
-        "n_grid": [16], "d": 1, "replicates": 1, "generator": generator, "options": options,
+        "n_grid": [16], "replicates": 1, "generator": generator, "options": options,
     }
     cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
     cfg.write_text(json.dumps(config))
@@ -223,7 +262,7 @@ def test_bench_invalid_sgd_settings_return_2(tmp_path, capsys):
     cfg = tmp_path / "lg.json"
     cfg.write_text(json.dumps({
         "name": "lg", "estimator": "logistic", "mechanism": "optimal", "eps": 1.0,
-        "n_grid": [64], "d": 2, "replicates": 2,
+        "n_grid": [64], "replicates": 2,
         "generator": {"kind": "logistic_model", "theta": [0.0, 0.0]},
         "options": {"gamma0": -1.0, "beta_exp": 3.0},
     }))
@@ -289,7 +328,7 @@ def _one_config_error_line(capsys):
 
 _BENCH = {
     "name": "b", "estimator": "mean_vector", "mechanism": "optimal", "eps": 0.5,
-    "n_grid": [64, 128], "d": 2, "replicates": 2,
+    "n_grid": [64, 128], "replicates": 2,
     "generator": {"kind": "bernoulli_product", "freqs": [0.3, 0.6]},
 }
 
@@ -341,6 +380,21 @@ def test_bench_string_vector_parameter_exits_2(tmp_path, capsys):
     assert main(["bench", "--config", _write(tmp_path, config), "--out", str(out)]) == 2
     assert _one_config_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator, generator", [
+    ("mean_scalar", {"kind": "bounded_uniform", "radius": math.inf}),
+    ("mean_scalar", {"kind": "heavy_tail_k", "k": 2.0, "radius_k": math.inf}),
+    ("mean_scalar", {"kind": "lognormal", "mu": math.inf}),
+    ("mean_scalar", {"kind": "lognormal", "sigma": math.nan}),
+    ("logistic", {"kind": "logistic_model", "theta": [math.nan, 1.0]}),
+], ids=["uniform-radius", "heavy-tail-radius_k", "lognormal-mu", "lognormal-sigma",
+        "logistic-theta"])
+def test_estimate_non_finite_generator_parameter_exits_2(tmp_path, capsys, estimator, generator):
+    # json.dumps writes the Infinity and NaN literals, which json.load reads back
+    config = {"estimator": estimator, "n": 100, "generator": generator}
+    assert main(["estimate", "--config", _write(tmp_path, config)]) == 2
+    assert _one_config_error_line(capsys)
 
 
 def test_generator_config_error_keeps_its_message():
@@ -429,6 +483,24 @@ def test_rates_rejects_non_positive_n(tmp_path, capsys, curve, grid):
     out = tmp_path / "rates.csv"
     assert main(["rates", "--curve", curve, f"--n-grid={grid}", "--out", str(out)]) == 2
     assert "--n-grid entries must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("curve", ["sparse", "logistic", "mean", "median", "density"])
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "400"])
+def test_rates_rejects_a_bad_eps(tmp_path, capsys, curve, eps):
+    # 400 is a privacy level whose (e^eps - 1)^2 overflows a float
+    out = tmp_path / "rates.csv"
+    code = main(["rates", "--curve", curve, f"--eps={eps}", "--eps-form=exp", "--out", str(out)])
+    assert code == 2
+    assert _one_config_error_line(capsys)
+    assert not out.exists()
+
+
+def test_rates_rejects_an_infinite_median_radius(tmp_path, capsys):
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--curve", "median", "--radius", "inf", "--out", str(out)]) == 2
+    assert _one_config_error_line(capsys)
     assert not out.exists()
 
 

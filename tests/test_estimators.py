@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,28 @@ class TestMedianSgd:
         state = rng.bit_generator.state
         with pytest.raises(ParameterError, match="grid"):
             _median_sgd_paths(np.zeros((2, 10)), 1.0, ONE, rng, grid)
+        assert rng.bit_generator.state == state
+
+
+class TestRadiusRule:
+    """The library estimators reject a radius that is not finite and > 0 before any draw."""
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("call", [
+        lambda r, rng: private_median_sgd([1.0, 2.0, 3.0], r, ONE, rng),
+        lambda r, rng: private_mean_vector(np.zeros((3, 2)), "l2", r, ONE, rng),
+        lambda r, rng: private_mean_vector(np.zeros((3, 2)), "linf", r, ONE, rng),
+        lambda r, rng: sparse_mean(np.zeros((3, 2)), r, ONE, rng),
+        lambda r, rng: private_logistic_sgd((np.zeros((3, 2)), np.ones(3)), "l2", r, ONE, rng),
+        lambda r, rng: private_logistic_sgd((np.zeros((3, 2)), np.ones(3)), "linf", r, ONE, rng),
+    ], ids=["median", "mean-l2", "mean-linf", "sparse", "logistic-l2", "logistic-linf"])
+    def test_rejects_before_any_draw(self, call, radius):
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="radius must be finite and > 0"):
+                call(radius, rng)
         assert rng.bit_generator.state == state
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from privest.core import ConfigError, ParameterError, make_rng
+from privest.core import ConfigError, ParameterError, PrivacyLevel, make_rng
 from privest.estimators import _projection_coeffs, trig_basis_matrix
 from privest.experiments import (
     CSV_HEADER,
@@ -32,7 +32,6 @@ def _tiny_spec(mechanism="optimal", **overrides):
         mechanism=mechanism,
         eps=0.5,
         n_grid=(64, 128),
-        d=3,
         replicates=4,
         generator={"kind": "bernoulli_product", "freqs": [0.2, 0.5, 0.7]},
         seed=9,
@@ -95,20 +94,28 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="incompatible"):
             _tiny_spec(estimator="median", generator={"kind": "bernoulli_product", "freqs": [0.5]})
 
-    def test_d_must_match_generator(self):
-        with pytest.raises(ConfigError, match="d = 27"):
-            ExperimentSpec(
-                "lg", "logistic", "optimal", 1.0, (64,), 27, 2,
-                {"kind": "logistic_model", "theta": [0.0, 0.0]},
-            )
-        with pytest.raises(ConfigError, match="d = 2"):
-            _tiny_spec(d=2)
+    @pytest.mark.parametrize("estimator, generator, d", [
+        ("logistic", {"kind": "logistic_model", "theta": [0.0, 0.0]}, 2),
+        ("mean_vector", {"kind": "bernoulli_product", "freqs": [0.2, 0.5, 0.7]}, 3),
         # trig_density, like the scalar generators, has dimension 1
-        with pytest.raises(ConfigError, match="d = 3"):
-            ExperimentSpec(
-                "de", "density", "optimal", 1.0, (64,), 3, 2,
-                {"kind": "trig_density", "coeffs": [0.5, 0.1, 0.2]},
-            )
+        ("density", {"kind": "trig_density", "coeffs": [0.5, 0.1, 0.2]}, 1),
+        ("median", {"kind": "lognormal"}, 1),
+    ], ids=["logistic", "mean_vector", "density", "median"])
+    def test_d_comes_from_the_generator(self, estimator, generator, d):
+        spec = ExperimentSpec("x", estimator, "optimal", 1.0, (64,), 2, generator)
+        assert spec.d == d and replace(spec) == spec
+        with pytest.raises(TypeError, match="'d'"):
+            ExperimentSpec("x", estimator, "optimal", 1.0, (64,), 2, generator, d=d)
+
+    @pytest.mark.parametrize("eps", [math.inf, "inf", math.nan, 0.0, -1.0])
+    def test_eps_is_checked_when_the_spec_is_built(self, eps):
+        with pytest.raises(ConfigError, match="epsilon must be finite and > 0"):
+            _tiny_spec(eps=eps)
+
+    def test_level_is_built_once_from_eps(self):
+        spec = _tiny_spec(eps=0.25)
+        assert spec.level is spec.level and spec.level == PrivacyLevel(0.25)
+        assert replace(spec, eps=2.0).level == PrivacyLevel(2.0)
 
     def test_metric_default(self):
         assert _tiny_spec().metric == "linf_error"
@@ -120,7 +127,6 @@ class TestSpecValidation:
             "mechanism": "optimal",
             "eps": 1.0,
             "n_grid": [32, 64],
-            "d": 1,
             "replicates": 2,
             "generator": {"kind": "bounded_uniform", "radius": 1.0},
             "options": {"moment_k": 2.0},
@@ -145,12 +151,10 @@ class TestOptionSchema:
         assert _tiny_spec().options == {"geometry": "linf", "radius": 0.5}
         fixed = _tiny_spec(generator={"kind": "fixed_vector", "value": [0.1, 0.2, 0.3]})
         assert fixed.options["radius"] == 1.0
-        salary = ExperimentSpec("m", "median", "optimal", 1.0, (64,), 1, 1,
-                                {"kind": "lognormal", "mu": 1.0, "sigma": 0.5},
-                                options={"radius_multiplier": 3.0})
-        assert salary.options == {"one_sided": True, "radius_multiplier": 3.0,
-                                  "radius": 3.0 * math.e}
-        logistic = ExperimentSpec("l", "logistic", "optimal", 1.0, (64,), 4, 1,
+        salary = ExperimentSpec("m", "median", "optimal", 1.0, (64,), 1,
+                                {"kind": "lognormal", "mu": 1.0, "sigma": 0.5})
+        assert salary.options == {"one_sided": True, "radius": 2.0 * math.e}
+        logistic = ExperimentSpec("l", "logistic", "optimal", 1.0, (64,), 1,
                                   {"kind": "logistic_model", "theta": [0.0] * 4},
                                   options={"geometry": "linf", "proj_radius": None})
         assert logistic.options["radius"] == 1.0 and logistic.options["proj_radius"] is None
@@ -171,60 +175,60 @@ class TestOptionSchema:
         ("median", {"kind": "bounded_uniform"}, {"one_sided": "false"}, "one_sided must be bool"),
         ("median", {"kind": "bounded_uniform"}, {"one_sided": 0}, "one_sided must be bool"),
         ("density", {"kind": "trig_density", "coeffs": [0.5]}, {"quad_nodes": 4096}, "quad_nodes"),
+        # radius_multiplier is gone: set radius to the multiple of the true median
         ("median", {"kind": "lognormal"}, {"radius": 50000, "radius_multiplier": 7},
-         "radius_multiplier only sets the default radius"),
-    ], ids=["one_sided-str", "one_sided-int", "quad_nodes", "radius-and-multiplier"])
+         "unknown median option keys: \\['radius_multiplier'\\]"),
+        ("median", {"kind": "lognormal"}, {"radius_multiplier": 7},
+         "unknown median option keys: \\['radius_multiplier'\\]"),
+    ], ids=["one_sided-str", "one_sided-int", "quad_nodes", "radius-and-multiplier", "multiplier"])
     def test_bad_scalar_options(self, estimator, generator, options, match):
         with pytest.raises(ConfigError, match=match):
-            ExperimentSpec("x", estimator, "optimal", 1.0, (64,), 1, 1, generator, options=options)
+            ExperimentSpec("x", estimator, "optimal", 1.0, (64,), 1, generator, options=options)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, "inf", "nan"])
-    @pytest.mark.parametrize("estimator, generator, d", [
-        ("mean_vector", {"kind": "bernoulli_product", "freqs": [0.2, 0.5]}, 2),
-        ("median", {"kind": "lognormal"}, 1),
-        ("sparse", {"kind": "fixed_vector", "value": [0.5, 0.0]}, 2),
-        ("logistic", {"kind": "logistic_model", "theta": [0.0, 0.0]}, 2),
+    @pytest.mark.parametrize("estimator, generator", [
+        ("mean_vector", {"kind": "bernoulli_product", "freqs": [0.2, 0.5]}),
+        ("median", {"kind": "lognormal"}),
+        ("sparse", {"kind": "fixed_vector", "value": [0.5, 0.0]}),
+        ("logistic", {"kind": "logistic_model", "theta": [0.0, 0.0]}),
     ], ids=["mean_vector", "median", "sparse", "logistic"])
-    def test_radius_must_be_finite_and_positive(self, estimator, generator, d, radius):
+    def test_radius_must_be_finite_and_positive(self, estimator, generator, radius):
         with pytest.raises(ConfigError, match="options.radius must be finite and > 0"):
-            ExperimentSpec("x", estimator, "optimal", 1.0, (64,), d, 1, generator,
+            ExperimentSpec("x", estimator, "optimal", 1.0, (64,), 1, generator,
                            options={"radius": radius})
 
     @pytest.mark.parametrize("generator, options", [
         ({"kind": "bounded_uniform"}, {"radius": 1.0}),
         ({"kind": "lognormal"}, {"radius": 50000}),
-        ({"kind": "lognormal"}, {"radius_multiplier": 7}),
-    ], ids=["uniform-radius", "lognormal-radius", "multiplier"])
+    ], ids=["uniform-radius", "lognormal-radius"])
     def test_resolved_median_spec_round_trips(self, generator, options):
-        spec = ExperimentSpec("x", "median", "optimal", 1.0, (64,), 1, 1, generator,
+        spec = ExperimentSpec("x", "median", "optimal", 1.0, (64,), 1, generator,
                               options=options)
         assert replace(spec) == spec and replace(spec, eps=2.0).options == spec.options
-        # a given radius leaves no multiplier to disagree with
-        assert ("radius_multiplier" in spec.options) == ("radius" not in options)
 
     def test_default_median_radius_is_checked(self):
         # twice the true median is 0 on the centred uniform
         with pytest.raises(ConfigError, match="options.radius must be finite and > 0, got 0.0"):
-            ExperimentSpec("x", "median", "optimal", 1.0, (64,), 1, 1, {"kind": "bounded_uniform"})
-        spec = ExperimentSpec("x", "median", "optimal", 1.0, (64,), 1, 1,
+            ExperimentSpec("x", "median", "optimal", 1.0, (64,), 1, {"kind": "bounded_uniform"})
+        spec = ExperimentSpec("x", "median", "optimal", 1.0, (64,), 1,
                               {"kind": "bounded_uniform"}, options={"radius": 1.0})
         assert spec.options["radius"] == 1.0
 
     def test_float_option_takes_a_numeric_string(self):
-        spec = ExperimentSpec("ms", "mean_scalar", "optimal", 1.0, (64,), 1, 1,
+        spec = ExperimentSpec("ms", "mean_scalar", "optimal", 1.0, (64,), 1,
                               {"kind": "bounded_uniform"}, options={"moment_k": "inf"})
         assert spec.options["moment_k"] == math.inf
 
-    @pytest.mark.parametrize("estimator, generator, d, metric", [
-        ("median", {"kind": "bounded_uniform"}, 1, "linf_error"),
-        ("density", {"kind": "trig_density", "coeffs": [0.5]}, 1, "l2_error_sq"),
-        ("mean_scalar", {"kind": "bounded_uniform"}, 1, "excess_risk"),
-        ("logistic", {"kind": "logistic_model", "theta": [0.0]}, 1, "l2_density_error"),
-        ("sparse", {"kind": "fixed_vector", "value": [1.0, 0.0]}, 2, "l1_error"),
+    @pytest.mark.parametrize("estimator, generator, metric", [
+        ("median", {"kind": "bounded_uniform"}, "linf_error"),
+        ("density", {"kind": "trig_density", "coeffs": [0.5]}, "l2_error_sq"),
+        ("mean_scalar", {"kind": "bounded_uniform"}, "excess_risk"),
+        ("logistic", {"kind": "logistic_model", "theta": [0.0]}, "l2_density_error"),
+        ("sparse", {"kind": "fixed_vector", "value": [1.0, 0.0]}, "l1_error"),
     ], ids=["median", "density", "mean_scalar", "logistic", "sparse"])
-    def test_metric_must_belong_to_the_estimator(self, estimator, generator, d, metric):
+    def test_metric_must_belong_to_the_estimator(self, estimator, generator, metric):
         with pytest.raises(ConfigError, match=f"metric '{metric}' does not apply"):
-            ExperimentSpec("x", estimator, "optimal", 1.0, (64,), d, 1, generator, metric=metric)
+            ExperimentSpec("x", estimator, "optimal", 1.0, (64,), 1, generator, metric=metric)
 
     @pytest.mark.parametrize("field, value, match", [
         ("n_grid", ["a"], "n_grid entry must be int"),
@@ -232,28 +236,27 @@ class TestOptionSchema:
         ("n_grid", 100, "n_grid must be a list"),
         ("replicates", 2.7, "replicates must be int"),
         ("eps", "x", "eps must be float"),
-        ("d", "3", "d must be int"),
         ("seed", True, "seed must be int"),
         ("name", 7, "name must be str"),
         ("generator", [1], "generator config must be a mapping"),
-    ], ids=["n_grid-str", "n_grid-float", "n_grid-int", "replicates", "eps", "d", "seed", "name",
+    ], ids=["n_grid-str", "n_grid-float", "n_grid-int", "replicates", "eps", "seed", "name",
             "generator"])
     def test_spec_from_config_types_every_field(self, field, value, match):
         config = {
             "name": "cfg", "estimator": "mean_vector", "mechanism": "optimal", "eps": 0.5,
-            "n_grid": [64, 128], "d": 3, "replicates": 2,
+            "n_grid": [64, 128], "replicates": 2,
             "generator": {"kind": "bernoulli_product", "freqs": [0.2, 0.5, 0.7]},
         }
         with pytest.raises(ConfigError, match=match):
             spec_from_config({**config, field: value})
 
     def test_integral_floats_are_integers(self):
-        spec = _tiny_spec(n_grid=[64.0, 128], replicates=2.0, d=3.0)
-        assert spec.n_grid == (64, 128) and spec.replicates == 2 and spec.d == 3
-        assert all(type(v) is int for v in (*spec.n_grid, spec.replicates, spec.d))
+        spec = _tiny_spec(n_grid=[64.0, 128], replicates=2.0, seed=9.0)
+        assert spec.n_grid == (64, 128) and spec.replicates == 2 and spec.seed == 9
+        assert all(type(v) is int for v in (*spec.n_grid, spec.replicates, spec.seed))
 
     def test_scalar_mean_of_lognormal_scores_against_its_mean(self):
-        spec = ExperimentSpec("ms", "mean_scalar", "nonprivate", 1.0, (20_000,), 1, 1,
+        spec = ExperimentSpec("ms", "mean_scalar", "nonprivate", 1.0, (20_000,), 1,
                               {"kind": "lognormal", "mu": 0.0, "sigma": 0.5})
         (record,) = run_experiment(spec)
         assert record.value < 1e-3
@@ -296,7 +299,7 @@ class TestRunExperiment:
     def test_median_runner_all_mechanisms(self):
         for mech in ("optimal", "laplace_baseline", "nonprivate"):
             spec = ExperimentSpec(
-                "med", "median", mech, 1.0, (256,), 1, 3,
+                "med", "median", mech, 1.0, (256,), 3,
                 {"kind": "bounded_uniform", "radius": 1.0}, 4,
                 options={"radius": 1.0},
             )
@@ -306,7 +309,7 @@ class TestRunExperiment:
 
     def test_scalar_mean_runner(self):
         spec = ExperimentSpec(
-            "ms", "mean_scalar", "optimal", 1.0, (128, 256), 1, 3,
+            "ms", "mean_scalar", "optimal", 1.0, (128, 256), 3,
             {"kind": "heavy_tail_k", "k": 2.0, "radius_k": 1.0}, 4,
             options={"moment_k": 2.0},
         )
@@ -315,7 +318,7 @@ class TestRunExperiment:
 
     def test_logistic_runner(self):
         spec = ExperimentSpec(
-            "lg", "logistic", "optimal", 1.0, (64, 128), 8, 2,
+            "lg", "logistic", "optimal", 1.0, (64, 128), 2,
             {"kind": "logistic_model", "theta": [0.0] * 8}, 4,
         )
         records = run_experiment(spec)
@@ -323,7 +326,7 @@ class TestRunExperiment:
 
     def test_logistic_runner_rejects_bad_schedule(self):
         spec = ExperimentSpec(
-            "lg", "logistic", "optimal", 1.0, (64,), 2, 2,
+            "lg", "logistic", "optimal", 1.0, (64,), 2,
             {"kind": "logistic_model", "theta": [0.0, 0.0]}, 4,
             options={"gamma0": -1.0, "beta_exp": 3.0},
         )
@@ -353,7 +356,7 @@ class TestRunExperiment:
         gen = {"kind": "trig_density", "coeffs": [0.5]}
         errs = {}
         for mech in ("optimal", "nonprivate"):
-            spec = ExperimentSpec("de", "density", mech, 1.0, (4096,), 1, 3, gen, 4)
+            spec = ExperimentSpec("de", "density", mech, 1.0, (4096,), 3, gen, 4)
             errs[mech] = np.mean([r.value for r in run_experiment(spec)])
         assert errs["nonprivate"] <= errs["optimal"]
 

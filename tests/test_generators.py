@@ -35,6 +35,27 @@ class TestFactory:
             make_generator({"radius": 1.0})
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("config, key", [
+    ({"kind": "bounded_uniform"}, "radius"),
+    ({"kind": "heavy_tail_k"}, "radius_k"),
+    ({"kind": "lognormal"}, "mu"),
+    ({"kind": "lognormal"}, "sigma"),
+    ({"kind": "bernoulli_product", "freqs": [0.5, 0.5]}, "freqs"),
+    ({"kind": "fixed_vector", "value": [0.5, 0.5]}, "value"),
+    ({"kind": "logistic_model", "theta": [0.5, 0.5]}, "theta"),
+    ({"kind": "trig_density", "coeffs": [0.5, 0.5]}, "coeffs"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_factory_rejects_non_finite_parameters(config, key, bad):
+    """A scalar parameter or one entry of a vector one that is NaN or infinite."""
+    value = [bad, *config[key][1:]] if key in config else bad
+    with pytest.raises(ConfigError, match=f"parameter {key} must be finite"):
+        make_generator({**config, key: value})
+    if key in config:  # a numeric string entry is read as a number too
+        with pytest.raises(ConfigError, match=f"parameter {key} must be finite"):
+            make_generator({**config, key: [str(bad), *config[key][1:]]})
+
+
 class TestBoundedUniform:
     def test_support_and_risk(self):
         gen = BoundedUniform(radius=1.0)

@@ -1,30 +1,44 @@
-"""Golden output: the CSV of one tiny arm per (estimator, mechanism) pair, by digest.
+"""Golden output: the CSV of one tiny arm per (estimator, mechanism) pair and of
+every preset's arms, by digest.
 
-Each arm runs 2 replicates at grid (64, 256) from a fixed seed, and the
-SHA-256 of its ``emit_csv`` text must equal the digest written below.  A
-refactor that claims to keep every output bit-identical keeps these digests.
-A change that deliberately alters RNG use (what is drawn, in which order or
-from which stream) updates the digests here and names the change in
+Each estimator arm runs 2 replicates at grid (64, 256) from a fixed seed.
+Each preset runs every one of its arms at 1 replicate and grid
+``(min(n_grid[0], 256),)``, the warm-up shape of ``perfbench``, so its
+digest pins the options each preset gives its arms.  The SHA-256 of the
+``emit_csv`` text must equal the digest written below.  A refactor that
+claims to keep every output bit-identical keeps these digests.  A change
+that deliberately alters RNG use (what is drawn, in which order or from
+which stream) regenerates both tables with
+``PYTHONPATH=src python tests/test_golden.py`` and names the change in
 ``CHANGES.md``.
 """
 
 import hashlib
+import os
+import tempfile
+from dataclasses import replace
 
 import pytest
 
-from privest.experiments import ESTIMATORS, ExperimentSpec, emit_csv, run_experiment
+from privest.experiments import (
+    ESTIMATORS,
+    PRESETS,
+    ExperimentSpec,
+    build_preset,
+    emit_csv,
+    run_experiment,
+)
 
 SEED = 20161004
 
-# generator, dimension and options of each estimator's tiny arm
+# generator and options of each estimator's tiny arm
 _SETUPS = {
-    "mean_scalar": ({"kind": "heavy_tail_k", "k": 4.0}, 1, {"moment_k": 4.0}),
-    "mean_vector": ({"kind": "bernoulli_product", "freqs": [0.2, 0.5, 0.9]}, 3, {}),
-    "median": ({"kind": "lognormal", "mu": 0.0, "sigma": 1.0}, 1, {}),
-    "sparse": ({"kind": "fixed_vector", "value": [0.5, 0.0, 0.0, -0.25]}, 4, {}),
-    "logistic": ({"kind": "logistic_model", "theta": [0.5, -0.5, 0.25]}, 3,
-                 {"geometry": "linf"}),
-    "density": ({"kind": "trig_density", "coeffs": [0.3, -0.2]}, 1, {}),
+    "mean_scalar": ({"kind": "heavy_tail_k", "k": 4.0}, {"moment_k": 4.0}),
+    "mean_vector": ({"kind": "bernoulli_product", "freqs": [0.2, 0.5, 0.9]}, {}),
+    "median": ({"kind": "lognormal", "mu": 0.0, "sigma": 1.0}, {}),
+    "sparse": ({"kind": "fixed_vector", "value": [0.5, 0.0, 0.0, -0.25]}, {}),
+    "logistic": ({"kind": "logistic_model", "theta": [0.5, -0.5, 0.25]}, {"geometry": "linf"}),
+    "density": ({"kind": "trig_density", "coeffs": [0.3, -0.2]}, {}),
 }
 
 GOLDEN = {
@@ -46,7 +60,39 @@ GOLDEN = {
     ("density", "nonprivate"): "bf088a1358801ebffc1da0aa7adb0e97be22a9e562189de1adc36dc60f832fbb",
 }
 
+PRESET_GOLDEN = {
+    "drug-use": "b42fa4381902bb950bac98c2b4637770fd12c67bf4c8a8f309a03963798fe120",
+    "median-salary": "1a1651782a38b90a6c26fa262f23d8c6ec778314cc2a11b9b56eee4a2659df9d",
+    "mean-rates": "1ebf88c1f31cc2a51499f32da4d0cbb263dd916342f3a621f310aa56ec7c2787",
+    "dimension-scaling": "274cec98691a414edbc636d74e9d52da1b496a1e8c0a901d4d96d7dc38dd66eb",
+    "density-rate": "73ba0dc1885333cd57b7046e6a8fcf4a43fda3915f07cb7ad0b12ea08c9333f8",
+    "sparse-mean": "9afe500d8ad8adc571bcf4c7fb1bff422e872eb7d97e54cbf23c88785f5d8053",
+    "logistic": "ab04b025169ec9673f12ee9326b75df2bf847a6123521dd773a22034323a29d2",
+}
+
 _ARMS = [(est, mech) for est, entry in ESTIMATORS.items() for mech in entry.mechanisms]
+
+
+def _csv_digest(specs):
+    """SHA-256 of the ``emit_csv`` text of the records of ``specs``, run in order."""
+    records = [record for spec in specs for record in run_experiment(spec)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "arms.csv")
+        emit_csv(records, path)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
+def arm_digest(estimator, mechanism):
+    generator, options = _SETUPS[estimator]
+    spec = ExperimentSpec(f"golden_{estimator}", estimator, mechanism, 1.0, (64, 256), 2,
+                          generator, seed=SEED, options=options)
+    return _csv_digest([spec])
+
+
+def preset_digest(preset):
+    return _csv_digest([replace(s, replicates=1, n_grid=(min(s.n_grid[0], 256),))
+                        for s in build_preset(preset, seed=SEED)])
 
 
 def test_every_pair_has_a_digest():
@@ -54,11 +100,30 @@ def test_every_pair_has_a_digest():
     assert set(GOLDEN) == set(_ARMS)
 
 
+def test_every_preset_has_a_digest():
+    assert list(PRESET_GOLDEN) == list(PRESETS)
+
+
 @pytest.mark.parametrize("estimator, mechanism", _ARMS, ids=[f"{e}-{m}" for e, m in _ARMS])
-def test_arm_csv_matches_golden_digest(tmp_path, estimator, mechanism):
-    generator, d, options = _SETUPS[estimator]
-    spec = ExperimentSpec(f"golden_{estimator}", estimator, mechanism, 1.0, (64, 256), d, 2,
-                          generator, seed=SEED, options=options)
-    out = tmp_path / "arm.csv"
-    emit_csv(run_experiment(spec), out)
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(estimator, mechanism)]
+def test_arm_csv_matches_golden_digest(estimator, mechanism):
+    assert arm_digest(estimator, mechanism) == GOLDEN[(estimator, mechanism)]
+
+
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_preset_csv_matches_golden_digest(preset):
+    assert preset_digest(preset) == PRESET_GOLDEN[preset]
+
+
+def _print_table(name, entries):
+    print(f"{name} = {{")
+    for key, digest in entries:
+        line = f"    {key}: \"{digest}\","
+        print(line if len(line) <= 105 else f"    {key}:\n        \"{digest}\",")
+    print("}")
+
+
+if __name__ == "__main__":
+    _print_table("GOLDEN", [(f"({e!r}, {m!r})".replace("'", '"'), arm_digest(e, m))
+                            for e, m in _ARMS])
+    print()
+    _print_table("PRESET_GOLDEN", [(f"\"{p}\"", preset_digest(p)) for p in PRESETS])

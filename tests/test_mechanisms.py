@@ -352,6 +352,34 @@ def test_streamed_kernels_hold_no_channel_output(kind):
     assert peak < 0.5 * x.nbytes
 
 
+BAD_RADII = [math.inf, math.nan, 0.0, -1.0]
+
+
+class TestRadiusRule:
+    """Every kernel and output bound takes a finite radius > 0, checked before any draw."""
+
+    @pytest.mark.parametrize("radius", BAD_RADII)
+    @pytest.mark.parametrize("call", [
+        lambda r, rng: _l2_ball_batch(np.zeros((3, 2)), r, ONE, rng),
+        lambda r, rng: _linf_ball_batch(np.zeros((3, 2)), r, ONE, rng),
+        lambda r, rng: _laplace_vector_batch(np.zeros((3, 2)), r, ONE, "l1", rng),
+        lambda r, rng: _laplace_vector_batch(np.zeros((3, 2)), r, ONE, "l2_paper", rng),
+        lambda r, rng: _naive_median_batch(np.zeros(3), r, ONE, rng),
+        lambda r, rng: l2_bound_B(2, r, ONE),
+        lambda r, rng: linf_bound_B(2, r, ONE),
+    ], ids=["l2", "linf", "laplace-l1", "laplace-l2_paper", "naive_median", "l2_bound",
+            "linf_bound"])
+    def test_rejects_before_any_draw(self, call, radius):
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        reset_privatization_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="radius must be finite and > 0"):
+                call(radius, rng)
+        assert rng.bit_generator.state == state and privatization_count() == 0
+
+
 class TestNonFiniteRecords:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_ball_channels_reject(self, bad):
