@@ -7,7 +7,9 @@ gradients, and orthogonal-series density estimation on [0, 1].
 
 All estimators are single-pass and privatize each raw record exactly once
 (the SGD procedures are sequentially interactive: the channel input at step
-i depends on the current iterate, never on other records).
+i depends on the current iterate, never on other records).  The vector mean,
+sparse and density estimators also take ``grid``, increasing sample sizes as
+for the vector kernels, and then return one estimate per n, from data[:n].
 """
 
 import math
@@ -59,7 +61,7 @@ def private_mean_scalar(
 
 
 def private_mean_vector(
-    data, geometry: str, radius: float, level: PrivacyLevel, rng: np.random.Generator
+    data, geometry: str, radius: float, level: PrivacyLevel, rng: np.random.Generator, grid=None
 ) -> np.ndarray:
     """Average of per-record ball-channel outputs; unbiased for the population mean.
 
@@ -69,16 +71,16 @@ def private_mean_vector(
         radius: Ball radius of the data domain.
         level: Privacy budget.
         rng: Source of randomness.
+        grid: Optional sample sizes, averaged over prefixes of one channel pass.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ParameterError("data must be a non-empty (n, d) array")
-    grid = (len(data),)
-    if geometry == "l2":
-        return _l2_ball_batch(data, radius, level, rng, grid=grid)[0]
-    if geometry == "linf":
-        return _linf_ball_batch(data, radius, level, rng, grid=grid)[0]
-    raise ParameterError(f"unknown geometry {geometry!r} (use 'l2' or 'linf')")
+    kernel = {"l2": _l2_ball_batch, "linf": _linf_ball_batch}.get(geometry)
+    if kernel is None:
+        raise ParameterError(f"unknown geometry {geometry!r} (use 'l2' or 'linf')")
+    means = kernel(data, radius, level, rng, grid=[len(data)] if grid is None else grid)
+    return means[0] if grid is None else means
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +159,7 @@ def _sgd_paths(theta0, gradient, step, project, n, grid):
 
 def soft_threshold(v, lam: float):
     """Componentwise sign(v) * max(|v| - lam, 0); the exact prox of lam * ||.||_1."""
-    if lam < 0.0:
+    if not (lam >= 0.0):  # NaN fails too
         raise ParameterError(f"threshold must be >= 0, got {lam!r}")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
@@ -174,13 +176,15 @@ def sparse_mean(
     level: PrivacyLevel,
     rng: np.random.Generator,
     lam: float | None = None,
+    grid=None,
 ) -> np.ndarray:
     """Sparse mean estimate: hypercube-privatize, average, soft-threshold.
 
     The default threshold is :func:`sparse_mean_threshold`; passing ``lam``
     overrides it (``lam=0`` returns the raw average).  Whenever
     lam >= 2 ||Zbar - theta||_inf, the estimate of an s-sparse theta
-    satisfies ||estimate - theta||_2 <= 3 lam sqrt(s).
+    satisfies ||estimate - theta||_2 <= 3 lam sqrt(s).  Each n of ``grid``
+    thresholds the mean of the first n outputs of one channel pass.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -188,9 +192,11 @@ def sparse_mean(
     n, d = data.shape
     if d < 2:
         raise ParameterError(f"sparse mean needs dimension >= 2, got {d}")
-    if lam is None:
-        lam = sparse_mean_threshold(d, n, level, radius)
-    return soft_threshold(_linf_ball_batch(data, radius, level, rng, grid=(n,))[0], lam)
+    sizes = [n] if grid is None else _check_grid(grid, n)
+    means = _linf_ball_batch(data, radius, level, rng, grid=sizes)
+    lams = [sparse_mean_threshold(d, m, level, radius) if lam is None else lam for m in sizes]
+    estimates = [soft_threshold(mean, lam_n) for mean, lam_n in zip(means, lams)]
+    return estimates[0] if grid is None else np.array(estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +313,8 @@ def _logistic_sgd_paths(xs, ys, geometry, radius, level, gamma0, beta_exp, proj_
         raise ParameterError(f"gamma0 must be > 0, got {gamma0!r}")
     if not (0.5 < beta_exp < 1.0):
         raise ParameterError(f"beta_exp must lie in (1/2, 1), got {beta_exp!r}")
+    if proj_radius is not None:
+        _check_radius(proj_radius)
     reps, n, d = xs.shape
     grid = _check_grid(grid, n)
     privatize = _gradient_channel(mechanism, geometry, 2.0 * radius, level, rng, d)
@@ -430,28 +438,35 @@ def density_estimate(
     level: PrivacyLevel | None,
     rng: np.random.Generator | None,
     k: int | None = None,
-) -> DensityEstimate:
+    grid=None,
+):
     """Orthogonal-series density estimator for samples on [0, 1].
 
     Per record the vector of the first k non-constant basis values (sup
     norm <= sqrt(2)) is privatized in a single hypercube-channel call; the
     estimated coefficients are the averages of the privatized vectors.
     Passing ``level=None`` disables the channel and reproduces the classical
-    projection estimator (``k`` must then be given explicitly).
+    projection estimator (``k`` must then be given explicitly).  Each n of
+    ``grid`` has its own order k and channel pass over one basis build.
     """
     data = np.asarray(data, dtype=float)
-    if data.size < 2:
+    sizes = [data.size] if grid is None else _check_grid(grid, data.size)
+    if sizes[0] < 2:
         raise ParameterError("density estimation needs at least 2 observations")
     if not (beta > 0.5):
         raise ParameterError(f"smoothness beta must be > 1/2, got {beta!r}")
     _check_unit_interval(data, "density observations must lie in [0, 1]")
-    if k is None:
-        if level is None:
-            raise ParameterError("classical mode needs an explicit basis order k")
-        k = series_bandwidth(data.size, level, beta)
+    if k is None and level is None:
+        raise ParameterError("classical mode needs an explicit basis order k")
+    k_for = {n: series_bandwidth(n, level, beta) if k is None else k for n in sizes}
     if level is None:
-        coeffs = _projection_coeffs(data, {data.size: k}, trig_basis_matrix)[data.size]
+        coeffs = _projection_coeffs(data, k_for, trig_basis_matrix)
     else:
-        basis = trig_basis_matrix(k, data)
-        coeffs = _linf_ball_batch(basis, ORTH_BOUND, level, rng, grid=(len(basis),))[0]
-    return DensityEstimate(k=k, coeffs=coeffs, beta=beta)
+        # lower basis orders are column prefixes, so one build serves all n
+        basis = trig_basis_matrix(max(k_for.values()), data[: sizes[-1]])
+        coeffs = {
+            n: _linf_ball_batch(basis[:n, :k_n], ORTH_BOUND, level, rng, grid=(n,))[0]
+            for n, k_n in k_for.items()
+        }
+    estimates = [DensityEstimate(k=k_for[n], coeffs=coeffs[n], beta=beta) for n in sizes]
+    return estimates[0] if grid is None else estimates

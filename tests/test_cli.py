@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privest.cli import _MECH_CHOICES, main
-from privest.core import ConfigError, PrivacyLevel, make_rng
+from privest.core import ConfigError, ParameterError, PrivacyLevel, make_rng
 from privest.estimators import (
     MomentAssumption,
     density_estimate,
@@ -447,6 +447,59 @@ def test_estimate_is_one_run_of_the_library_estimator(tmp_path, capsys, case):
     got = json.loads(capsys.readouterr().out)["estimate"]
     data = make_generator(generator).sample(n, make_rng(seed, 0, 0))
     assert got == np.asarray(reference(data, make_rng(seed, 2, 0))).tolist()
+
+
+_SPARSE_D1 = {"kind": "fixed_vector", "value": [1.0]}
+_SPARSE_D4 = {"kind": "fixed_vector", "value": [1.0, 0.0, 0.0, 0.0]}
+_DENSITY = {"kind": "trig_density", "coeffs": [0.5, 0.0, 0.25]}
+_LOGISTIC = {"kind": "logistic_model", "theta": [0.5, -0.5]}
+
+
+def _logistic_library(**options):
+    return lambda s, rng: private_logistic_sgd(s, "l2", math.sqrt(2.0), _LEVEL, rng, **options)
+
+
+# case -> (estimator, generator, options, n_grid, the library estimator on (data, rng)),
+# each an input the library estimator rejects; estimate runs at n = n_grid[0]
+_REJECTED = {
+    "sparse-d1": ("sparse", _SPARSE_D1, {}, [64],
+                  lambda x, rng: sparse_mean(x, 1.0, _LEVEL, rng)),
+    "density-beta-half": ("density", _DENSITY, {"beta": 0.5}, [64],
+                          lambda x, rng: density_estimate(x, 0.5, _LEVEL, rng)),
+    "density-n1": ("density", _DENSITY, {}, [1, 64],
+                   lambda x, rng: density_estimate(x, 1.0, _LEVEL, rng, grid=[1, 64])),
+    "proj_radius-0": ("logistic", _LOGISTIC, {"proj_radius": 0}, [64],
+                      _logistic_library(proj_radius=0.0)),
+    "proj_radius-neg": ("logistic", _LOGISTIC, {"proj_radius": -1}, [64],
+                        _logistic_library(proj_radius=-1.0)),
+    "proj_radius-nan": ("logistic", _LOGISTIC, {"proj_radius": "nan"}, [64],
+                        _logistic_library(proj_radius=math.nan)),
+    "lam-neg": ("sparse", _SPARSE_D4, {"lam": -1}, [64],
+                lambda x, rng: sparse_mean(x, 1.0, _LEVEL, rng, lam=-1.0)),
+    "gamma0-0": ("logistic", _LOGISTIC, {"gamma0": 0}, [64], _logistic_library(gamma0=0.0)),
+    "beta_exp-1": ("logistic", _LOGISTIC, {"beta_exp": 1.0}, [64],
+                   _logistic_library(beta_exp=1.0)),
+    "moment_k-1": ("mean_scalar", {"kind": "bounded_uniform"}, {"moment_k": 1.0}, [64],
+                   lambda x, rng: private_mean_scalar(x, MomentAssumption(1.0), _LEVEL, rng)),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTED))
+def test_bench_estimate_and_library_reject_the_same_inputs(tmp_path, capsys, case):
+    estimator, generator, options, n_grid, library = _REJECTED[case]
+    data = make_generator(generator).sample(n_grid[-1], make_rng(0, 0, 0))
+    with pytest.raises(ParameterError):
+        library(data, make_rng(0, 2, 0))
+    spec = {"name": case, "estimator": estimator, "mechanism": "optimal", "eps": 0.8,
+            "n_grid": n_grid, "replicates": 1, "generator": generator, "options": options}
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--config", _write(tmp_path, spec), "--out", str(out)]) == 2
+    assert _one_config_error_line(capsys)
+    assert not out.exists()
+    config = {"estimator": estimator, "n": n_grid[0], "eps": 0.8, "generator": generator,
+              "options": options}
+    assert main(["estimate", "--config", _write(tmp_path, config)]) == 2
+    assert _one_config_error_line(capsys)
 
 
 def test_rates_curve(tmp_path):

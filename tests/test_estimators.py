@@ -244,6 +244,8 @@ class TestSoftThreshold:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ParameterError):
             soft_threshold(np.array([1.0]), -0.1)
+        with pytest.raises(ParameterError):  # NaN fails the rule too
+            soft_threshold(np.array([1.0]), math.nan)
 
     def test_matches_prox_oracle(self):
         # independent oracle: ternary search on the 1-D strongly convex objective
@@ -408,6 +410,18 @@ class TestLogisticSgd:
                 x[None], y[None], "l2", 2.0, ONE, gamma0, beta_exp, None, "optimal",
                 make_rng(0), [10],
             )
+
+    @pytest.mark.parametrize("proj_radius", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("mechanism", ["nonprivate", "laplace_baseline", "optimal"])
+    def test_engine_rejects_bad_proj_radius_before_any_draw(self, proj_radius, mechanism):
+        x, y = self._stream(10, 2, 61)
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="radius must be finite and > 0"):
+            _logistic_sgd_paths(
+                x[None], y[None], "l2", 2.0, ONE, 1.0, 0.6, proj_radius, mechanism, rng, [10]
+            )
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("grid", BAD_GRIDS)
     def test_engine_rejects_bad_grid_before_any_draw(self, grid):
@@ -598,6 +612,52 @@ class TestStreamedMeans:
             ),
             k,
         )
+
+
+class TestGrid:
+    """``grid=`` returns one estimate per n, drawn as the bench arms draw them."""
+
+    X_VECTOR = make_rng(98).uniform(-0.5, 0.5, (300, 4))
+    T = make_rng(99).random(300)
+    CALLS = {
+        "mean_vector": lambda x, rng, **kw: private_mean_vector(x, "l2", 1.0, ONE, rng, **kw),
+        "sparse": lambda x, rng, **kw: sparse_mean(x, 1.0, ONE, rng, **kw),
+        "density": lambda x, rng, **kw: density_estimate(x, 1.0, ONE, rng, **kw),
+    }
+
+    def _data(self, name):
+        return self.T if name == "density" else self.X_VECTOR
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_one_point_grid_is_the_plain_call(self, name):
+        call, x = self.CALLS[name], self._data(name)
+        (got,) = call(x, make_rng(1), grid=[len(x)])
+        want = call(x, make_rng(1))
+        if name == "density":
+            got, want = got.coeffs, want.coeffs
+        assert np.array_equal(got, want)
+
+    def test_each_density_n_is_privatized_afresh(self):
+        grid, rng = [40, 120, 300], make_rng(2)
+        got = density_estimate(self.T, 1.0, ONE, make_rng(2), grid=grid)
+        want = [density_estimate(self.T[:n], 1.0, ONE, rng) for n in grid]
+        assert [e.k for e in got] == [e.k for e in want]
+        assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(got, want))
+
+    def test_vector_means_are_prefixes_of_one_pass(self):
+        grid = [40, 120, 300]
+        got = private_mean_vector(self.X_VECTOR, "linf", 1.0, ONE, make_rng(3), grid=grid)
+        z = _linf_ball_batch(self.X_VECTOR, 1.0, ONE, make_rng(3))
+        assert np.array_equal(got, [_row_order_mean(z[:n]) for n in grid])
+        lam = sparse_mean_threshold(4, 40, ONE, 1.0)
+        sparse = sparse_mean(self.X_VECTOR, 1.0, ONE, make_rng(3), grid=grid)
+        assert np.array_equal(sparse[0], soft_threshold(_row_order_mean(z[:40]), lam))
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_rejects_a_bad_grid(self, name, grid):
+        with pytest.raises(ParameterError, match="grid"):
+            self.CALLS[name](self._data(name)[:10], make_rng(4), grid=grid)
 
 
 class TestDensityEstimate:
