@@ -34,7 +34,6 @@ from .estimators import (
     series_bandwidth,
     soft_threshold,
     sparse_mean,
-    trig_basis_eval,
 )
 from .bounds import (
     RateCurve,

@@ -10,6 +10,10 @@ All estimators are single-pass and privatize each raw record exactly once
 i depends on the current iterate, never on other records).  The vector mean,
 sparse and density estimators also take ``grid``, increasing sample sizes as
 for the vector kernels, and then return one estimate per n, from data[:n].
+
+The mean, sparse and density estimators take ``level=None`` for "no
+channel": the same estimator on the raw records, its eps -> inf limit, with
+the same range rules.  That is the non-private reference of the paper.
 """
 
 import math
@@ -26,6 +30,7 @@ from .mechanisms import (
     _l2_ball_batch,
     _laplace_vector_batch,
     _linf_ball_batch,
+    _prefix_means,
     _running_means,
     _sign_rr_batch,
     _truncated_laplace_batch,
@@ -44,24 +49,27 @@ _BASIS_BLOCK = 1 << 15
 
 
 def private_mean_scalar(
-    data, assumption: MomentAssumption, level: PrivacyLevel, rng: np.random.Generator
+    data, assumption: MomentAssumption, level: PrivacyLevel | None, rng: np.random.Generator
 ) -> float:
     """Mean of truncated-Laplace privatized scalars.
 
     Each record is clamped to [-T, T] with T = radius_k (n eps^2)^(1/(2k))
     and corrupted with Laplace(eps / (2T)) noise; the estimate is the plain
-    average of the privatized values.
+    average of the privatized values, or of the raw ones for ``level=None``.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ParameterError("cannot estimate a mean from an empty sample")
+    if level is None:
+        return float(data.mean())
     t_level = truncation_level(assumption, data.size, level)
     z = _truncated_laplace_batch(data, t_level, level, rng)
     return float(z.mean())
 
 
 def private_mean_vector(
-    data, geometry: str, radius: float, level: PrivacyLevel, rng: np.random.Generator, grid=None
+    data, geometry: str, radius: float, level: PrivacyLevel | None, rng: np.random.Generator,
+    grid=None,
 ) -> np.ndarray:
     """Average of per-record ball-channel outputs; unbiased for the population mean.
 
@@ -69,7 +77,7 @@ def private_mean_vector(
         data: (n, d) records, each inside the stated ball.
         geometry: "l2" for the sphere sampler, "linf" for the hypercube sampler.
         radius: Ball radius of the data domain.
-        level: Privacy budget.
+        level: Privacy budget; None averages the raw records.
         rng: Source of randomness.
         grid: Optional sample sizes, averaged over prefixes of one channel pass.
     """
@@ -79,7 +87,11 @@ def private_mean_vector(
     kernel = {"l2": _l2_ball_batch, "linf": _linf_ball_batch}.get(geometry)
     if kernel is None:
         raise ParameterError(f"unknown geometry {geometry!r} (use 'l2' or 'linf')")
-    means = kernel(data, radius, level, rng, grid=[len(data)] if grid is None else grid)
+    sizes = _check_grid([len(data)] if grid is None else grid, len(data))
+    if level is None:
+        means = np.array([mean for _, mean in _prefix_means(data, sizes)])
+    else:
+        means = kernel(data, radius, level, rng, grid=sizes)
     return means[0] if grid is None else means
 
 
@@ -165,15 +177,17 @@ def soft_threshold(v, lam: float):
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
 
-def sparse_mean_threshold(d: int, n: int, level: PrivacyLevel, radius: float) -> float:
-    """Default regularization 2 r sqrt(d log d / (n eps^2)) for the sparse mean."""
+def sparse_mean_threshold(d: int, n: int, level: PrivacyLevel | None, radius: float) -> float:
+    """Default regularization 2 r sqrt(d log d / (n eps^2)); for ``level=None`` its limit 0."""
+    if level is None:
+        return 0.0
     return 2.0 * radius * math.sqrt(d * math.log(d) / (n * level.epsilon**2))
 
 
 def sparse_mean(
     data,
     radius: float,
-    level: PrivacyLevel,
+    level: PrivacyLevel | None,
     rng: np.random.Generator,
     lam: float | None = None,
     grid=None,
@@ -181,10 +195,11 @@ def sparse_mean(
     """Sparse mean estimate: hypercube-privatize, average, soft-threshold.
 
     The default threshold is :func:`sparse_mean_threshold`; passing ``lam``
-    overrides it (``lam=0`` returns the raw average).  Whenever
-    lam >= 2 ||Zbar - theta||_inf, the estimate of an s-sparse theta
-    satisfies ||estimate - theta||_2 <= 3 lam sqrt(s).  Each n of ``grid``
-    thresholds the mean of the first n outputs of one channel pass.
+    overrides it (``lam=0``, or ``level=None`` without ``lam``, returns the
+    raw average).  Whenever lam >= 2 ||Zbar - theta||_inf, the estimate of
+    an s-sparse theta satisfies ||estimate - theta||_2 <= 3 lam sqrt(s).
+    Each n of ``grid`` thresholds the mean of the first n outputs of one
+    channel pass.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -193,7 +208,7 @@ def sparse_mean(
     if d < 2:
         raise ParameterError(f"sparse mean needs dimension >= 2, got {d}")
     sizes = [n] if grid is None else _check_grid(grid, n)
-    means = _linf_ball_batch(data, radius, level, rng, grid=sizes)
+    means = private_mean_vector(data, "linf", radius, level, rng, grid=sizes)
     lams = [sparse_mean_threshold(d, m, level, radius) if lam is None else lam for m in sizes]
     estimates = [soft_threshold(mean, lam_n) for mean, lam_n in zip(means, lams)]
     return estimates[0] if grid is None else np.array(estimates)
@@ -342,35 +357,12 @@ def _check_unit_interval(t, message):
         raise DomainError(message)
 
 
-def trig_basis_eval(j: int, t):
-    """Evaluate the j-th trigonometric basis element on t in [0, 1].
-
-    The enumeration is the classical one: element 0 is the constant 1, and
-    for frequencies m >= 1 element 2m is sqrt(2) cos(2 pi m t) while element
-    2m+1 is sqrt(2) sin(2 pi m t).  Index 1 does not name a basis element
-    under this numbering (it would be the sine at frequency zero) and is
-    rejected.
-    """
-    if j < 0:
-        raise ParameterError(f"basis index must be >= 0, got {j}")
-    if j == 1:
-        raise ParameterError("index 1 is the degenerate frequency-zero sine; not a basis element")
-    t = np.asarray(t, dtype=float)
-    _check_unit_interval(t, "basis argument must lie in [0, 1]")
-    if j == 0:
-        out = np.ones_like(t)
-    elif j % 2 == 0:
-        out = ORTH_BOUND * np.cos(2.0 * math.pi * (j // 2) * t)
-    else:
-        out = ORTH_BOUND * np.sin(2.0 * math.pi * ((j - 1) // 2) * t)
-    return float(out) if out.ndim == 0 else out
-
-
 def trig_basis_matrix(k: int, t, out=None) -> np.ndarray:
-    """Matrix of the first k non-constant basis elements at points t.
+    """Matrix of the first k non-constant trigonometric basis elements at t in [0, 1].
 
-    Column c (0-based) holds basis element c + 2, i.e. the order is
-    cos 1, sin 1, cos 2, sin 2, ...; every entry is bounded by sqrt(2).
+    With the constant 1 the basis is orthonormal on [0, 1].  Columns 2m - 2
+    and 2m - 1 hold sqrt(2) cos(2 pi m t) and sqrt(2) sin(2 pi m t), i.e. the
+    order is cos 1, sin 1, cos 2, sin 2, ...; every entry is bounded by sqrt(2).
     The first k columns for any larger order are identical, so bases of
     different orders can share one matrix.  ``out``, if given, is the
     (t.size, k) float array to fill.  Row blocks go through one reused
@@ -410,7 +402,7 @@ def _projection_coeffs(data, k_for, basis):
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """Orthogonal-series density estimate 1 + sum_j coeffs[j] basis_{j+2}(t).
+    """Orthogonal-series density estimate 1 + trig_basis_matrix(k, t) @ coeffs.
 
     The constant coefficient is pinned at 1 (densities integrate to one),
     so the estimate integrates to 1 exactly; it may still be negative
@@ -419,7 +411,6 @@ class DensityEstimate:
 
     k: int
     coeffs: np.ndarray
-    beta: float
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -427,8 +418,13 @@ class DensityEstimate:
         return float(values[0]) if t.ndim == 0 else values
 
 
-def series_bandwidth(n: int, level: PrivacyLevel, beta: float) -> int:
-    """Basis order k = max(1, round((n eps^2)^(1/(2 beta + 2))))."""
+def series_bandwidth(n: int, level: PrivacyLevel | None, beta: float) -> int:
+    """Basis order k = max(1, round((n eps^2)^(1/(2 beta + 2)))).
+
+    ``level=None`` gives the classical order max(1, round(n^(1/(2 beta + 1)))).
+    """
+    if level is None:
+        return max(1, round(n ** (1.0 / (2.0 * beta + 1.0))))
     return max(1, round((n * level.epsilon**2) ** (1.0 / (2.0 * beta + 2.0))))
 
 
@@ -446,8 +442,8 @@ def density_estimate(
     norm <= sqrt(2)) is privatized in a single hypercube-channel call; the
     estimated coefficients are the averages of the privatized vectors.
     Passing ``level=None`` disables the channel and reproduces the classical
-    projection estimator (``k`` must then be given explicitly).  Each n of
-    ``grid`` has its own order k and channel pass over one basis build.
+    projection estimator at the classical order.  Each n of ``grid`` has its
+    own order k and channel pass over one basis build.
     """
     data = np.asarray(data, dtype=float)
     sizes = [data.size] if grid is None else _check_grid(grid, data.size)
@@ -456,8 +452,6 @@ def density_estimate(
     if not (beta > 0.5):
         raise ParameterError(f"smoothness beta must be > 1/2, got {beta!r}")
     _check_unit_interval(data, "density observations must lie in [0, 1]")
-    if k is None and level is None:
-        raise ParameterError("classical mode needs an explicit basis order k")
     k_for = {n: series_bandwidth(n, level, beta) if k is None else k for n in sizes}
     if level is None:
         coeffs = _projection_coeffs(data, k_for, trig_basis_matrix)
@@ -468,5 +462,5 @@ def density_estimate(
             n: _linf_ball_batch(basis[:n, :k_n], ORTH_BOUND, level, rng, grid=(n,))[0]
             for n, k_n in k_for.items()
         }
-    estimates = [DensityEstimate(k=k_for[n], coeffs=coeffs[n], beta=beta) for n in sizes]
+    estimates = [DensityEstimate(k=k_for[n], coeffs=coeffs[n]) for n in sizes]
     return estimates[0] if grid is None else estimates

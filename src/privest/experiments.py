@@ -31,7 +31,6 @@ from .estimators import (
     MomentAssumption,
     _logistic_sgd_paths,
     _median_sgd_paths,
-    _projection_coeffs,
     density_estimate,
     private_mean_scalar,
     private_mean_vector,
@@ -40,7 +39,7 @@ from .estimators import (
     trig_basis_matrix,
 )
 from .generators import make_generator
-from .mechanisms import _laplace_vector_batch, _naive_median_batch, _running_means
+from .mechanisms import _laplace_vector_batch, _naive_median_batch, _prefix_means
 
 # Wrap points of perfbench/tracing.py, which checks each name with hasattr: the
 # optimal arms now reach these kernels through the library estimators.
@@ -172,8 +171,9 @@ class ExperimentSpec:
 
     Construction types every field and resolves ``options`` through the
     estimator's schema: every option present, typed and allowed.  ``d`` is
-    the generator's dimension and ``level`` the privacy level of ``eps``;
-    neither is given.
+    the generator's dimension and ``level`` the privacy level of ``eps``, or
+    None on the ``nonprivate`` mechanism, which runs each estimator with no
+    channel; neither is given.  ``eps`` is checked on every mechanism.
     """
 
     name: str
@@ -187,7 +187,7 @@ class ExperimentSpec:
     metric: str = ""
     options: dict = field(default_factory=dict)
     d: int = field(init=False)
-    level: PrivacyLevel = field(init=False)
+    level: PrivacyLevel | None = field(init=False)
 
     def __post_init__(self):
         for key, kind in (("name", str), ("estimator", str), ("mechanism", str), ("eps", float),
@@ -212,9 +212,10 @@ class ExperimentSpec:
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         try:
-            object.__setattr__(self, "level", PrivacyLevel(self.eps))
+            level = PrivacyLevel(self.eps)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "level", level if self.mechanism != "nonprivate" else None)
         gen = make_generator(self.generator)
         if gen.kind not in entry.generators:
             raise ConfigError(
@@ -255,7 +256,7 @@ def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
     entry = ESTIMATORS[spec.estimator]
     gen = spec.build_generator()
     score = entry.scorer(spec, gen)
-    eps = math.inf if spec.mechanism == "nonprivate" else spec.eps
+    eps = math.inf if spec.level is None else spec.eps
     max_n = max(spec.n_grid)
     if entry.lockstep:
         chunks = _replicate_chunks(spec.replicates, max_n * spec.d)
@@ -280,24 +281,9 @@ def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the estimator table: an optimal arm is one library estimator call.  Arms and
-# estimators look kernels, engines and aggregation helpers up as module globals
-# when they run, which is where perfbench's tracer replaces them
-
-
-def _prefix_means(z, grid):
-    """Mean of the first n rows of an (N, d) z for each n of the increasing grid.
-
-    Each mean equals ``np.cumsum(z, axis=0)[n - 1] / n`` bit for bit, but
-    only the grid rows are formed: a running sum is folded through z one
-    block at a time (see :func:`_running_means`).
-    """
-    z = np.asarray(z, dtype=float)
-
-    def fill(lo, out):
-        out[...] = z[lo : lo + len(out)]
-
-    return _running_means(fill, z.shape[1], grid)
+# the estimator table: arms call the library estimators with the spec's level.
+# Arms and estimators look kernels, engines and aggregation helpers up as module
+# globals when they run, which is where perfbench's tracer replaces them
 
 
 def _metric_value(metric, estimate, truth):
@@ -314,10 +300,8 @@ def _error_scorer(truth):
 
 def _mean_scalar_arm(spec, gen, samples, rng):
     (data,) = samples
-    # built for both mechanisms, so both reject a bad moment assumption
+    # built on every mechanism, so each rejects a bad moment assumption
     assumption = MomentAssumption(k=spec.options["moment_k"], radius_k=spec.options["radius_k"])
-    if spec.mechanism == "nonprivate":
-        return {n: [float(np.mean(data[:n]))] for n in spec.n_grid}
     return {n: [private_mean_scalar(data[:n], assumption, spec.level, rng)] for n in spec.n_grid}
 
 
@@ -331,7 +315,8 @@ def _centered(gen):
 def _mean_vector_arm(spec, gen, samples, rng):
     (data,) = samples
     radius, level, grid = spec.options["radius"], spec.level, spec.n_grid
-    if spec.mechanism == "nonprivate":
+    if level is None:
+        # private_mean_vector's sum, called here for the tracer's prefix-means span
         return {n: [mean] for n, mean in _prefix_means(data, grid)}
     if spec.mechanism == "laplace_baseline":
         range_bound, mode = (1.0, "l1") if _centered(gen) else (radius, "l2_paper")
@@ -363,8 +348,6 @@ def _median_scorer(spec, gen):
 
 def _sparse_arm(spec, gen, samples, rng):
     (data,) = samples
-    if spec.mechanism == "nonprivate":
-        return {n: [mean] for n, mean in _prefix_means(data, spec.n_grid)}
     opts = spec.options
     means = sparse_mean(data, opts["radius"], spec.level, rng, opts["lam"], grid=spec.n_grid)
     return {n: [mean] for n, mean in zip(spec.n_grid, means)}
@@ -380,21 +363,8 @@ def _logistic_arm(spec, gen, samples, rng):
     return {n: paths[:, g] for g, n in enumerate(spec.n_grid)}
 
 
-def _density_orders(spec):
-    """Basis order k for each n of the grid."""
-    beta = spec.options["beta"]
-    if spec.mechanism == "nonprivate":
-        # classical projection estimator at the classical bandwidth
-        return {n: max(1, round(n ** (1.0 / (2.0 * beta + 1.0)))) for n in spec.n_grid}
-    return {n: series_bandwidth(n, spec.level, beta) for n in spec.n_grid}
-
-
 def _density_arm(spec, gen, samples, rng):
     (data,) = samples
-    if spec.mechanism == "nonprivate":
-        # streamed: the N x k_max basis of the data is never formed
-        k_for = _density_orders(spec)
-        return {n: [c] for n, c in _projection_coeffs(data, k_for, trig_basis_matrix).items()}
     estimates = density_estimate(data, spec.options["beta"], spec.level, rng, grid=spec.n_grid)
     return {n: [estimate.coeffs] for n, estimate in zip(spec.n_grid, estimates)}
 
@@ -402,7 +372,8 @@ def _density_arm(spec, gen, samples, rng):
 def _density_scorer(spec, gen):
     t = np.linspace(0.0, 1.0, _QUAD_NODES + 1)
     f_true = gen.density(t)
-    basis = trig_basis_matrix(max(_density_orders(spec).values()), t)
+    beta = spec.options["beta"]  # the order is nondecreasing in n
+    basis = trig_basis_matrix(series_bandwidth(spec.n_grid[-1], spec.level, beta), t)
     return lambda coeffs: float(
         np.trapezoid((1.0 + basis[:, : coeffs.size] @ coeffs - f_true) ** 2, t)
     )

@@ -35,7 +35,6 @@ from .core import (
     DomainError,
     ParameterError,
     PrivacyLevel,
-    clamp,
     laplace_sample,
     uniform_sphere,
 )
@@ -176,12 +175,8 @@ def _reject_nan(x):
 
 
 def _truncated_laplace_batch(x, t_level, level, rng):
-    x = np.asarray(x, dtype=float)
-    _reject_nan(x)
-    _count(x.size)
-    noise = laplace_sample(rng, level.epsilon / (2.0 * t_level), size=x.shape)
-    noise += clamp(x, t_level)
-    return noise
+    # the naive-median law on [-T, T]; a kernel of its own for the tracer's span
+    return _naive_median_batch(x, t_level, level, rng)
 
 
 def _naive_median_batch(x, radius, level, rng, one_sided=False):
@@ -380,6 +375,21 @@ def _running_means(fill, d, grid):
         out.append((n, buf[0] / n))
         prev = n
     return out
+
+
+def _prefix_means(z, grid):
+    """Mean of the first n rows of an (N, d) z for each n of the increasing grid.
+
+    Each mean equals ``np.cumsum(z, axis=0)[n - 1] / n`` bit for bit, but
+    only the grid rows are formed: a running sum is folded through z one
+    block at a time (see :func:`_running_means`).
+    """
+    z = np.asarray(z, dtype=float)
+
+    def fill(lo, out):
+        out[...] = z[lo : lo + len(out)]
+
+    return _running_means(fill, z.shape[1], grid)
 
 
 def _check_grid(grid, n):

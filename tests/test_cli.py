@@ -24,7 +24,7 @@ from privest.estimators import (
     private_median_sgd,
     sparse_mean,
 )
-from privest.experiments import parse_csv
+from privest.experiments import ESTIMATORS, parse_csv
 from privest.generators import make_generator
 
 
@@ -460,7 +460,8 @@ def _logistic_library(**options):
 
 
 # case -> (estimator, generator, options, n_grid, the library estimator on (data, rng)),
-# each an input the library estimator rejects; estimate runs at n = n_grid[0]
+# each an input the library estimator rejects; bench runs it on every mechanism,
+# estimate at n = n_grid[0]
 _REJECTED = {
     "sparse-d1": ("sparse", _SPARSE_D1, {}, [64],
                   lambda x, rng: sparse_mean(x, 1.0, _LEVEL, rng)),
@@ -490,12 +491,14 @@ def test_bench_estimate_and_library_reject_the_same_inputs(tmp_path, capsys, cas
     data = make_generator(generator).sample(n_grid[-1], make_rng(0, 0, 0))
     with pytest.raises(ParameterError):
         library(data, make_rng(0, 2, 0))
-    spec = {"name": case, "estimator": estimator, "mechanism": "optimal", "eps": 0.8,
-            "n_grid": n_grid, "replicates": 1, "generator": generator, "options": options}
     out = tmp_path / "b.csv"
-    assert main(["bench", "--config", _write(tmp_path, spec), "--out", str(out)]) == 2
-    assert _one_config_error_line(capsys)
-    assert not out.exists()
+    for mechanism in ESTIMATORS[estimator].mechanisms:
+        spec = {"name": case, "estimator": estimator, "mechanism": mechanism, "eps": 0.8,
+                "n_grid": n_grid, "replicates": 1, "generator": generator, "options": options}
+        code = main(["bench", "--config", _write(tmp_path, spec), "--out", str(out)])
+        assert code == 2, mechanism
+        assert _one_config_error_line(capsys), mechanism
+        assert not out.exists(), mechanism
     config = {"estimator": estimator, "n": n_grid[0], "eps": 0.8, "generator": generator,
               "options": options}
     assert main(["estimate", "--config", _write(tmp_path, config)]) == 2

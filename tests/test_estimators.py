@@ -15,6 +15,7 @@ from privest.estimators import (
     _BASIS_BLOCK,
     _logistic_sgd_paths,
     _median_sgd_paths,
+    _projection_coeffs,
     density_estimate,
     logistic_gradient,
     private_logistic_sgd,
@@ -25,13 +26,13 @@ from privest.estimators import (
     soft_threshold,
     sparse_mean,
     sparse_mean_threshold,
-    trig_basis_eval,
     trig_basis_matrix,
 )
 from privest.mechanisms import (
     _FOLD_BLOCK,
     _l2_ball_batch,
     _linf_ball_batch,
+    _prefix_means,
     privatization_count,
     reset_privatization_count,
 )
@@ -492,32 +493,22 @@ class TestLogisticSgd:
 
 class TestTrigBasis:
     def test_examples(self):
-        assert trig_basis_eval(0, 0.37) == 1.0
-        assert trig_basis_eval(2, 0.25) == pytest.approx(0.0, abs=1e-12)
-        assert trig_basis_eval(4, 0.25) == pytest.approx(-math.sqrt(2.0), abs=1e-12)
-        assert trig_basis_eval(3, 0.25) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-    def test_index_one_rejected(self):
-        with pytest.raises(ParameterError):
-            trig_basis_eval(1, 0.5)
+        # columns cos 1, sin 1, cos 2, sin 2 at t = 1/4
+        root2 = math.sqrt(2.0)
+        np.testing.assert_allclose(
+            trig_basis_matrix(4, 0.25)[0], [0.0, root2, -root2, 0.0], atol=1e-12
+        )
 
     def test_domain_check(self):
         with pytest.raises(DomainError):
-            trig_basis_eval(2, 1.5)
-
-    def test_matrix_matches_eval(self):
-        t = np.linspace(0.0, 1.0, 17)
-        matrix = trig_basis_matrix(6, t)
-        for c in range(6):
-            np.testing.assert_allclose(matrix[:, c], trig_basis_eval(c + 2, t), atol=1e-14)
+            trig_basis_matrix(2, 1.5)
 
     def test_gram_matrix_orthonormal(self):
         # quadrature oracle: 10^4-point midpoint rule over [0, 1]
         t = (np.arange(10_000) + 0.5) / 10_000
-        funcs = [trig_basis_eval(0, t)] + [trig_basis_eval(j, t) for j in range(2, 10)]
-        basis = np.stack(funcs)
-        gram = basis @ basis.T / t.size
-        np.testing.assert_allclose(gram, np.eye(len(funcs)), atol=1e-3)
+        basis = np.column_stack([np.ones_like(t), trig_basis_matrix(8, t)])
+        gram = basis.T @ basis / t.size
+        np.testing.assert_allclose(gram, np.eye(9), atol=1e-3)
 
 
 def _trig_basis_reference(k, t):
@@ -563,8 +554,6 @@ class TestBlockedBasis:
         t = np.array([0.25, bad, 0.5])
         with pytest.raises(DomainError):
             trig_basis_matrix(3, t)
-        with pytest.raises(DomainError):
-            trig_basis_eval(2, t)
         for level in (ONE, None):
             with pytest.raises(DomainError):
                 density_estimate(t, 1.0, level, make_rng(0), k=3)
@@ -623,17 +612,21 @@ class TestGrid:
         "mean_vector": lambda x, rng, **kw: private_mean_vector(x, "l2", 1.0, ONE, rng, **kw),
         "sparse": lambda x, rng, **kw: sparse_mean(x, 1.0, ONE, rng, **kw),
         "density": lambda x, rng, **kw: density_estimate(x, 1.0, ONE, rng, **kw),
+        # no channel: the same grid rule
+        "mean_vector-raw": lambda x, rng, **kw: private_mean_vector(x, "l2", 1.0, None, None, **kw),
+        "sparse-raw": lambda x, rng, **kw: sparse_mean(x, 1.0, None, None, **kw),
+        "density-raw": lambda x, rng, **kw: density_estimate(x, 1.0, None, None, **kw),
     }
 
     def _data(self, name):
-        return self.T if name == "density" else self.X_VECTOR
+        return self.T if name.startswith("density") else self.X_VECTOR
 
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_one_point_grid_is_the_plain_call(self, name):
         call, x = self.CALLS[name], self._data(name)
         (got,) = call(x, make_rng(1), grid=[len(x)])
         want = call(x, make_rng(1))
-        if name == "density":
+        if name.startswith("density"):
             got, want = got.coeffs, want.coeffs
         assert np.array_equal(got, want)
 
@@ -664,16 +657,20 @@ class TestDensityEstimate:
     def test_bandwidth_example(self):
         assert series_bandwidth(10_000, ONE, 1.0) == 10
         assert series_bandwidth(2, PrivacyLevel(0.1), 5.0) == 1
+        # no channel: the classical order n^(1/(2 beta + 1))
+        assert series_bandwidth(10_000, None, 1.0) == 22
+        assert series_bandwidth(2, None, 5.0) == 1
 
     def test_validations(self):
-        with pytest.raises(ParameterError):
-            density_estimate(np.array([0.5]), 1.0, ONE, make_rng(0))
-        with pytest.raises(ParameterError):
-            density_estimate(np.array([0.5, 0.6]), 0.4, ONE, make_rng(0))
-        with pytest.raises(DomainError):
-            density_estimate(np.array([0.5, 1.2]), 1.0, ONE, make_rng(0))
-        with pytest.raises(ParameterError):
-            density_estimate(np.array([0.5, 0.6]), 1.0, None, None)  # classical needs k
+        for level in (ONE, None):
+            with pytest.raises(ParameterError):
+                density_estimate(np.array([0.5]), 1.0, level, make_rng(0))
+            with pytest.raises(ParameterError):
+                density_estimate(np.array([0.5, 0.6]), 0.4, level, make_rng(0))
+            with pytest.raises(DomainError):
+                density_estimate(np.array([0.5, 1.2]), 1.0, level, make_rng(0))
+        # classical mode picks its own basis order
+        assert density_estimate(np.array([0.5, 0.6]), 1.0, None, None).k == 1
 
     def test_uniform_data_coefficients_center_on_zero(self):
         rng = make_rng(68)
@@ -716,8 +713,57 @@ class TestDensityEstimate:
         assert privatization_count() == 250
 
     def test_scalar_evaluation(self):
-        est = DensityEstimate(k=2, coeffs=np.array([0.5, 0.0]), beta=1.0)
+        est = DensityEstimate(k=2, coeffs=np.array([0.5, 0.0]))
         assert est(0.0) == pytest.approx(1.0 + 0.5 * math.sqrt(2.0))
+
+
+class TestNoChannel:
+    """``level=None`` is each estimator on the raw records, bit for bit, with no channel call."""
+
+    GRID = (3, 40, 300)
+
+    @staticmethod
+    def _no_channel(estimate):
+        reset_privatization_count()
+        got = estimate()
+        assert privatization_count() == 0
+        return got
+
+    def test_private_mean_scalar_is_the_sample_mean(self):
+        data = make_rng(100).standard_normal(1001)
+        got = self._no_channel(lambda: private_mean_scalar(data, MomentAssumption(2.0), None, None))
+        assert got == float(np.mean(data))
+
+    @pytest.mark.parametrize("grid", [None, GRID])
+    @pytest.mark.parametrize("geometry", ["l2", "linf"])
+    @pytest.mark.parametrize("d", [1, 2, 27])
+    def test_private_mean_vector_is_the_prefix_means(self, d, geometry, grid):
+        x = make_rng(101, d).uniform(-1.0, 1.0, (300, d)) / math.sqrt(d)
+        want = np.array([mean for _, mean in _prefix_means(x, grid or [300])])
+        got = self._no_channel(lambda: private_mean_vector(x, geometry, 1.0, None, None, grid))
+        assert np.array_equal(got, want if grid else want[0])
+
+    @pytest.mark.parametrize("grid", [None, GRID])
+    @pytest.mark.parametrize("lam", [None, 0.05])
+    def test_sparse_mean_thresholds_the_prefix_means(self, lam, grid):
+        x = make_rng(102).uniform(-0.5, 0.5, (300, 4))
+        # no lam: the raw average, the eps -> inf limit of the default threshold
+        want = [mean if lam is None else soft_threshold(mean, lam)
+                for _, mean in _prefix_means(x, grid or [300])]
+        got = self._no_channel(lambda: sparse_mean(x, 1.0, None, None, lam, grid))
+        assert np.array_equal(got, want if grid else want[0])
+
+    @pytest.mark.parametrize("beta", [0.75, 1.0, 2.0])
+    def test_density_estimate_is_the_classical_projection(self, beta):
+        data = make_rng(103).random(5000)
+        grid = [2, 40, 1000, 5000]
+        k_for = {n: max(1, round(n ** (1.0 / (2.0 * beta + 1.0)))) for n in grid}
+        want = _projection_coeffs(data, k_for, trig_basis_matrix)
+        got = self._no_channel(lambda: density_estimate(data, beta, None, None, grid=grid))
+        assert [e.k for e in got] == list(k_for.values())
+        assert all(np.array_equal(e.coeffs, want[n]) for e, n in zip(got, grid))
+        whole = self._no_channel(lambda: density_estimate(data, beta, None, None))
+        assert whole.k == k_for[5000] and np.array_equal(whole.coeffs, want[5000])
 
 
 class TestOneChannelCallPerRecord:

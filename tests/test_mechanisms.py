@@ -365,10 +365,12 @@ class TestRadiusRule:
         lambda r, rng: _laplace_vector_batch(np.zeros((3, 2)), r, ONE, "l1", rng),
         lambda r, rng: _laplace_vector_batch(np.zeros((3, 2)), r, ONE, "l2_paper", rng),
         lambda r, rng: _naive_median_batch(np.zeros(3), r, ONE, rng),
+        # the truncation level T is the clamp radius of the same law
+        lambda r, rng: _truncated_laplace_batch(np.zeros(3), r, ONE, rng),
         lambda r, rng: l2_bound_B(2, r, ONE),
         lambda r, rng: linf_bound_B(2, r, ONE),
-    ], ids=["l2", "linf", "laplace-l1", "laplace-l2_paper", "naive_median", "l2_bound",
-            "linf_bound"])
+    ], ids=["l2", "linf", "laplace-l1", "laplace-l2_paper", "naive_median", "truncated_laplace",
+            "l2_bound", "linf_bound"])
     def test_rejects_before_any_draw(self, call, radius):
         rng = make_rng(0)
         state = rng.bit_generator.state
