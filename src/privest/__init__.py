@@ -8,14 +8,12 @@ from .core import (
     SizeError,
     UnsupportedChannelError,
     bernoulli_pi,
-    clamp,
     laplace_sample,
     make_rng,
     uniform_sphere,
 )
 from .mechanisms import (
     Channel,
-    ChannelKind,
     MomentAssumption,
     cube_halfspace_mean,
     l2_bound_B,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, ParameterError, SizeError, UnsupportedChannelError
-from .mechanisms import Channel, ChannelKind, cube_vertices
+from .mechanisms import Channel, cube_vertices
 
 _ENUMERATION_DIM_CAP = 20
 MC_MIN_DRAWS = 1000  # fewest draws monte_carlo_unbias accepts
@@ -98,7 +98,7 @@ def channel_pmf_grid(channel: Channel, x_grid) -> EnumeratedPmf | tuple:
     comparable across inputs.
     """
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
-    if channel.kind is ChannelKind.SIGN_RR:
+    if channel.kind == "sign_rr":
         if not np.all(np.abs(x_grid) == 1.0):
             raise DomainError("sign channel inputs must be -1 or +1")
         support = channel.support_points()
@@ -108,7 +108,7 @@ def channel_pmf_grid(channel: Channel, x_grid) -> EnumeratedPmf | tuple:
         p_plus = np.where(s > 0, pi, 1.0 - pi)
         probs = np.column_stack([1.0 - p_plus, p_plus])
         return support, probs
-    if channel.kind is ChannelKind.LINF_BALL:
+    if channel.kind == "linf_ball":
         d = channel.dim
         if d > _PMF_DIM_CAP:
             raise SizeError(f"pmf enumeration capped at d <= {_PMF_DIM_CAP}, got {d}")
@@ -120,7 +120,7 @@ def channel_pmf_grid(channel: Channel, x_grid) -> EnumeratedPmf | tuple:
         probs = probs @ _linf_conditional_matrix(d, channel.level)
         return channel.support_points(), probs
     raise UnsupportedChannelError(
-        f"{channel.kind.value} has continuous output; only sign_rr and linf_ball enumerate"
+        f"{channel.kind} has continuous output; only sign_rr and linf_ball enumerate"
     )
 
 

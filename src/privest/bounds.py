@@ -14,15 +14,17 @@ from .mechanisms import _check_radius
 
 
 def _effective_eps_sq(eps: float, eps_form: str) -> float:
-    eps = PrivacyLevel(eps).epsilon  # the one eps rule: finite and > 0
-    if eps_form == "eps2":
-        return eps * eps
-    if eps_form == "exp":
-        try:
-            return math.expm1(eps) ** 2
-        except OverflowError:
-            raise ParameterError(f"(e^eps - 1)^2 overflows a float at eps = {eps!r}") from None
-    raise ParameterError(f"unknown eps_form {eps_form!r} (use 'eps2' or 'exp')")
+    eps = PrivacyLevel(eps).epsilon  # the one eps rule
+    if eps_form not in ("eps2", "exp"):
+        raise ParameterError(f"unknown eps_form {eps_form!r} (use 'eps2' or 'exp')")
+    try:
+        sq = eps * eps if eps_form == "eps2" else math.expm1(eps) ** 2
+    except OverflowError:
+        sq = math.inf
+    if not (0.0 < sq < math.inf):
+        name = "eps^2" if eps_form == "eps2" else "(e^eps - 1)^2"
+        raise ParameterError(f"{name} is not a positive finite float at eps = {eps!r}")
+    return sq
 
 
 def mean_rate(k: float, n: int, eps: float, eps_form: str = "eps2") -> float:
@@ -71,9 +73,9 @@ class RateCurve:
     points: tuple  # of (n, value) pairs
 
     def __post_init__(self):
-        for _, v in self.points:
-            if not (v > 0.0):
-                raise ParameterError("rate values must be positive")
+        for n, v in self.points:
+            if not (0.0 < v < math.inf):
+                raise ParameterError(f"rate values must be finite and > 0, got {v!r} at n = {n}")
 
 
 def build_curve(label: str, fn, n_grid, **kwargs) -> RateCurve:

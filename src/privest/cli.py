@@ -49,8 +49,17 @@ from .experiments import (
 from .generators import make_generator
 from .mechanisms import Channel
 
-_MECH_CHOICES = ("l2_ball", "linf_ball", "sign_rr", "laplace_vector", "naive_median",
-                 "truncated_laplace")
+# mech-sample's channels: each name is a Channel constructor, built from (args, d, level)
+_CHANNELS = {
+    "l2_ball": lambda args, d, level: Channel.l2_ball(d, args.radius, level),
+    "linf_ball": lambda args, d, level: Channel.linf_ball(d, args.radius, level),
+    "sign_rr": lambda args, d, level: Channel.sign_rr(level),
+    "laplace_vector": lambda args, d, level: Channel.laplace_vector(
+        d, args.radius, level, args.sensitivity_norm),
+    "naive_median": lambda args, d, level: Channel.naive_median(args.radius, level),
+    "truncated_laplace": lambda args, d, level: Channel.truncated_laplace(
+        MomentAssumption(k=args.moment_k, radius_k=args.radius), args.n, level),
+}
 
 
 def _seed_default(value):
@@ -78,19 +87,7 @@ def _cmd_mech_sample(args) -> int:
     d = x.size
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
-    if args.mechanism == "l2_ball":
-        channel = Channel.l2_ball(d, args.radius, level)
-    elif args.mechanism == "linf_ball":
-        channel = Channel.linf_ball(d, args.radius, level)
-    elif args.mechanism == "sign_rr":
-        channel = Channel.sign_rr(level)
-    elif args.mechanism == "laplace_vector":
-        channel = Channel.laplace_vector(d, args.radius, level, args.sensitivity_norm)
-    elif args.mechanism == "naive_median":
-        channel = Channel.naive_median(args.radius, level)
-    else:
-        assumption = MomentAssumption(k=args.moment_k, radius_k=args.radius)
-        channel = Channel.truncated_laplace(assumption, args.n, level)
+    channel = _CHANNELS[args.mechanism](args, d, level)
     draws = channel.privatize_batch(np.broadcast_to(x, (args.n, d)), rng)
     header = ",".join(f"z{j}" for j in range(draws.shape[1]))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mech-sample", help="draw privatized samples from one channel")
-    p.add_argument("--mechanism", choices=_MECH_CHOICES, required=True)
+    p.add_argument("--mechanism", choices=sorted(_CHANNELS), required=True)
     p.add_argument("--x", default="0", help="comma-separated input record")
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=1.0)

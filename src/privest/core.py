@@ -13,6 +13,7 @@ one place, :func:`laplace_sample`.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +49,9 @@ class PrivacyLevel:
         pi_eps: ``exp(eps) / (1 + exp(eps))``, the probability that the
             randomized-response style channels report the "true" side.
         phi_eps: ``(exp(eps) + 1) / (exp(eps) - 1)``, the inverse-gap factor
-            that scales channel outputs to make them unbiased.
+            that scales channel outputs to make them unbiased.  It must be a
+            finite float, about 2 / eps for small eps, so eps must be at
+            least about 1.1e-308.
     """
 
     epsilon: float
@@ -65,7 +68,11 @@ class PrivacyLevel:
         # computed in overflow-safe form and stay meaningful.
         object.__setattr__(self, "exp_eps", math.exp(eps) if eps < 709.0 else math.inf)
         object.__setattr__(self, "pi_eps", 1.0 / (1.0 + math.exp(-eps)))
-        object.__setattr__(self, "phi_eps", 1.0 / math.tanh(eps / 2.0))
+        tanh_half = math.tanh(eps / 2.0)  # 0 when eps / 2 underflows
+        phi_eps = 1.0 / tanh_half if tanh_half > 0.0 else math.inf
+        if not math.isfinite(phi_eps):
+            raise ParameterError(f"epsilon {eps!r} is too small: 1/tanh(eps/2) overflows")
+        object.__setattr__(self, "phi_eps", phi_eps)
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -81,6 +88,10 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
+# numpy's Laplace draws lie within 36.04 scales of 0 (-log 2^-52), so this cap keeps them finite
+_LAPLACE_SCALE_MAX = sys.float_info.max / 64
+
+
 def laplace_sample(rng: np.random.Generator, inv_scale: float, size=None):
     """Draw from the Laplace distribution with density (a/2) exp(-a|y|).
 
@@ -89,9 +100,11 @@ def laplace_sample(rng: np.random.Generator, inv_scale: float, size=None):
         inv_scale: The inverse scale a > 0.  Variance is 2 / a**2.
         size: Optional numpy size; default draws a single float.
     """
-    if not (inv_scale > 0.0) or not math.isfinite(inv_scale):
-        raise ParameterError(f"inv_scale must be finite and > 0, got {inv_scale!r}")
-    out = rng.laplace(loc=0.0, scale=1.0 / inv_scale, size=size)
+    scale = 1.0 / inv_scale if inv_scale > 0.0 else math.inf  # NaN fails too
+    if not (0.0 < scale <= _LAPLACE_SCALE_MAX):
+        raise ParameterError(f"inv_scale must be finite and > 0 with 1/inv_scale at most "
+                             f"{_LAPLACE_SCALE_MAX:.3g}, got {inv_scale!r}")
+    out = rng.laplace(loc=0.0, scale=scale, size=size)
     return float(out) if size is None else out
 
 
@@ -125,11 +138,3 @@ def uniform_sphere(rng: np.random.Generator, d: int, size=None, out=None) -> np.
     g /= norms[:, None]
     return g[0] if size is None and out is None else g
 
-
-def clamp(x, bound: float):
-    """Project x (scalar or array) onto the interval [-bound, bound]."""
-    if not (bound > 0.0):
-        raise ParameterError(f"clamp bound must be > 0, got {bound!r}")
-    if np.isscalar(x):
-        return float(min(max(x, -bound), bound))
-    return np.clip(np.asarray(x, dtype=float), -bound, bound)

@@ -181,7 +181,8 @@ def sparse_mean_threshold(d: int, n: int, level: PrivacyLevel | None, radius: fl
     """Default regularization 2 r sqrt(d log d / (n eps^2)); for ``level=None`` its limit 0."""
     if level is None:
         return 0.0
-    return 2.0 * radius * math.sqrt(d * math.log(d) / (n * level.epsilon**2))
+    n_eps_sq = n * level.epsilon**2  # 0 once eps^2 underflows (eps < ~2e-162): the limit is inf
+    return 2.0 * radius * math.sqrt(d * math.log(d) / n_eps_sq) if n_eps_sq else math.inf
 
 
 def sparse_mean(

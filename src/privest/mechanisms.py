@@ -25,8 +25,8 @@ sampling whenever d is odd (gamma_d = 1, no ties).
 """
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -85,10 +85,11 @@ class MomentAssumption:
             raise ParameterError(f"radius_k must be finite and > 0, got {self.radius_k!r}")
 
 
-def _check_radius(radius) -> None:
-    """ParameterError unless ``radius`` is finite and > 0 (NaN fails too): the one radius rule."""
+def _check_radius(radius, name="radius"):
+    """``radius`` if finite and > 0 (NaN fails too), else ParameterError: the one radius rule."""
     if not (0.0 < radius < math.inf):
-        raise ParameterError(f"radius must be finite and > 0, got {radius!r}")
+        raise ParameterError(f"{name} must be finite and > 0, got {radius!r}")
+    return radius
 
 
 def sphere_halfspace_mean(d: int) -> float:
@@ -145,13 +146,13 @@ def l2_bound_B(d: int, radius: float, level: PrivacyLevel) -> float:
     / Gamma(d/2 + 1).  Satisfies B <= radius * phi_eps * (3 sqrt(pi)/4) * sqrt(d).
     """
     _check_radius(radius)
-    return radius * level.phi_eps / sphere_halfspace_mean(d)
+    return _check_radius(radius * level.phi_eps / sphere_halfspace_mean(d), "output bound B")
 
 
 def linf_bound_B(d: int, radius: float, level: PrivacyLevel) -> float:
     """Output magnitude B of the hypercube channel: radius * phi_eps * C_d."""
     _check_radius(radius)
-    return radius * level.phi_eps / cube_halfspace_mean(d)
+    return _check_radius(radius * level.phi_eps / cube_halfspace_mean(d), "output bound B")
 
 
 def truncation_level(assumption: MomentAssumption, n: int, level: PrivacyLevel) -> float:
@@ -210,7 +211,7 @@ def _l2_ball_batch(x, radius, level, rng, grid=None):
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
-    _check_radius(radius)
+    bound = l2_bound_B(d, radius, level)  # checks the radius and B before any draw
     norms = _row_norms(x)
     limit = radius * (1.0 + _DOMAIN_SLACK)
     if n and not (norms.max() <= limit):  # NaN fails too
@@ -226,7 +227,6 @@ def _l2_ball_batch(x, radius, level, rng, grid=None):
     t_sign = np.where(rng.random(n) < level.pi_eps, 1.0, -1.0)
     if zero_rows.size:
         x_rounded = radius * sign[zero_rows, None] * directions
-    bound = l2_bound_B(d, radius, level)
     _count(n)
 
     def fill(lo, u):
@@ -257,7 +257,7 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
-    _check_radius(radius)
+    bound = linf_bound_B(d, radius, level)  # checks the radius and B before any draw
     # one global test (NaN fails it too); the record is found only on failure
     limit = radius * (1.0 + _DOMAIN_SLACK)
     if x.size and not (max(x.max(), -x.min()) <= limit):
@@ -286,7 +286,7 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
     # ties (ip == 0) pass through with sign(ip) treated as +1 and no flip
     flip = np.where(ip == 0, 1.0, np.sign(ip) * side)
     _count(n)
-    signed_bound = (linf_bound_B(d, radius, level) * flip)[:, None]
+    signed_bound = (bound * flip)[:, None]
 
     def fill(lo, out):
         # (2 vertex - 1) * signed_bound: exact, and faster than a broadcast np.where
@@ -427,37 +427,27 @@ def _vector_output(fill, n, d, grid):
 # channel objects (used by the audit and experiment layers)
 
 
-class ChannelKind(Enum):
-    TRUNCATED_LAPLACE_SCALAR = "truncated_laplace_scalar"
-    L2_BALL = "l2_ball"
-    LINF_BALL = "linf_ball"
-    SIGN_RR = "sign_rr"
-    LAPLACE_VECTOR = "laplace_vector"
-    NAIVE_MEDIAN = "naive_median"
+_SCALAR_KINDS = ("truncated_laplace", "sign_rr", "naive_median")
 
 
-_SCALAR_KINDS = (
-    ChannelKind.TRUNCATED_LAPLACE_SCALAR, ChannelKind.SIGN_RR, ChannelKind.NAIVE_MEDIAN
-)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
-    """A configured privatizer: its kind, geometry and output bound.
+    """A configured privatizer: its kind, geometry, output bound and kernel.
 
-    ``bound_B`` is always derived from the closed-form formula for the kind,
-    never user-set.  For the scalar truncated-Laplace kind, ``radius`` holds
-    the truncation level T and ``bound_B`` equals T (the noise itself is
-    unbounded).
+    ``kind`` is the name of the constructor that built the channel, and
+    ``kernel(x, rng)`` is that kind's batch kernel with the channel's
+    parameters bound.  ``bound_B`` is always derived from the closed-form
+    formula for the kind, never user-set.  For the scalar truncated-Laplace
+    kind, ``radius`` holds the truncation level T and ``bound_B`` equals T
+    (the noise itself is unbounded).  Channels compare by identity.
     """
 
-    kind: ChannelKind
+    kind: str
     level: PrivacyLevel
     radius: float
     dim: int
     bound_B: float
-    sensitivity_norm: str = "l1"
-    one_sided: bool = False
+    kernel: Callable = field(repr=False)
 
     @staticmethod
     def l2_ball(dim: int, radius: float, level: PrivacyLevel) -> "Channel":
@@ -468,7 +458,8 @@ class Channel:
         bit T; (iii) draw a uniform sphere point on the halfspace side selected
         by T, scaled to norm B = :func:`l2_bound_B`.
         """
-        return Channel(ChannelKind.L2_BALL, level, radius, dim, l2_bound_B(dim, radius, level))
+        return Channel("l2_ball", level, radius, dim, l2_bound_B(dim, radius, level),
+                       lambda x, rng: _l2_ball_batch(x, radius, level, rng))
 
     @staticmethod
     def linf_ball(dim: int, radius: float, level: PrivacyLevel) -> "Channel":
@@ -484,9 +475,8 @@ class Channel:
         :func:`cube_tie_gamma`; for odd d it reduces to sampling the closed
         halfspace selected by T uniformly.
         """
-        return Channel(
-            ChannelKind.LINF_BALL, level, radius, dim, linf_bound_B(dim, radius, level)
-        )
+        return Channel("linf_ball", level, radius, dim, linf_bound_B(dim, radius, level),
+                       lambda x, rng: _linf_ball_batch(x, radius, level, rng))
 
     @staticmethod
     def sign_rr(level: PrivacyLevel) -> "Channel":
@@ -495,7 +485,8 @@ class Channel:
         Unbiased for s, and the likelihood ratio between the two inputs is
         exactly exp(eps).
         """
-        return Channel(ChannelKind.SIGN_RR, level, 1.0, 1, level.phi_eps)
+        return Channel("sign_rr", level, 1.0, 1, level.phi_eps,
+                       lambda x, rng: _sign_rr_batch(x, level, rng))
 
     @staticmethod
     def laplace_vector(
@@ -512,9 +503,8 @@ class Channel:
             raise ParameterError(f"dimension must be >= 1, got {dim}")
         if sensitivity_norm not in ("l1", "l2_paper"):
             raise ParameterError(f"unknown sensitivity_norm {sensitivity_norm!r}")
-        return Channel(
-            ChannelKind.LAPLACE_VECTOR, level, radius, dim, math.inf, sensitivity_norm
-        )
+        return Channel("laplace_vector", level, radius, dim, math.inf, lambda x, rng:
+                       _laplace_vector_batch(x, radius, level, sensitivity_norm, rng))
 
     @staticmethod
     def naive_median(radius: float, level: PrivacyLevel, one_sided: bool = False) -> "Channel":
@@ -524,9 +514,8 @@ class Channel:
         median is known to be non-negative); the noise scale stays eps/(2r),
         so the channel stays eps-LDP.
         """
-        return Channel(
-            ChannelKind.NAIVE_MEDIAN, level, radius, 1, math.inf, one_sided=one_sided
-        )
+        return Channel("naive_median", level, radius, 1, math.inf,
+                       lambda x, rng: _naive_median_batch(x, radius, level, rng, one_sided))
 
     @staticmethod
     def truncated_laplace(
@@ -538,7 +527,8 @@ class Channel:
         variance given x is 8 T^2 / eps^2.
         """
         t_level = truncation_level(assumption, n, level)
-        return Channel(ChannelKind.TRUNCATED_LAPLACE_SCALAR, level, t_level, 1, t_level)
+        return Channel("truncated_laplace", level, t_level, 1, t_level,
+                       lambda x, rng: _truncated_laplace_batch(x, t_level, level, rng))
 
     def privatize(self, x, rng: np.random.Generator):
         """Privatize a single record: a batch of one through :meth:`privatize_batch`.
@@ -558,30 +548,17 @@ class Channel:
         if not (x.ndim == 2 and x.shape[1] == self.dim
                 or x.ndim == 1 and self.kind in _SCALAR_KINDS):
             raise ParameterError(
-                f"{self.kind.value} records have dimension {self.dim}; "
-                f"got a batch of shape {x.shape}"
+                f"{self.kind} records have dimension {self.dim}; got a batch of shape {x.shape}"
             )
-        k = self.kind
-        if k is ChannelKind.L2_BALL:
-            return _l2_ball_batch(x, self.radius, self.level, rng)
-        if k is ChannelKind.LINF_BALL:
-            return _linf_ball_batch(x, self.radius, self.level, rng)
-        if k is ChannelKind.SIGN_RR:
-            return _sign_rr_batch(x, self.level, rng)
-        if k is ChannelKind.LAPLACE_VECTOR:
-            return _laplace_vector_batch(x, self.radius, self.level, self.sensitivity_norm, rng)
-        if k is ChannelKind.NAIVE_MEDIAN:
-            return _naive_median_batch(x, self.radius, self.level, rng, self.one_sided)
-        # truncated laplace: radius stores T
-        return _truncated_laplace_batch(x, self.radius, self.level, rng)
+        return self.kernel(x, rng)
 
     def support_points(self) -> np.ndarray:
         """Exact output support for discrete-output kinds (audit helper)."""
-        if self.kind is ChannelKind.SIGN_RR:
+        if self.kind == "sign_rr":
             return np.array([[-self.bound_B], [self.bound_B]])
-        if self.kind is ChannelKind.LINF_BALL:
+        if self.kind == "linf_ball":
             return self.bound_B * cube_vertices(self.dim)
-        raise ParameterError(f"{self.kind.value} has continuous output")
+        raise ParameterError(f"{self.kind} has continuous output")
 
 
 def cube_vertices(d: int) -> np.ndarray:

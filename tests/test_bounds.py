@@ -130,8 +130,13 @@ class TestRateCurve:
         with pytest.raises(ParameterError):
             RateCurve("bad", ((10, 0.0),))
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_values(self, value):
+        with pytest.raises(ParameterError, match="finite and > 0"):
+            RateCurve("bad", ((10, 1.0), (20, value)))
 
-@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, 400.0])
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, 400.0, 1e-200])
 @pytest.mark.parametrize("fn", [
     lambda eps: sparse_mean_lower(d=8, n=100, eps=eps),
     lambda eps: logistic_lower(d=8, n=100, eps=eps),
@@ -140,9 +145,18 @@ class TestRateCurve:
     lambda eps: density_rate(beta=1.0, n=100, eps=eps, eps_form="exp"),
 ], ids=["sparse", "logistic", "mean", "median", "density"])
 def test_one_eps_rule(fn, eps):
-    # eps must be finite and > 0; at 400, (e^eps - 1)^2 overflows a float
+    # eps must be finite and > 0; (e^eps - 1)^2 overflows a float at 400 and is 0 at 1e-200
     with pytest.raises(ParameterError):
         fn(eps)
+
+
+@pytest.mark.parametrize("fn, kwargs", [
+    (mean_rate, {"k": 2.0}), (median_rate, {"radius": 1.0}), (density_rate, {"beta": 1.0}),
+], ids=["mean", "median", "density"])
+def test_an_eps_whose_square_underflows_is_rejected(fn, kwargs):
+    # 1e-200 is a valid privacy level, but eps^2 is 0 in float
+    with pytest.raises(ParameterError, match=r"eps\^2 is not a positive finite float"):
+        fn(n=100, eps=1e-200, eps_form="eps2", **kwargs)
 
 
 @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privest.cli import _MECH_CHOICES, main
+from privest.cli import _CHANNELS, build_parser, main
 from privest.core import ConfigError, ParameterError, PrivacyLevel, make_rng
 from privest.estimators import (
     MomentAssumption,
@@ -26,6 +26,7 @@ from privest.estimators import (
 )
 from privest.experiments import ESTIMATORS, parse_csv
 from privest.generators import make_generator
+from privest.mechanisms import Channel
 
 
 def test_mech_sample_writes_draws(tmp_path):
@@ -77,6 +78,39 @@ def test_mech_sample_bad_argument_exits_2(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+# mech-sample name -> (flags, the channel those flags name, built directly); eps 0.7, n 30
+_NAMED_CHANNELS = {
+    "l2_ball": (["--x=0.3,-0.4", "--radius=2"], lambda lv: Channel.l2_ball(2, 2.0, lv)),
+    "linf_ball": (["--x=0.3,-0.4,1.5", "--radius=2"],
+                  lambda lv: Channel.linf_ball(3, 2.0, lv)),
+    "sign_rr": (["--x=-1"], lambda lv: Channel.sign_rr(lv)),
+    "laplace_vector": (["--x=0.3,0.4", "--radius=2", "--sensitivity-norm=l2_paper"],
+                       lambda lv: Channel.laplace_vector(2, 2.0, lv, "l2_paper")),
+    "naive_median": (["--x=0.2", "--radius=2"], lambda lv: Channel.naive_median(2.0, lv)),
+    "truncated_laplace": (["--x=0.2", "--radius=2", "--moment-k=4"],
+                          lambda lv: Channel.truncated_laplace(MomentAssumption(4.0, 2.0), 30, lv)),
+}
+
+
+def test_every_mech_sample_name_is_checked():
+    assert sorted(_NAMED_CHANNELS) == sorted(_CHANNELS)
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_CHANNELS))
+def test_mech_sample_draws_the_channel_of_its_name(tmp_path, name):
+    flags, build = _NAMED_CHANNELS[name]
+    argv = ["mech-sample", f"--mechanism={name}", *flags, "--eps=0.7", "--n=30", "--seed=5",
+            "--out", str(tmp_path / "z.csv")]
+    args, level = build_parser().parse_args(argv), PrivacyLevel(0.7)
+    x = np.array([float(v) for v in args.x.split(",")])
+    assert _CHANNELS[name](args, x.size, level).kind == name == build(level).kind
+    assert main(argv) == 0
+    rows = (tmp_path / "z.csv").read_text().splitlines()[1:]
+    got = np.array([[float(v) for v in row.split(",")] for row in rows])
+    want = build(level).privatize_batch(np.broadcast_to(x, (30, x.size)), make_rng(5))
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("mechanism", ["l2_ball", "linf_ball", "laplace_vector", "naive_median"])
 @pytest.mark.parametrize("radius", ["inf", "nan", "0"])
 def test_mech_sample_rejects_a_bad_radius(tmp_path, capsys, mechanism, radius):
@@ -86,6 +120,22 @@ def test_mech_sample_rejects_a_bad_radius(tmp_path, capsys, mechanism, radius):
                  "--n", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"configuration error: radius must be finite and > 0, got {float(radius)!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mechanism=sign_rr", "--x=1", "--eps=5e-324"],
+    ["--mechanism=l2_ball", "--x=0.1", "--eps=1e-310"],
+    ["--mechanism=naive_median", "--x=0.5", "--eps=1e-300", "--radius=1e10"],
+    ["--mechanism=laplace_vector", "--x=0.1,0.2", "--eps=1.2e-308"],
+    ["--mechanism=l2_ball", "--x=0.1,0.2", "--eps=1.2e-308"],
+    ["--mechanism=linf_ball", "--x=0.1", "--radius=1e308"],
+], ids=["phi-divides-by-zero", "phi-overflows", "laplace-scale-overflows",
+        "laplace-draws-could-overflow", "l2-bound-overflows", "linf-bound-overflows"])
+def test_mech_sample_rejects_a_tiny_eps_before_any_draw(tmp_path, capsys, flags):
+    out = tmp_path / "z.csv"
+    assert main(["mech-sample", *flags, "--out", str(out)]) == 2
+    assert _one_config_error_line(capsys)
     assert not out.exists()
 
 
@@ -149,7 +199,7 @@ def test_bench_config_checks_every_radius_before_any_arm(tmp_path, capsys, monke
     assert arms == [] and not out.exists()
 
 
-@pytest.mark.parametrize("eps", ["inf", "nan", 0.0])
+@pytest.mark.parametrize("eps", ["inf", "nan", 0.0, 1e-310, 5e-324])
 def test_bench_config_checks_every_eps_before_any_arm(tmp_path, capsys, monkeypatch, eps):
     import privest.cli
 
@@ -606,18 +656,48 @@ def _assert_documented_exit(code, err):
         assert err.startswith(("configuration error:", "input error:", "I/O error:"))
 
 
+def _assert_finite_csv(path, column=slice(None)):
+    """Every value a CLI CSV holds (in ``column`` of each row) is a finite float."""
+    rows = Path(path).read_text().splitlines()[1:]
+    assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(",")[column])
+
+
 _X_TOKENS = list("0123456789,.-e") + ["nan", "inf", "abc"]
+# phi_eps ~ 2 / eps: finite at 1e-300, infinite at 1e-310, a division by zero at 5e-324;
+# at 1.2e-308 phi is finite, but B overflows for d >= 2 and a Laplace draw could
+_EPS_TOKENS = ["1", "0.5", "800", "1e-300", "1.2e-308", "1e-310", "5e-324"]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(mechanism=st.sampled_from(_MECH_CHOICES),
+@given(mechanism=st.sampled_from(sorted(_CHANNELS)),
        x=st.lists(st.sampled_from(_X_TOKENS), max_size=10).map("".join),
-       n=st.integers(-3, 50))
-def test_mech_sample_argv_exits_as_documented(mechanism, x, n):
+       n=st.integers(-3, 50), eps=st.sampled_from(_EPS_TOKENS))
+def test_mech_sample_argv_exits_as_documented(mechanism, x, n, eps):
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["mech-sample", "--mechanism", mechanism, f"--x={x}", f"--n={n}",
-                "--out", os.path.join(tmp, "z.csv")]
-        _assert_documented_exit(*_run_in_process(argv))
+        out = os.path.join(tmp, "z.csv")
+        argv = ["mech-sample", "--mechanism", mechanism, f"--x={x}", f"--n={n}", f"--eps={eps}",
+                "--out", out]
+        code, err = _run_in_process(argv)
+        _assert_documented_exit(code, err)
+        if code == 0:
+            _assert_finite_csv(out)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(curve=st.sampled_from(["mean", "median", "sparse", "logistic", "density"]),
+       eps=st.sampled_from(["1", "0.5", "30", "400", "1e-155", "1e-200", "1e-300", "1e-310",
+                            "5e-324", "0", "-1", "nan", "inf"]),
+       eps_form=st.sampled_from(["eps2", "exp"]))
+def test_rates_argv_exits_as_documented(curve, eps, eps_form):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "rates.csv")
+        argv = ["rates", "--curve", curve, f"--eps={eps}", f"--eps-form={eps_form}", "--out", out]
+        code, err = _run_in_process(argv)
+        _assert_documented_exit(code, err)
+        if code == 0:
+            _assert_finite_csv(out, column=slice(2, None))
+        else:
+            assert not os.path.exists(out)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)

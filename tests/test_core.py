@@ -9,7 +9,6 @@ from privest.core import (
     ParameterError,
     PrivacyLevel,
     bernoulli_pi,
-    clamp,
     laplace_sample,
     make_rng,
     uniform_sphere,
@@ -23,10 +22,15 @@ class TestPrivacyLevel:
         assert level.phi_eps == pytest.approx(2.0, abs=1e-12)
         assert level.exp_eps == pytest.approx(3.0, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    # phi_eps ~ 2 / eps: at 5e-324 eps / 2 underflows to 0, and below ~1.1e-308 phi is inf
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 5e-324, 1e-310, 1e-308])
     def test_rejects_bad_epsilon(self, bad):
         with pytest.raises(ParameterError):
             PrivacyLevel(bad)
+
+    def test_smallest_epsilons_keep_a_finite_phi(self):
+        for eps in (1.2e-308, 1e-300):
+            assert PrivacyLevel(eps).phi_eps == pytest.approx(2.0 / eps, rel=1e-12)
 
     @given(st.floats(min_value=1e-3, max_value=30.0))
     @settings(deadline=None)
@@ -69,6 +73,12 @@ class TestLaplace:
     def test_invalid_scale(self):
         with pytest.raises(ParameterError):
             laplace_sample(make_rng(0), 0.0)
+
+    # 1e-307 has a finite scale, but a draw of 36 scales would overflow
+    @pytest.mark.parametrize("inv_scale", [1e-307, 5e-311, 1e-320, math.inf, math.nan])
+    def test_rejects_a_bad_inverse_scale(self, inv_scale):
+        with pytest.raises(ParameterError, match="inv_scale"):
+            laplace_sample(make_rng(0), inv_scale, size=3)
 
     def test_symmetry_half_mass_below_zero(self):
         draws = laplace_sample(make_rng(1), 1.0, size=1_000_000)
@@ -138,21 +148,3 @@ class TestUniformSphere:
         with pytest.raises(ParameterError):
             uniform_sphere(make_rng(0), 0)
 
-
-class TestClamp:
-    @pytest.mark.parametrize("x,t,expected", [(5.0, 10.0, 5.0), (-12.0, 10.0, -10.0), (12.0, 10.0, 10.0)])
-    def test_examples(self, x, t, expected):
-        assert clamp(x, t) == expected
-
-    @given(st.floats(allow_nan=False, allow_infinity=False, width=32),
-           st.floats(min_value=1e-6, max_value=1e6))
-    @settings(deadline=None)
-    def test_always_inside(self, x, t):
-        out = clamp(x, t)
-        assert -t <= out <= t
-        if -t <= x <= t:
-            assert out == x
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ParameterError):
-            clamp(1.0, 0.0)

@@ -301,6 +301,13 @@ class TestSparseMean:
         with pytest.raises(ParameterError):
             sparse_mean(np.zeros((10, 1)), 1.0, ONE, make_rng(0))
 
+    @pytest.mark.parametrize("eps", [1e-155, 1e-200])
+    def test_a_tiny_eps_thresholds_at_the_infinite_limit(self, eps):
+        # n eps^2 is subnormal at 1e-155 and 0 at 1e-200; both give the limit lam = inf
+        assert sparse_mean_threshold(3, 64, PrivacyLevel(eps), 1.0) == math.inf
+        data = np.tile([0.5, 0.0, 0.0], (64, 1))
+        assert np.all(sparse_mean(data, 1.0, PrivacyLevel(eps), make_rng(0)) == 0.0)
+
     @pytest.mark.xfail(
         strict=True,
         reason="stated factor-4 window is unattainable for the soft-threshold "

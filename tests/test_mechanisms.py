@@ -633,6 +633,14 @@ class TestChannelObjects:
         trunc = Channel.truncated_laplace(MomentAssumption(k=2.0), 10_000, ONE)
         assert trunc.radius == pytest.approx(10.0)
 
+    def test_channels_that_draw_differently_are_not_equal(self):
+        # a channel is its bound kernel, so channels compare by identity, not by field
+        assert Channel.naive_median(1.0, ONE, one_sided=True) != Channel.naive_median(1.0, ONE)
+        l1, l2_paper = (Channel.laplace_vector(2, 1.0, ONE, norm) for norm in ("l1", "l2_paper"))
+        assert l1 != l2_paper
+        channel = Channel.sign_rr(ONE)
+        assert channel == channel
+
     def test_support_points(self):
         sign = Channel.sign_rr(LN3)
         np.testing.assert_allclose(sign.support_points(), [[-2.0], [2.0]])
