@@ -25,11 +25,12 @@ from . import bounds
 from .core import (
     ConfigError,
     DomainError,
-    ParameterError,
+    Option,
     PrivacyLevel,
     SizeError,
     UnsupportedChannelError,
     make_rng,
+    resolve,
 )
 from .estimators import MomentAssumption
 from .experiments import (
@@ -37,16 +38,13 @@ from .experiments import (
     PRESETS,
     ExperimentSpec,
     build_preset,
-    check_config_keys,
     emit_csv,
     emit_summary_csv,
     override_specs,
     run_experiment,
     spec_from_config,
     summarize,
-    typed,
 )
-from .generators import make_generator
 from .mechanisms import Channel
 
 # mech-sample's channels: each name is a Channel constructor, built from (args, d, level)
@@ -60,6 +58,11 @@ _CHANNELS = {
     "truncated_laplace": lambda args, d, level: Channel.truncated_laplace(
         MomentAssumption(k=args.moment_k, radius_k=args.radius), args.n, level),
 }
+
+# the estimate config; a null seed falls back to LDP_SEED, then to 0
+_ESTIMATE = {"estimator": Option(str), "generator": Option(dict), "n": Option(int, 1000),
+             "eps": Option(float, 1.0), "seed": Option(int, None, nullable=True),
+             "options": Option(dict, {})}
 
 
 def _seed_default(value):
@@ -100,20 +103,21 @@ def _cmd_mech_sample(args) -> int:
 
 def _cmd_estimate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    check_config_keys(config, ("estimator", "generator"), ("n", "eps", "seed", "options"),
-                      "estimate config")
-    gen = make_generator(config["generator"])
-    n = typed("n", config.get("n", 1000), int)
+        config = resolve(json.load(fh), _ESTIMATE, "estimate config")
+    n = config["n"]
     spec = ExperimentSpec(
         "estimate", config["estimator"], "optimal",
-        config.get("eps", 1.0) if args.eps is None else args.eps, (n,), 1,
-        config["generator"], _seed_default(config.get("seed") if args.seed is None else args.seed),
-        options=config.get("options", {}),
+        config["eps"] if args.eps is None else args.eps, (n,), 1, config["generator"],
+        _seed_default(config["seed"] if args.seed is None else args.seed),
+        options=config["options"],
     )
+    gen = spec.build_generator()
     # one run of the bench arm: data from stream (seed, 0, 0), channel noise from (seed, 2, 0)
-    sample = gen.sample(n, make_rng(spec.seed, 0, 0))
-    estimate = ESTIMATORS[spec.estimator].arm(spec, gen, [sample], make_rng(spec.seed, 2, 0))[n][0]
+    with np.errstate(all="ignore"):  # as in run_experiment: a non-finite estimate is rejected
+        data = [gen.sample(n, make_rng(spec.seed, 0, 0))]
+        estimate = ESTIMATORS[spec.estimator].arm(spec, gen, data, make_rng(spec.seed, 2, 0))[n][0]
+    if not np.isfinite(estimate).all():
+        raise ConfigError(f"the estimate at n = {n}, eps = {spec.eps!r} is not finite")
     print(json.dumps({"estimator": spec.estimator, "eps": spec.eps, "n": n,
                       "estimate": np.asarray(estimate).tolist()}))
     return 0
@@ -291,7 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, json.JSONDecodeError) as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:  # a ParameterError is a ConfigError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, SizeError, UnsupportedChannelError) as exc:

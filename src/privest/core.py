@@ -13,13 +13,18 @@ one place, :func:`laplace_sample`.
 """
 
 import math
+import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 
-class ParameterError(ValueError):
+class ConfigError(ValueError):
+    """An experiment or CLI configuration is invalid or inconsistent."""
+
+
+class ParameterError(ConfigError):
     """A scalar argument violates its precondition (e.g. a non-positive scale)."""
 
 
@@ -33,10 +38,6 @@ class SizeError(ValueError):
 
 class UnsupportedChannelError(ValueError):
     """An audit routine was handed a channel kind it cannot analyze."""
-
-
-class ConfigError(ValueError):
-    """An experiment or CLI configuration is invalid or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,83 @@ class PrivacyLevel:
         if not math.isfinite(phi_eps):
             raise ParameterError(f"epsilon {eps!r} is too small: 1/tanh(eps/2) overflows")
         object.__setattr__(self, "phi_eps", phi_eps)
+
+    @property
+    def eps_sq(self) -> float:
+        """eps^2, or inf where it overflows (a float's ``**`` raises instead)."""
+        return self.epsilon**2 if self.epsilon < 1e154 else math.inf
+
+
+@dataclass(frozen=True)
+class Option:
+    """One config key: its kind (bool, int, float, str, dict or ``tuple[int | float, ...]``), its
+    default (a constant or a function of (context, the keys resolved before it)) and, when finite,
+    its allowed values; ``nullable`` also accepts JSON null."""
+
+    kind: type
+    default: object = field(default_factory=lambda: MISSING)  # MISSING: a required key
+    allowed: tuple = ()
+    nullable: bool = False
+
+
+def typed(key, value, kind):
+    """``value`` as a ``kind`` of :class:`Option`, else :class:`ConfigError`: an int takes an
+    integral float in the int64 range, a float a numeric string (JSON has no infinity)."""
+    if getattr(kind, "__origin__", None) is tuple:  # tuple[int, ...] or tuple[float, ...]
+        if isinstance(value, (list, tuple)):
+            return tuple(typed(f"{key} entry", v, kind.__args__[0]) for v in value)
+        raise ConfigError(f"{key} must be a list of {kind.__args__[0].__name__}, got {value!r}")
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        if kind is int and number and value == int(value) and abs(value) < 2**63:
+            return int(value)
+        if kind is float and (number or isinstance(value, str)):
+            return float(value)
+    except (ValueError, OverflowError):  # a non-numeric string, or int() of nan or inf
+        pass
+    if kind is dict or kind in (bool, str) and isinstance(value, kind):  # dict: a nested config
+        return value
+    raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+
+
+def resolve(config, schema, what, context=None, finite=False):
+    """The one config resolver: every key of ``schema`` (key -> :class:`Option`) typed, allowed
+    and defaulted from ``config``, which must be a mapping with no key missing or unknown.
+    ``finite`` also rejects a NaN or infinite number."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {config!r}")
+    extra = set(config) - set(schema)
+    if extra:
+        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
+    out = {}
+    for key, opt in schema.items():
+        value = config.get(key, opt.default)
+        if value is MISSING:
+            raise ConfigError(f"{what} missing key {key!r}")
+        if key not in config and callable(value):
+            value = value(context, out)
+        if not (value is None and opt.nullable):
+            value = typed(f"{what} {key}", value, opt.kind)
+            if opt.allowed and value not in opt.allowed:
+                raise ConfigError(f"{what} {key} must be one of {opt.allowed}, got {value!r}")
+            if finite and not np.isfinite(value).all():
+                raise ConfigError(f"{what} {key} must be finite, got {value!r}")
+        out[key] = value
+    return out
+
+
+def field_schema(cls):
+    """The :class:`Option` of each init field of the dataclass ``cls``: its type and default."""
+    return {f.name: Option(f.type, f.default if f.default_factory is MISSING
+                           else f.default_factory()) for f in fields(cls) if f.init}
+
+
+def resolve_fields(obj, what, finite=False):
+    """Type the init fields of the frozen dataclass ``obj`` in place, through :func:`resolve`."""
+    schema = field_schema(type(obj))
+    config = {key: getattr(obj, key) for key in schema}
+    for key, value in resolve(config, schema, what, finite=finite).items():
+        object.__setattr__(obj, key, value)
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:

@@ -181,7 +181,7 @@ def sparse_mean_threshold(d: int, n: int, level: PrivacyLevel | None, radius: fl
     """Default regularization 2 r sqrt(d log d / (n eps^2)); for ``level=None`` its limit 0."""
     if level is None:
         return 0.0
-    n_eps_sq = n * level.epsilon**2  # 0 once eps^2 underflows (eps < ~2e-162): the limit is inf
+    n_eps_sq = n * level.eps_sq  # 0 once eps^2 underflows (eps < ~2e-162): the limit is inf
     return 2.0 * radius * math.sqrt(d * math.log(d) / n_eps_sq) if n_eps_sq else math.inf
 
 
@@ -426,7 +426,10 @@ def series_bandwidth(n: int, level: PrivacyLevel | None, beta: float) -> int:
     """
     if level is None:
         return max(1, round(n ** (1.0 / (2.0 * beta + 1.0))))
-    return max(1, round((n * level.epsilon**2) ** (1.0 / (2.0 * beta + 2.0))))
+    order = (n * level.eps_sq) ** (1.0 / (2.0 * beta + 2.0))
+    if not order < math.inf:
+        raise ParameterError(f"basis order overflows at n = {n}, eps = {level.epsilon!r}")
+    return max(1, round(order))
 
 
 def density_estimate(

@@ -19,14 +19,21 @@ wall-clock measurements would break it.
 
 import csv
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from .core import ConfigError, ParameterError, PrivacyLevel, make_rng
+from .core import (
+    ConfigError,
+    Option,
+    PrivacyLevel,
+    field_schema,
+    make_rng,
+    resolve,
+    resolve_fields,
+)
 from .estimators import (
     MomentAssumption,
     _logistic_sgd_paths,
@@ -39,7 +46,8 @@ from .estimators import (
     trig_basis_matrix,
 )
 from .generators import make_generator
-from .mechanisms import _laplace_vector_batch, _naive_median_batch, _prefix_means
+from .mechanisms import (_check_grid, _check_radius, _laplace_vector_batch, _naive_median_batch,
+                         _prefix_means)
 
 # Wrap points of perfbench/tracing.py, which checks each name with hasattr: the
 # optimal arms now reach these kernels through the library estimators.
@@ -79,51 +87,6 @@ class SummaryRow:
     p95: float
 
 
-def typed(key, value, kind):
-    """``value`` as a ``kind`` (bool, int, float or str), else :class:`ConfigError`.
-
-    An int field takes an integral float; a float field takes a numeric
-    string, because JSON has no literal for infinity.
-    """
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        if kind is int and number and value == int(value):
-            return int(value)
-        if kind is float and (number or isinstance(value, str)):
-            return float(value)
-    except (ValueError, OverflowError):  # a non-numeric string, or int() of nan or inf
-        pass
-    if kind in (bool, str) and isinstance(value, kind):
-        return value
-    raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
-
-
-def check_config_keys(config, required, optional, what):
-    """Reject a config that is not a mapping, lacks a required key or has an unknown one."""
-    if not isinstance(config, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {config!r}")
-    missing = set(required) - set(config)
-    if missing:
-        raise ConfigError(f"{what} missing keys: {sorted(missing)}")
-    extra = set(config) - set(required) - set(optional)
-    if extra:
-        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
-
-
-@dataclass(frozen=True)
-class Option:
-    """One estimator option: its type, default and, when finite, its allowed values.
-
-    ``default`` is a constant or a function of (generator, the options
-    resolved before this one); ``nullable`` also accepts JSON null.
-    """
-
-    kind: type
-    default: object
-    allowed: tuple = ()
-    nullable: bool = False
-
-
 @dataclass(frozen=True)
 class Estimator:
     """One problem family: a channel plus an aggregator.
@@ -146,41 +109,22 @@ class Estimator:
     lockstep: bool = False
 
 
-def _resolve_options(estimator, options, gen):
-    """Every option of ``estimator``, typed, checked and with its default filled in."""
-    schema = ESTIMATORS[estimator].options
-    check_config_keys(options, (), schema, f"{estimator} option")
-    out = {}
-    for key, opt in schema.items():
-        value = options.get(key, opt.default)
-        if key not in options and callable(value):
-            value = value(gen, out)
-        if not (value is None and opt.nullable):
-            value = typed(f"option {key}", value, opt.kind)
-            if opt.allowed and value not in opt.allowed:
-                raise ConfigError(f"option {key} must be one of {opt.allowed}, got {value!r}")
-        out[key] = value
-    if "radius" in out and not (0.0 < out["radius"] < math.inf):  # NaN fails too
-        raise ConfigError(f"options.radius must be finite and > 0, got {out['radius']!r}")
-    return out
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of one Monte-Carlo experiment arm.
 
-    Construction types every field and resolves ``options`` through the
-    estimator's schema: every option present, typed and allowed.  ``d`` is
-    the generator's dimension and ``level`` the privacy level of ``eps``, or
-    None on the ``nonprivate`` mechanism, which runs each estimator with no
-    channel; neither is given.  ``eps`` is checked on every mechanism.
+    Construction resolves every field, the generator and ``options`` (by the
+    estimator's schema), so a bad config fails before any arm runs.  ``d`` is
+    the generator's dimension and ``level`` the privacy level of ``eps`` (checked
+    on every mechanism), or None on ``nonprivate``, which runs each estimator
+    with no channel; neither is given.
     """
 
     name: str
     estimator: str
     mechanism: str
     eps: float
-    n_grid: tuple
+    n_grid: tuple[int, ...]
     replicates: int
     generator: dict
     seed: int = 0
@@ -190,9 +134,7 @@ class ExperimentSpec:
     level: PrivacyLevel | None = field(init=False)
 
     def __post_init__(self):
-        for key, kind in (("name", str), ("estimator", str), ("mechanism", str), ("eps", float),
-                          ("replicates", int), ("seed", int), ("metric", str)):
-            object.__setattr__(self, key, typed(key, getattr(self, key), kind))
+        resolve_fields(self, "experiment config")
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}; valid: {sorted(ESTIMATORS)}")
         entry = ESTIMATORS[self.estimator]
@@ -201,21 +143,11 @@ class ExperimentSpec:
                 f"mechanism {self.mechanism!r} is incompatible with {self.estimator!r}; "
                 f"valid pairs: {[(self.estimator, m) for m in entry.mechanisms]}"
             )
-        if not isinstance(self.n_grid, (list, tuple)):
-            raise ConfigError(f"n_grid must be a list of integers, got {self.n_grid!r}")
-        grid = tuple(typed("n_grid entry", n, int) for n in self.n_grid)
-        if len(grid) == 0 or any(n < 1 for n in grid) or any(
-            b <= a for a, b in zip(grid, grid[1:])
-        ):
-            raise ConfigError("n_grid must be a non-empty strictly increasing integer sequence")
-        object.__setattr__(self, "n_grid", grid)
+        _check_grid(self.n_grid, math.inf)
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        try:
-            level = PrivacyLevel(self.eps)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from None
-        object.__setattr__(self, "level", level if self.mechanism != "nonprivate" else None)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         gen = make_generator(self.generator)
         if gen.kind not in entry.generators:
             raise ConfigError(
@@ -223,8 +155,7 @@ class ExperimentSpec:
                 f"valid: {entry.generators}"
             )
         object.__setattr__(self, "d", gen.dim)
-        if not self.metric:
-            object.__setattr__(self, "metric", entry.metrics[0])
+        object.__setattr__(self, "metric", self.metric or entry.metrics[0])
         if self.metric not in entry.metrics:
             raise ConfigError(
                 f"metric {self.metric!r} does not apply to {self.estimator!r}; "
@@ -232,7 +163,12 @@ class ExperimentSpec:
             )
         if "," in self.name or "\n" in self.name:
             raise ConfigError(f"name {self.name!r} must not contain commas or newlines")
-        object.__setattr__(self, "options", _resolve_options(self.estimator, self.options, gen))
+        options = resolve(self.options, entry.options, f"{self.estimator} option", gen)
+        object.__setattr__(self, "options", options)
+        if "radius" in options:
+            _check_radius(options["radius"], "options.radius")
+        level = PrivacyLevel(self.eps)
+        object.__setattr__(self, "level", level if self.mechanism != "nonprivate" else None)
 
     def build_generator(self):
         return make_generator(dict(self.generator))
@@ -251,7 +187,8 @@ def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
     estimator from (seed, 2, arm, first replicate of the chunk).
     ``timing=True`` fills ``wall_ms`` with the time a chunk took to sample and
     run its arm, split over its cells, which breaks byte-determinism of the
-    CSV and is therefore opt-in.
+    CSV and is therefore opt-in.  numpy's floating-point warnings are off
+    inside; a metric that is not finite is a :class:`ConfigError` naming its cell.
     """
     entry = ESTIMATORS[spec.estimator]
     gen = spec.build_generator()
@@ -265,16 +202,20 @@ def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
     records = []
     for reps in chunks:
         start = time.perf_counter()
-        samples = [gen.sample(max_n, make_rng(spec.seed, 0, r)) for r in reps]
-        rng = make_rng(spec.seed, 2, _ARM_TAG[spec.mechanism], reps[0])
-        estimates = entry.arm(spec, gen, samples, rng)
-        cells = len(reps) * len(spec.n_grid)
-        wall_ms = (time.perf_counter() - start) * 1e3 / cells if timing else 0.0
-        records.extend(
-            RunRecord(spec.name, spec.mechanism, n, eps, rep, spec.metric,
-                      score(estimates[n][j]), wall_ms)
-            for j, rep in enumerate(reps) for n in spec.n_grid
-        )
+        with np.errstate(all="ignore"):
+            samples = [gen.sample(max_n, make_rng(spec.seed, 0, r)) for r in reps]
+            rng = make_rng(spec.seed, 2, _ARM_TAG[spec.mechanism], reps[0])
+            estimates = entry.arm(spec, gen, samples, rng)
+            cells = len(reps) * len(spec.n_grid)
+            wall_ms = (time.perf_counter() - start) * 1e3 / cells if timing else 0.0
+            values = [(rep, n, score(estimates[n][j])) for j, rep in enumerate(reps)
+                      for n in spec.n_grid]
+        for rep, n, value in values:
+            if not math.isfinite(value):
+                raise ConfigError(f"arm {spec.name}/{spec.mechanism} at n = {n}, eps = {eps!r}: "
+                                  f"the {spec.metric} is {value!r}, not a finite float")
+        records.extend(RunRecord(spec.name, spec.mechanism, n, eps, rep, spec.metric, value,
+                                 wall_ms) for rep, n, value in values)
         # released before the next chunk is drawn, so only one chunk's data is held
         del samples, estimates
     return records
@@ -624,11 +565,7 @@ def build_preset(name: str, full=False, eps=None, seed=None) -> list:
 
 def spec_from_config(config: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from a JSON-style mapping."""
-    check_config_keys(
-        config, ("name", "estimator", "mechanism", "eps", "n_grid", "replicates", "generator"),
-        ("seed", "metric", "options"), "experiment config",
-    )
-    return ExperimentSpec(**config)
+    return ExperimentSpec(**resolve(config, field_schema(ExperimentSpec), "experiment config"))
 
 
 def override_specs(specs, eps=None, seed=None) -> list:

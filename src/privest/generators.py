@@ -5,7 +5,8 @@ experiment spec takes as its ``d``) and the ground truth needed by its
 error metric: the mean, the median plus the absolute-loss risk function,
 the model parameter, or the density.  It does not describe its support:
 the radius of a channel is an estimator option, checked against each
-record by the channel kernel.
+record by the channel kernel.  Its dataclass fields are its parameters, typed
+by the config resolver on construction; a generator that builds can sample.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, field_schema, resolve, resolve_fields
 from .estimators import _sigmoid, trig_basis_matrix
 
 _CDF_GRID = 2**14  # inverse-CDF resolution for density sampling
@@ -27,15 +28,28 @@ def _phi(z):
     return (0.5 * (1.0 + flat)).reshape(z.shape)
 
 
+class _Generator:
+    """Types a generator's fields, every number finite, then applies its ``_check`` range rules."""
+
+    def __post_init__(self):
+        resolve_fields(self, f"{self.kind!r} parameter", finite=True)
+        if self.dim == 0:  # an empty vector parameter
+            raise ConfigError(f"{self.kind.replace('_', ' ')} must be non-empty")
+        self._check()
+
+    def _check(self):
+        """The kind's own range rules, if any."""
+
+
 @dataclass(frozen=True)
-class BoundedUniform:
+class BoundedUniform(_Generator):
     """Uniform on [-radius, radius]: bounded scalar data with mean and median 0."""
 
     radius: float = 1.0
 
-    def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise ConfigError(f"radius must be > 0, got {self.radius!r}")
+    def _check(self):
+        if not (0.0 < 2.0 * self.radius < math.inf):  # the width of the support must be finite
+            raise ConfigError(f"radius must be > 0 with 2 * radius finite, got {self.radius!r}")
 
     kind = "bounded_uniform"
     dim = 1
@@ -53,7 +67,7 @@ class BoundedUniform:
 
 
 @dataclass(frozen=True)
-class HeavyTail:
+class HeavyTail(_Generator):
     """Symmetric Pareto-tail mixture with E|X|^k = radius_k^k exactly.
 
     With probability 1/2 the draw is 0; otherwise it is a symmetric Pareto
@@ -65,11 +79,9 @@ class HeavyTail:
     k: float = 2.0
     radius_k: float = 1.0
 
-    def __post_init__(self):
-        if not (self.k > 1.0) or math.isinf(self.k):
-            raise ConfigError(f"heavy-tail moment order must be finite and > 1, got {self.k!r}")
-        if not (self.radius_k > 0.0):
-            raise ConfigError(f"radius_k must be > 0, got {self.radius_k!r}")
+    def _check(self):
+        if not (self.k > 1.0 and self.radius_k > 0.0):
+            raise ConfigError(f"need k > 1 and radius_k > 0, got {self.k!r}, {self.radius_k!r}")
 
     kind = "heavy_tail_k"
     dim = 1
@@ -89,15 +101,16 @@ class HeavyTail:
 
 
 @dataclass(frozen=True)
-class Lognormal:
+class Lognormal(_Generator):
     """Lognormal(mu, sigma): the synthetic stand-in for salary data."""
 
     mu: float = 10.0
     sigma: float = 1.2
 
-    def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise ConfigError(f"sigma must be > 0, got {self.sigma!r}")
+    def _check(self):
+        if not (self.sigma > 0.0 and self.mu + self.sigma * self.sigma / 2.0 < 709.0):
+            raise ConfigError(f"need sigma > 0 and mu + sigma^2/2 < 709 (a finite mean), got mu "
+                              f"{self.mu!r} and sigma {self.sigma!r}")
 
     kind = "lognormal"
     dim = 1
@@ -121,16 +134,14 @@ class Lognormal:
 
 
 @dataclass(frozen=True)
-class BernoulliProduct:
+class BernoulliProduct(_Generator):
     """Independent 0/1 coordinates with the given marginal frequencies."""
 
-    freqs: tuple
+    freqs: tuple[float, ...]
 
-    def __post_init__(self):
-        freqs = tuple(float(f) for f in self.freqs)
-        if len(freqs) == 0 or any(not (0.0 <= f <= 1.0) for f in freqs):
-            raise ConfigError("frequencies must be a non-empty vector inside [0, 1]")
-        object.__setattr__(self, "freqs", freqs)
+    def _check(self):
+        if any(not (0.0 <= f <= 1.0) for f in self.freqs):
+            raise ConfigError(f"frequencies must lie in [0, 1], got {self.freqs!r}")
 
     kind = "bernoulli_product"
 
@@ -155,7 +166,7 @@ class BernoulliProduct:
 
 
 @dataclass(frozen=True)
-class FixedVector:
+class FixedVector(_Generator):
     """Point mass at a fixed vector; the degenerate member of every ball family.
 
     Used by the dimension-scaling experiment, where the mean-squared error
@@ -164,12 +175,7 @@ class FixedVector:
     changing every record.
     """
 
-    value: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", tuple(float(v) for v in self.value))
-        if len(self.value) == 0:
-            raise ConfigError("fixed vector must be non-empty")
+    value: tuple[float, ...]
 
     kind = "fixed_vector"
 
@@ -186,19 +192,14 @@ class FixedVector:
 
 
 @dataclass(frozen=True)
-class LogisticModel:
+class LogisticModel(_Generator):
     """Corner covariates x ~ Uniform({-1, +1}^d) with logistic labels.
 
     P(y = 1 | x) = sigmoid(<theta, x>); theta = 0 gives zero-signal data
     with y independent of x.
     """
 
-    theta: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-        if len(self.theta) == 0:
-            raise ConfigError("model parameter must be non-empty")
+    theta: tuple[float, ...]
 
     kind = "logistic_model"
 
@@ -218,7 +219,7 @@ class LogisticModel:
 
 
 @dataclass(frozen=True)
-class TrigDensity:
+class TrigDensity(_Generator):
     """Density 1 + sum_j coeffs[j] basis_{j+2}(t) on [0, 1], sampled by inverse CDF.
 
     ``coeffs`` follow the same non-constant ordering as the estimator
@@ -226,19 +227,18 @@ class TrigDensity:
     density is negative anywhere on the sampling grid.
     """
 
-    coeffs: tuple
+    coeffs: tuple[float, ...]
     grid: np.ndarray = field(init=False, repr=False, compare=False)
     cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if len(coeffs) == 0:
+    def _check(self):
+        if len(self.coeffs) == 0:
             raise ConfigError("need at least one basis coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
         grid = np.linspace(0.0, 1.0, _CDF_GRID + 1)
-        values = self.density(grid)
-        if np.min(values) < -1e-9:
-            raise ConfigError("coefficients produce a negative density")
+        with np.errstate(over="ignore", invalid="ignore"):  # the test below fails on inf and NaN
+            values = self.density(grid)
+        if not (np.min(values) >= -1e-9 and np.max(values) < math.inf):
+            raise ConfigError("coefficients produce a negative or non-finite density")
         increments = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
         cdf = np.concatenate([[0.0], np.cumsum(increments)])
         cdf /= cdf[-1]
@@ -256,39 +256,16 @@ class TrigDensity:
         return np.interp(rng.random(n), self.cdf, self.grid)
 
 
-_KINDS = {
-    "bounded_uniform": (BoundedUniform, ("radius",)),
-    "heavy_tail_k": (HeavyTail, ("k", "radius_k")),
-    "lognormal": (Lognormal, ("mu", "sigma")),
-    "bernoulli_product": (BernoulliProduct, ("freqs",)),
-    "fixed_vector": (FixedVector, ("value",)),
-    "logistic_model": (LogisticModel, ("theta",)),
-    "trig_density": (TrigDensity, ("coeffs",)),
-}
+GENERATORS = {cls.kind: cls for cls in (
+    BoundedUniform, HeavyTail, Lognormal, BernoulliProduct, FixedVector, LogisticModel, TrigDensity,
+)}
 
 
 def make_generator(config: dict):
-    """Build a generator from a config mapping with a ``kind`` key."""
-    if not isinstance(config, dict) or "kind" not in config:
-        raise ConfigError("generator config must be a mapping with a 'kind' key")
-    kind = config["kind"]
-    if kind not in _KINDS:
-        raise ConfigError(f"unknown generator kind {kind!r}; valid: {sorted(_KINDS)}")
-    cls, params = _KINDS[kind]
-    extra = set(config) - {"kind"} - set(params)
-    if extra:
-        raise ConfigError(f"unknown parameters for {kind!r}: {sorted(extra)}")
-    kwargs = {p: config[p] for p in params if p in config}
-    for key, value in kwargs.items():
-        try:
-            finite = np.isfinite(np.asarray(value, dtype=float)).all()
-        except (TypeError, ValueError):
-            continue  # not numeric: the generator's own checks reject it
-        if not finite:  # JSON's Infinity and NaN literals parse
-            raise ConfigError(f"{kind!r} parameter {key} must be finite, got {value!r}")
-    try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:  # e.g. float("a") of a vector parameter "ab"
-        raise ConfigError(f"bad parameters for {kind!r}: {exc}") from exc
+    """Build a generator from its config: a ``kind`` (any JSON value, so not hashed) and params."""
+    if not isinstance(config, dict) or config.get("kind") not in tuple(GENERATORS):
+        raise ConfigError(f"generator config must be a mapping with a 'kind' in "
+                          f"{sorted(GENERATORS)}, got {config!r}")
+    cls = GENERATORS[config["kind"]]
+    params = {key: value for key, value in config.items() if key != "kind"}
+    return cls(**resolve(params, field_schema(cls), f"{cls.kind!r} parameter"))

@@ -81,8 +81,7 @@ class MomentAssumption:
     def __post_init__(self):
         if not (self.k > 1.0):
             raise ParameterError(f"moment order k must be > 1, got {self.k!r}")
-        if not (self.radius_k > 0.0) or not math.isfinite(self.radius_k):
-            raise ParameterError(f"radius_k must be finite and > 0, got {self.radius_k!r}")
+        _check_radius(self.radius_k, "radius_k")
 
 
 def _check_radius(radius, name="radius"):
@@ -161,7 +160,8 @@ def truncation_level(assumption: MomentAssumption, n: int, level: PrivacyLevel) 
         raise ParameterError(f"sample size must be >= 1, got {n}")
     if math.isinf(assumption.k):
         return assumption.radius_k
-    return assumption.radius_k * (n * level.epsilon**2) ** (1.0 / (2.0 * assumption.k))
+    t_level = assumption.radius_k * (n * level.eps_sq) ** (1.0 / (2.0 * assumption.k))
+    return _check_radius(t_level, f"truncation level T at n = {n}, eps = {level.epsilon!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,48 @@ def test_bench_config_checks_every_eps_before_any_arm(tmp_path, capsys, monkeypa
     assert arms == [] and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [[], ["--seed", "-1"]], ids=["config", "override"])
+def test_bench_config_checks_every_seed_before_any_arm(tmp_path, capsys, monkeypatch, argv):
+    import privest.cli
+
+    arms = []
+    monkeypatch.setattr(privest.cli, "run_experiment", lambda spec, **kw: arms.append(spec) or [])
+    good = {**_BENCH, "name": "good"}
+    bad = {**good, "name": "bad", "seed": -1} if not argv else good
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps([good, bad]))
+    assert main(["bench", "--config", str(cfg), "--out", str(out), *argv]) == 2
+    assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -1\n"
+    assert arms == [] and not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning would be a second stderr line
+@pytest.mark.parametrize("estimator, generator", [
+    ("mean_scalar", {"kind": "bounded_uniform"}),
+    ("density", {"kind": "trig_density", "coeffs": [0.3]}),
+])
+def test_a_metric_that_overflows_exits_2_naming_its_cell(tmp_path, capsys, estimator, generator):
+    # at eps 1e-300 the estimate is finite but its squared error overflows
+    config = {"name": "tiny", "estimator": estimator, "mechanism": "optimal", "eps": 1e-300,
+              "n_grid": [64, 128], "replicates": 1, "generator": generator}
+    out = tmp_path / "tiny.csv"
+    assert main(["bench", "--config", _write(tmp_path, config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: arm tiny/optimal at n = 64, eps = 1e-300: the ")
+    assert err.endswith(" is inf, not a finite float\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_mech_sample_names_an_underflowing_truncation_level(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    argv = ["mech-sample", "--mechanism", "truncated_laplace", "--moment-k", "2",
+            "--eps", "1e-200", "--x", "0.5", "--n", "3", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("configuration error: truncation level T at n = 3, "
+                                       "eps = 1e-200 must be finite and > 0, got 0.0\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("change, key", [
     ({"d": 2}, "d"),
     ({"estimator": "median", "generator": {"kind": "lognormal"},
@@ -640,10 +682,11 @@ def test_audit_checks_mc_before_any_enumeration(capsys):
     assert captured.err == "configuration error: --mc must be >= 1000, got 500\n"
 
 
-def _run_in_process(argv):
-    """``main(argv)``'s exit code and stderr; an uncaught exception propagates."""
+def _run_in_process(argv, out=None):
+    """``main(argv)``'s exit code and stderr, its stdout into ``out``; an uncaught exception
+    propagates."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out or io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
 
@@ -704,3 +747,91 @@ def test_rates_argv_exits_as_documented(curve, eps, eps_form):
 @given(d_max=st.integers(-2, 3), mc=st.integers(-5, 2000))
 def test_audit_argv_exits_as_documented(d_max, mc):
     _assert_documented_exit(*_run_in_process(["audit", f"--d-max={d_max}", f"--mc={mc}"]))
+
+
+# Config fuzz: a valid config per estimator (together they use every generator kind), with
+# keys dropped, added or set to wrong types and extreme numbers in spec fields, options
+# and generator parameters.  Grids are small and there is one replicate, so each run is quick.
+_FUZZ_BASES = [
+    ("mean_scalar", {"kind": "heavy_tail_k", "k": 3.0, "radius_k": 1.0},
+     {"moment_k": 3.0, "radius_k": 1.0}),
+    ("mean_scalar", {"kind": "bounded_uniform", "radius": 1.0}, {"moment_k": "inf"}),
+    ("mean_vector", {"kind": "bernoulli_product", "freqs": [0.3, 0.6]},
+     {"geometry": "l2", "radius": 0.5}),
+    ("median", {"kind": "lognormal", "mu": 1.0, "sigma": 0.5}, {"one_sided": True, "radius": 6.0}),
+    ("sparse", {"kind": "fixed_vector", "value": [1.0, 0.0, 0.0]}, {"radius": 1.0, "lam": None}),
+    ("logistic", {"kind": "logistic_model", "theta": [0.5, -0.5]},
+     {"geometry": "l2", "radius": 1.5, "gamma0": 1.0, "beta_exp": 0.6, "proj_radius": 5.0}),
+    ("density", {"kind": "trig_density", "coeffs": [0.3, -0.2]}, {"beta": 1.0}),
+]
+_DROP = "<drop>"
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([0.5, 2.0, 10, "10", 1e-300, 1e308, -1, 0, math.inf, math.nan]),
+    st.sampled_from([True, False, "abc", None, _DROP]),
+    st.lists(st.sampled_from([0.5, 10, 1e308, -1, 0, True, "10"]), max_size=3),
+)
+
+
+_TEXT_KEYS = {"name", "estimator", "mechanism", "metric", "generator", "options", "kind"}
+
+
+def _mutated(data, config):
+    """``config`` with one or two keys dropped, changed or added: at its top level, in
+    ``options`` or in ``generator``."""
+    known = {"options": set(ESTIMATORS[config["estimator"]].options)}
+    for _ in range(data.draw(st.integers(1, 2))):
+        section = data.draw(st.sampled_from([None, "options", "generator"]))
+        target = config if section is None else config.get(section)
+        if not isinstance(target, dict):
+            continue  # dropped or replaced by an earlier change
+        # numeric keys first, where the draws concentrate; then the others and an unknown one
+        keys = sorted({*target, *known.get(section, ())}, key=lambda k: (k in _TEXT_KEYS, k))
+        key = data.draw(st.sampled_from([*keys, "bogus"]))
+        value = data.draw(_FUZZ_VALUES)
+        if value == _DROP:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return config
+
+
+def _fuzz_base(data, estimate):
+    estimator, generator, options = data.draw(st.sampled_from(_FUZZ_BASES))
+    config = {"estimator": estimator, "eps": data.draw(st.sampled_from([0.5, 2.0])),
+              "generator": dict(generator), "options": dict(options), "seed": 1}
+    if estimate:
+        return {**config, "n": 32}
+    mechanism = data.draw(st.sampled_from(ESTIMATORS[estimator].mechanisms))
+    return {**config, "name": "fuzz", "mechanism": mechanism, "n_grid": [16, 32],
+            "replicates": 1}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning is a second stderr line
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(data=st.data())
+def test_bench_config_exits_as_documented(data):
+    config = _mutated(data, _fuzz_base(data, estimate=False))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "b.csv")
+        code, err = _run_in_process(["bench", "--config", _write(Path(tmp), config),
+                                     "--out", out])
+        _assert_documented_exit(code, err)
+        assert code in (0, 2, 3)
+        if code == 0:
+            _assert_finite_csv(out, column=slice(6, None))
+        else:
+            assert not os.path.exists(out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_estimate_config_exits_as_documented(data):
+    config = _mutated(data, _fuzz_base(data, estimate=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = io.StringIO()
+        code, err = _run_in_process(["estimate", "--config", _write(Path(tmp), config)], out)
+        _assert_documented_exit(code, err)
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert np.isfinite(json.loads(out.getvalue())["estimate"]).all()

@@ -308,6 +308,10 @@ class TestSparseMean:
         data = np.tile([0.5, 0.0, 0.0], (64, 1))
         assert np.all(sparse_mean(data, 1.0, PrivacyLevel(eps), make_rng(0)) == 0.0)
 
+    def test_a_huge_eps_thresholds_at_zero(self):
+        # n eps^2 overflows to inf at eps = 1e200 (a float's ** would raise): the limit lam = 0
+        assert sparse_mean_threshold(3, 64, PrivacyLevel(1e200), 1.0) == 0.0
+
     @pytest.mark.xfail(
         strict=True,
         reason="stated factor-4 window is unattainable for the soft-threshold "
@@ -667,6 +671,11 @@ class TestDensityEstimate:
         # no channel: the classical order n^(1/(2 beta + 1))
         assert series_bandwidth(10_000, None, 1.0) == 22
         assert series_bandwidth(2, None, 5.0) == 1
+
+    def test_an_overflowing_order_is_rejected(self):
+        # n eps^2 overflows at eps = 1e200, so the order has no integer value
+        with pytest.raises(ParameterError, match="basis order overflows at n = 64, eps = 1e"):
+            series_bandwidth(64, PrivacyLevel(1e200), 1.0)
 
     def test_validations(self):
         for level in (ONE, None):

@@ -1,10 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from privest.core import ConfigError, make_rng
+import privest.cli
+from privest.core import ConfigError, field_schema, make_rng
 from privest.generators import (
+    GENERATORS,
     BernoulliProduct,
     BoundedUniform,
     FixedVector,
@@ -54,6 +59,85 @@ def test_factory_rejects_non_finite_parameters(config, key, bad):
     if key in config:  # a numeric string entry is read as a number too
         with pytest.raises(ConfigError, match=f"parameter {key} must be finite"):
             make_generator({**config, key: [str(bad), *config[key][1:]]})
+
+
+# case -> (kind, parameters) that building the generator rejects
+_REJECTED = {
+    "lognormal-mean-overflows": ("lognormal", {"mu": 800}),  # e^(mu + sigma^2/2) is inf
+    "lognormal-sigma-overflows": ("lognormal", {"sigma": 1e200}),  # sigma ** 2 would raise
+    "uniform-width-overflows": ("bounded_uniform", {"radius": 1e308}),  # 2 * radius is inf
+    "uniform-bool-radius": ("bounded_uniform", {"radius": True}),
+    "lognormal-bool-mu": ("lognormal", {"mu": False}),
+    "lognormal-nan-mu": ("lognormal", {"mu": math.nan}),
+    "heavy-tail-list-k": ("heavy_tail_k", {"k": [2.0]}),
+    "vector-str": ("fixed_vector", {"value": "ab"}),
+    "vector-bool-entry": ("logistic_model", {"theta": [0.5, True]}),
+    "vector-empty": ("fixed_vector", {"value": []}),
+    "freqs-non-numeric-entry": ("bernoulli_product", {"freqs": [0.5, "x"]}),
+    "freqs-out-of-range": ("bernoulli_product", {"freqs": [0.5, 1.5]}),
+    "density-negative": ("trig_density", {"coeffs": [1.0]}),
+    "density-overflows": ("trig_density", {"coeffs": [1e308, 1e308]}),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTED))
+def test_python_and_json_reject_a_parameter_alike(case):
+    kind, params = _REJECTED[case]
+    with pytest.raises(ConfigError) as built:
+        GENERATORS[kind](**params)
+    with pytest.raises(ConfigError) as configured:
+        make_generator({"kind": kind, **params})
+    assert str(built.value) == str(configured.value)
+
+
+@pytest.mark.parametrize("case", ["lognormal-mean-overflows", "uniform-width-overflows",
+                                  "uniform-bool-radius", "lognormal-bool-mu"])
+def test_a_rejected_parameter_exits_2_before_any_arm(tmp_path, capsys, monkeypatch, case):
+    kind, params = _REJECTED[case]
+    arms = []
+    monkeypatch.setattr(privest.cli, "run_experiment", lambda spec, **kw: arms.append(spec) or [])
+    config = {"name": "g", "estimator": "mean_scalar", "mechanism": "optimal", "eps": 1.0,
+              "n_grid": [16], "replicates": 1, "generator": {"kind": kind, **params}}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "g.csv"
+    cfg.write_text(json.dumps(config))
+    assert privest.cli.main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert arms == [] and not out.exists()
+
+
+def test_a_numeric_string_is_a_float():
+    assert make_generator({"kind": "lognormal", "mu": "10"}) == Lognormal(mu=10.0)
+    assert Lognormal(mu="10").mu == 10.0
+    assert FixedVector(["0.5", 1]).value == (0.5, 1.0)
+
+
+_VALUES = [0.5, 2.0, -1.0, 0.0, 1e-300, 700.0, 1e154, 1e308, -1e308]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(sorted(GENERATORS)), data=st.data())
+def test_a_generator_that_builds_samples_and_scores(kind, data):
+    """Any parameters that build a generator let it sample and give its ground truth."""
+    cls = GENERATORS[kind]
+    params = {
+        key: data.draw(st.sampled_from(_VALUES) if opt.kind is float
+                       else st.lists(st.sampled_from(_VALUES), min_size=1, max_size=3))
+        for key, opt in field_schema(cls).items()
+    }
+    try:
+        gen = cls(**params)
+    except ConfigError:
+        return
+    with np.errstate(all="ignore"):  # an overflow may make a value non-finite, but not raise
+        gen.sample(8, make_rng(0))
+        truths = [getattr(gen, name) for name in ("true_mean", "true_median", "true_theta")
+                  if hasattr(cls, name)]
+        if hasattr(gen, "abs_risk"):
+            gen.abs_risk(np.array([gen.true_median, 0.0, -1e308, 1e308]))
+        if hasattr(gen, "density"):
+            gen.density(np.linspace(0.0, 1.0, 5))
+    assert all(np.isfinite(truth).all() for truth in truths)
 
 
 class TestBoundedUniform:

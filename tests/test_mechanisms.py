@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from functools import partial
@@ -57,6 +58,13 @@ class TestMomentAssumption:
         bounded = MomentAssumption(k=math.inf, radius_k=1.0)
         for n in (1, 10_000):
             assert truncation_level(bounded, n, LN3) == 1.0
+
+    @pytest.mark.parametrize("eps, got", [(1e-200, "0.0"), (1e200, "inf")])
+    def test_a_degenerate_truncation_level_names_t_and_eps(self, eps, got):
+        # n eps^2 underflows to 0 at 1e-200 and overflows at 1e200 (a float's ** would raise)
+        match = f"truncation level T at n = 3, eps = {eps!r} must be finite and > 0, got {got}"
+        with pytest.raises(ParameterError, match=re.escape(match)):
+            truncation_level(MomentAssumption(k=2.0), 3, PrivacyLevel(eps))
 
 
 class TestBoundFormulas:

@@ -1,10 +1,14 @@
-"""The README's estimator and option tables must match the ESTIMATORS table."""
+"""The README's estimator and option tables must match the ESTIMATORS table, and its list of
+generator kinds the generators' parameter schemas."""
 
 import json
 import re
+from dataclasses import MISSING
 from pathlib import Path
 
-from privest.experiments import ESTIMATORS, typed
+from privest.core import field_schema, typed
+from privest.experiments import ESTIMATORS
+from privest.generators import GENERATORS
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 _LITERAL = re.compile(r"^`([^`]*)`$")
@@ -62,3 +66,20 @@ def test_option_tables_match_the_schema():
             if value is not None:
                 value = typed(name, value, opt.kind)
             assert value == opt.default, f"{estimator}.{name}"
+
+
+def test_generator_kinds_match_the_schemas():
+    text = _README.read_text(encoding="utf-8")
+    listing = text.split("Generator kinds, with each", 1)[1].split("Their ranges", 1)[0]
+    kinds = dict(re.findall(r"`(\w+)\(([^)]*)\)`", listing))
+    assert kinds.keys() == GENERATORS.keys()
+    for kind, params in kinds.items():
+        schema = field_schema(GENERATORS[kind])
+        written = [param.split("=") for param in params.split(", ")]
+        assert [name for name, *_ in written] == list(schema), kind
+        for name, *default in written:
+            opt = schema[name]
+            if default:
+                assert opt.kind is float and typed(name, json.loads(default[0]), float) == opt.default
+            else:  # a required list of floats
+                assert opt.default is MISSING and opt.kind == tuple[float, ...], f"{kind}.{name}"
