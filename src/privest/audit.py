@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, ParameterError, SizeError, UnsupportedChannelError
-from .mechanisms import Channel, cube_vertices
+from .mechanisms import Channel, cube_tie_gamma, cube_vertices
 
 _ENUMERATION_DIM_CAP = 20
 MC_MIN_DRAWS = 1000  # fewest draws monte_carlo_unbias accepts
@@ -61,6 +61,11 @@ def halfspace_expectation_cube(x_vertex) -> np.ndarray:
     return accepted.mean(axis=0)
 
 
+def _flip_probability(level) -> float:
+    """1 / (1 + e^eps) as e^-eps pi_eps: 1 - pi_eps would lose about 2^-53 e^eps."""
+    return math.exp(-level.epsilon) * level.pi_eps
+
+
 def _rounding_probs(x_grid: np.ndarray, radius: float, vertices: np.ndarray) -> np.ndarray:
     """P(X~ = radius * v | x) for every grid row x and vertex row v."""
     g, d = x_grid.shape
@@ -76,17 +81,16 @@ def _linf_conditional_matrix(d: int, level) -> np.ndarray:
 
     Recomputed from the sampling procedure: a uniform vertex lands on z or
     -z with probability 2^(1-d) and is flipped onto the positive side of v
-    with probability p_plus = (1 + gamma_d / phi_eps) / 2; tie vertices
-    (<z, v> = 0, even d only) keep their unconditional weight 2^-d.
+    with probability p_plus = (1 + gamma_d / phi_eps) / 2, so onto the other
+    with (1 - gamma_d) / 2 + gamma_d / (1 + e^eps); tie vertices (<z, v> = 0,
+    even d only) keep their unconditional weight 2^-d.
     """
-    from .mechanisms import cube_tie_gamma
-
     vertices = cube_vertices(d)
     gram = vertices @ vertices.T
-    p_plus = 0.5 * (1.0 + cube_tie_gamma(d) / level.phi_eps)
+    gamma = cube_tie_gamma(d)
     out = np.full((2**d, 2**d), 2.0 ** (-d))
-    out[gram > 0.0] = 2.0 ** (1 - d) * p_plus
-    out[gram < 0.0] = 2.0 ** (1 - d) * (1.0 - p_plus)
+    out[gram > 0.0] = 2.0 ** (1 - d) * 0.5 * (1.0 + gamma / level.phi_eps)
+    out[gram < 0.0] = 2.0 ** (1 - d) * (0.5 * (1.0 - gamma) + gamma * _flip_probability(level))
     return out
 
 
@@ -101,13 +105,9 @@ def channel_pmf_grid(channel: Channel, x_grid) -> EnumeratedPmf | tuple:
     if channel.kind == "sign_rr":
         if not np.all(np.abs(x_grid) == 1.0):
             raise DomainError("sign channel inputs must be -1 or +1")
-        support = channel.support_points()
-        s = x_grid[:, 0]
-        pi = channel.level.pi_eps
+        pi, flip = channel.level.pi_eps, _flip_probability(channel.level)
         # support rows are [-phi, +phi]
-        p_plus = np.where(s > 0, pi, 1.0 - pi)
-        probs = np.column_stack([1.0 - p_plus, p_plus])
-        return support, probs
+        return channel.support_points(), np.where(x_grid > 0, [[flip, pi]], [[pi, flip]])
     if channel.kind == "linf_ball":
         d = channel.dim
         if d > _PMF_DIM_CAP:

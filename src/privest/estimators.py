@@ -364,10 +364,10 @@ def trig_basis_matrix(k: int, t, out=None) -> np.ndarray:
     With the constant 1 the basis is orthonormal on [0, 1].  Columns 2m - 2
     and 2m - 1 hold sqrt(2) cos(2 pi m t) and sqrt(2) sin(2 pi m t), i.e. the
     order is cos 1, sin 1, cos 2, sin 2, ...; every entry is bounded by sqrt(2).
-    The first k columns for any larger order are identical, so bases of
-    different orders can share one matrix.  ``out``, if given, is the
-    (t.size, k) float array to fill.  Row blocks go through one reused
-    contiguous buffer: the same elementwise operations as on the whole matrix.
+    ``out``, if given, is the (t.size, k) float array to fill.  One cos and
+    one sin per point give e^(i theta), theta = 2 pi t; harmonic m is harmonic
+    m - 1 rotated by it, within 8 k 2^-52 of exact.  A row does not depend on
+    its row block, and lower orders are bit for bit the first columns of higher.
     """
     if k < 1:
         raise ParameterError(f"need at least one basis element, got k={k}")
@@ -376,16 +376,16 @@ def trig_basis_matrix(k: int, t, out=None) -> np.ndarray:
     if out is None:
         out = np.empty((t.size, k))
     n_cos = (k + 1) // 2
-    freqs = np.arange(1, n_cos + 1)
-    two_pi_t = 2.0 * math.pi * t[:, None]
-    rows = max(1, _BASIS_BLOCK // k)
-    buf = np.empty(min(rows, t.size) * n_cos)
+    rows = max(1, _BASIS_BLOCK // (2 * n_cos + 3))  # the harmonics and 3 per-point temporaries
+    harmonics = np.empty((n_cos, min(rows, t.size)), dtype=complex)  # row m - 1: e^(i m theta)
     for lo in range(0, t.size, rows):
         hi = min(lo + rows, t.size)
-        for fn, m, col in ((np.cos, n_cos, 0), (np.sin, k // 2, 1)):
-            arg = buf[: (hi - lo) * m].reshape(hi - lo, m)
-            np.multiply(two_pi_t[lo:hi], freqs[:m], out=arg)
-            np.multiply(fn(arg, out=arg), ORTH_BOUND, out=out[lo:hi, col::2])
+        z, theta = harmonics[:, : hi - lo], 2.0 * math.pi * t[lo:hi]
+        z[0].real, z[0].imag = np.cos(theta), np.sin(theta)
+        for m in range(1, n_cos):
+            np.multiply(z[m - 1], z[0], out=z[m])
+        np.multiply(z.real.T, ORTH_BOUND, out=out[lo:hi, 0::2])
+        np.multiply(z.imag[: k // 2].T, ORTH_BOUND, out=out[lo:hi, 1::2])
     return out
 
 

@@ -108,6 +108,16 @@ class TestVerifyDp:
         ratio = verify_dp(Channel.linf_ball(3, 1.0, ONE), _axis_grid(3))
         assert ratio == pytest.approx(ONE.epsilon, abs=1e-9)
 
+    @pytest.mark.parametrize("eps", [20.0, 30.0, 100.0, 700.0])
+    def test_large_eps_ratio_is_eps(self, eps):
+        # the flip probability 1 / (1 + e^eps) is not formed as 1 - pi_eps
+        level = PrivacyLevel(eps)
+        ratio = verify_dp(Channel.sign_rr(level), np.array([[-1.0], [1.0]]))
+        assert ratio == pytest.approx(eps, rel=1e-15)
+        for d in (1, 3):
+            ratio = verify_dp(Channel.linf_ball(d, 1.0, level), _axis_grid(d))
+            assert ratio == pytest.approx(eps, rel=1e-15)
+
     def test_vanishing_eps_limit(self):
         level = PrivacyLevel(1e-12)
         ratio = verify_dp(Channel.sign_rr(level), np.array([[-1.0], [1.0]]))

@@ -667,6 +667,12 @@ def test_audit_subcommand_passes(capsys):
     assert not any(line.startswith("FAIL") for line in lines)
 
 
+def test_audit_passes_at_eps_20(capsys):
+    # 1 - pi_eps by subtraction is off by ~5e-8 relative at eps = 20
+    assert main(["audit", "--eps", "20", "--d-max", "2", "--mc", "1000"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("d_max", ["0", "-3"])
 def test_audit_rejects_a_d_max_below_one(capsys, d_max):
     assert main(["audit", f"--d-max={d_max}", "--mc", "1000"]) == 2

@@ -523,7 +523,7 @@ class TestTrigBasis:
 
 
 def _trig_basis_reference(k, t):
-    """The basis matrix as first written, on whole-matrix temporaries."""
+    """The basis matrix by the direct formula, one cos or sin per entry."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty((t.size, k))
     n_cos = (k + 1) // 2
@@ -535,30 +535,85 @@ def _trig_basis_reference(k, t):
     return out
 
 
+_NEEDS_WIDE_LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is no wider than float"
+)
+
+
+def _trig_basis_exact(k, t):
+    """sqrt(2) cos and sin of 2 pi m t in long double: the accuracy reference."""
+    t = np.asarray(t, dtype=np.longdouble)[:, None]
+    pi = 4 * np.arctan(np.longdouble(1))
+    out = np.empty((t.size, k), dtype=np.longdouble)
+    root2 = np.sqrt(np.longdouble(2))
+    out[:, 0::2] = root2 * np.cos(2 * pi * t * np.arange(1, (k + 1) // 2 + 1))
+    out[:, 1::2] = root2 * np.sin(2 * pi * t * np.arange(1, k // 2 + 1))
+    return out
+
+
+def _basis_rows(k):
+    """Rows per block of the basis evaluation at order k."""
+    return max(1, _BASIS_BLOCK // (2 * ((k + 1) // 2) + 3))
+
+
 class TestBlockedBasis:
-    """The row-blocked basis and the streamed coefficients are bit-equal to whole-matrix code."""
+    """The recurrence basis: within 8 k 2^-52 of exact, and bit-equal across blocks and orders.
+
+    numpy's complex multiply need not round as the real formula written out
+    does, so the bit-exact references are the function itself, evaluated
+    at other positions and orders.
+    """
+
+    @_NEEDS_WIDE_LONG_DOUBLE
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 23, 64, 256])
+    def test_accuracy_against_long_double(self, k):
+        # the direct one-call-per-entry formula meets the same bound
+        t = np.concatenate([[0.0, 0.25, 0.5, 1.0], make_rng(79, k).random(3000)])
+        exact = _trig_basis_exact(k, t)
+        for basis in (trig_basis_matrix(k, t), _trig_basis_reference(k, t)):
+            assert float(np.max(np.abs(basis.astype(np.longdouble) - exact))) <= 8 * k * 2.0**-52
 
     @pytest.mark.parametrize("k", [1, 2, 3, 23, 64])
     def test_matrix_equals_reference(self, k):
-        rows = max(1, _BASIS_BLOCK // k)
-        for size in (1, 2, rows - 1, 3 * rows + 7):
-            t = make_rng(80, k, size).random(size)
-            t[0] = 0.0
-            t[-1] = 1.0
-            assert np.array_equal(trig_basis_matrix(k, t), _trig_basis_reference(k, t))
+        # the reference is each point evaluated alone
+        rows = _basis_rows(k)
+        t = make_rng(80, k).random(2 * rows + 3)
+        t[0], t[rows], t[-1] = 0.0, 1.0, 0.5
+        alone = np.vstack([trig_basis_matrix(k, t[i : i + 1]) for i in range(t.size)])
+        for size in (1, 2, rows - 1, rows, rows + 1, t.size):
+            assert np.array_equal(trig_basis_matrix(k, t[:size]), alone[:size])
+
+    @pytest.mark.parametrize("k, order", [(1, 2), (2, 3), (3, 64), (22, 23), (23, 64), (64, 256)])
+    def test_lower_orders_are_column_prefixes(self, k, order):
+        t = make_rng(83, k).random(3 * _basis_rows(k) + 7)
+        assert np.array_equal(trig_basis_matrix(k, t), trig_basis_matrix(order, t)[:, :k])
 
     def test_fills_given_output(self):
         t = make_rng(81).random(1000)
         out = np.full((1000, 5), np.nan)
         assert trig_basis_matrix(5, t, out=out) is out
-        assert np.array_equal(out, _trig_basis_reference(5, t))
+        assert np.array_equal(out, trig_basis_matrix(5, t))
 
     @pytest.mark.parametrize("k", [1, 2, 7, 64])
     def test_classical_coefficients_unchanged(self, k):
         n = 3 * (_FOLD_BLOCK // max(k, 2)) + 11
         data = make_rng(82, k).random(n)
         estimate = density_estimate(data, 1.0, None, None, k=k)
-        assert np.array_equal(estimate.coeffs, _row_order_mean(_trig_basis_reference(k, data)))
+        assert np.array_equal(estimate.coeffs, _row_order_mean(trig_basis_matrix(k, data)))
+
+    @pytest.mark.parametrize("seed, eps", [(84, 1.0), (85, 4.0)])
+    def test_channel_draws_unchanged(self, seed, eps):
+        # The channel output is a vertex of the cube: the basis's last bits
+        # move a rounding probability by ~1e-16, so the hypercube channel on
+        # the direct formula draws the same coefficients bit for bit.
+        level, grid = PrivacyLevel(eps), (100, 700, 3000)
+        data = make_rng(seed).random(grid[-1])
+        got = density_estimate(data, 1.0, level, make_rng(seed, 1), grid=grid)
+        orders = [series_bandwidth(n, level, 1.0) for n in grid]
+        basis, rng = _trig_basis_reference(max(orders), data), make_rng(seed, 1)
+        for estimate, n, k in zip(got, grid, orders):
+            want = _linf_ball_batch(basis[:n, :k], ORTH_BOUND, level, rng, grid=(n,))[0]
+            assert estimate.k == k and np.array_equal(estimate.coeffs, want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):

@@ -8,9 +8,11 @@ digest pins the options each preset gives its arms.  The SHA-256 of the
 ``emit_csv`` text must equal the digest written below.  A refactor that
 claims to keep every output bit-identical keeps these digests.  A change
 that deliberately alters RNG use (what is drawn, in which order or from
-which stream) regenerates both tables with
-``PYTHONPATH=src python tests/test_golden.py`` and names the change in
-``CHANGES.md``.
+which stream) or floating-point arithmetic (how a value is computed, such
+as the basis recurrence of ``trig_basis_matrix``) regenerates the digests
+it moves with ``PYTHONPATH=src python tests/test_golden.py`` and names the
+change in ``CHANGES.md``.  The digests hold for one build: another numpy
+or CPU may round the same arithmetic differently.
 """
 
 import hashlib
@@ -56,8 +58,8 @@ GOLDEN = {
     ("logistic", "optimal"): "a93412cfd4ba4f904b702bf31aba1a9850fdc36b417270d62c188078ac4ba81e",
     ("logistic", "laplace_baseline"): "0989d284772647e7d3d43ff2ac97ee578ffdf6569fbdc9c36c61bfa27fa25dc7",
     ("logistic", "nonprivate"): "998af026ecdd2976b8e5611a1a33f523ce2c041a2ddd9918c9650afc273747da",
-    ("density", "optimal"): "f7bda3dd2a10cd4304ac580b17b1710879fb1291191cc15387c08bf776683105",
-    ("density", "nonprivate"): "bf088a1358801ebffc1da0aa7adb0e97be22a9e562189de1adc36dc60f832fbb",
+    ("density", "optimal"): "3aa9cd9a61b38e49653c8e0a6daed871a6a917889ee6eec5ea0d77305f615a7d",
+    ("density", "nonprivate"): "83d3f3faf679f8956a5ccc6c9e5a0919bab9e0ce42a0c2ed85c282ac6795e637",
 }
 
 PRESET_GOLDEN = {
@@ -65,7 +67,7 @@ PRESET_GOLDEN = {
     "median-salary": "1a1651782a38b90a6c26fa262f23d8c6ec778314cc2a11b9b56eee4a2659df9d",
     "mean-rates": "1ebf88c1f31cc2a51499f32da4d0cbb263dd916342f3a621f310aa56ec7c2787",
     "dimension-scaling": "274cec98691a414edbc636d74e9d52da1b496a1e8c0a901d4d96d7dc38dd66eb",
-    "density-rate": "73ba0dc1885333cd57b7046e6a8fcf4a43fda3915f07cb7ad0b12ea08c9333f8",
+    "density-rate": "2d9ff12d8b0429be158cf658d045e633958b7f7b4be2f2e32f879e35aadc044c",
     "sparse-mean": "9afe500d8ad8adc571bcf4c7fb1bff422e872eb7d97e54cbf23c88785f5d8053",
     "logistic": "ab04b025169ec9673f12ee9326b75df2bf847a6123521dd773a22034323a29d2",
 }
