@@ -8,8 +8,23 @@ streams produced by :func:`make_rng`.
 Note on the Laplace convention: throughout this package the Laplace
 distribution is parameterized by its *inverse scale* ``a``, with density
 ``(a/2) * exp(-a*|y|)`` and variance ``2 / a**2``.  Most libraries (numpy
-included) use the scale ``1/a`` instead; the conversion happens in exactly
-one place, :func:`laplace_sample`.
+included) use the scale ``1/a`` instead; :func:`laplace_sample` is the one
+place that converts, and it draws the noise itself rather than through
+numpy's ``rng.laplace``.
+
+Laplace noise is a textbook floating-point sampler.  :func:`laplace_sample`
+is the inverse CDF on numpy's 2^-53 uniform grid: each uniform U of
+``Generator.random`` gives sign(U - 1/2) |log t| / a with
+t = min(2U, 2(1 - U)), and U = 0 is skipped as numpy skips it, so the
+generator ends where ``rng.laplace`` would leave it.  Both forms of t are
+exact, so the two tails are mirror images and both end at 52 ln 2 ~ 36.04
+scales.  Like any such sampler it carries Mironov's caveat ("On significance
+of the least significant bits for differential privacy", CCS 2012): the
+floats it can output are irregularly spaced and shift with the value the
+noise is added to, so the truncated-Laplace channel and both Laplace
+baselines (``laplace_vector``, ``naive_median``) are eps-LDP in their ideal
+law, not certified for the floating-point one.  Snapping would change those
+laws and is out of scope.
 """
 
 import math
@@ -166,12 +181,20 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
-# numpy's Laplace draws lie within 36.04 scales of 0 (-log 2^-52), so this cap keeps them finite
+# Draws lie within 52 ln 2 ~ 36.04 scales of 0 (-log 2^-52, the smallest inverse-CDF argument),
+# so this cap keeps them finite
 _LAPLACE_SCALE_MAX = sys.float_info.max / 64
+
+# Uniforms per inverse-CDF block: a block and its temporary (512 KB) stay in L2.
+_LAPLACE_BLOCK = 1 << 15
 
 
 def laplace_sample(rng: np.random.Generator, inv_scale: float, size=None):
     """Draw from the Laplace distribution with density (a/2) exp(-a|y|).
+
+    Each draw is the inverse CDF of one uniform of ``rng.random`` (a uniform of exactly 0 is
+    skipped, as numpy skips it), so the generator ends where numpy's ``rng.laplace`` at
+    scale 1/a leaves it.
 
     Args:
         rng: Source of randomness.
@@ -182,8 +205,34 @@ def laplace_sample(rng: np.random.Generator, inv_scale: float, size=None):
     if not (0.0 < scale <= _LAPLACE_SCALE_MAX):
         raise ParameterError(f"inv_scale must be finite and > 0 with 1/inv_scale at most "
                              f"{_LAPLACE_SCALE_MAX:.3g}, got {inv_scale!r}")
-    out = rng.laplace(loc=0.0, scale=scale, size=size)
-    return float(out) if size is None else out
+    u = rng.random(1 if size is None else size)
+    if u.size <= _LAPLACE_BLOCK:
+        _laplace_inverse_cdf(rng, u, scale)
+    else:
+        flat, tmp = u.reshape(-1), np.empty(_LAPLACE_BLOCK)  # reshape: a view of the fresh array
+        for lo in range(0, flat.size, _LAPLACE_BLOCK):
+            _laplace_inverse_cdf(rng, flat[lo:], scale, tmp)
+    return float(u[0]) if size is None else u
+
+
+def _laplace_inverse_cdf(rng, u, scale, tmp=None):
+    """Overwrite the first block of the uniforms ``u`` (all of it, or its first ``len(tmp)``
+    through the reused temporary ``tmp``) with Laplace draws of ``scale``, by the inverse CDF
+    of the module note.  Zeros are first dropped from ``u``, in order, and it is topped up
+    from ``rng``."""
+    block = u if tmp is None else u[: len(tmp)]
+    while np.count_nonzero(block) < block.size:
+        flat = u.reshape(-1)
+        keep = flat[flat != 0.0]
+        flat[: keep.size] = keep
+        flat[keep.size :] = rng.random(flat.size - keep.size)
+    a = np.subtract(1.0, block, out=None if tmp is None else tmp[: block.size])
+    np.minimum(a, block, out=a)
+    np.add(a, a, out=a)
+    np.log(a, out=a)
+    np.multiply(a, scale, out=a)  # -|draw|
+    np.subtract(block, 0.5, out=block)  # exact; U = 1/2 gives +0.0
+    np.copysign(a, block, out=block)
 
 
 def bernoulli_pi(rng: np.random.Generator, level: PrivacyLevel, size=None):

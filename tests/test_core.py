@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privest.core import (
+    _LAPLACE_BLOCK,
     ParameterError,
     PrivacyLevel,
     bernoulli_pi,
@@ -69,6 +70,28 @@ class TestRng:
             make_rng(-1)
 
 
+class _Uniforms:
+    """A duck-typed generator whose ``random`` returns the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.pos = 0
+
+    def random(self, size):
+        n = int(np.prod(size))
+        out = self.values[self.pos : self.pos + n].copy()
+        assert out.size == n, "the stream ran out"
+        self.pos += n
+        return out.reshape(size)
+
+
+def _reference_laplace(u, inv_scale):
+    """The inverse CDF of each uniform, through ``math.log``."""
+    scale = 1.0 / inv_scale
+    return np.array([math.copysign(scale * math.log(min(2.0 * x, 2.0 * (1.0 - x))), x - 0.5)
+                     for x in u])
+
+
 class TestLaplace:
     def test_invalid_scale(self):
         with pytest.raises(ParameterError):
@@ -96,6 +119,62 @@ class TestLaplace:
         n = 1_000_000
         draws = laplace_sample(make_rng(3), inv_scale, size=n)
         assert abs(draws.mean()) <= 5.0 * math.sqrt(2.0 / inv_scale**2 / n)
+
+    @pytest.mark.parametrize("size", [None, 0, 1, (20, 8), 3 * _LAPLACE_BLOCK + 5])
+    def test_leaves_the_generator_where_numpy_does(self, size):
+        ours, numpys = make_rng(11), make_rng(11)
+        out = laplace_sample(ours, 0.7, size)
+        want = numpys.laplace(0.0, 1 / 0.7, size)
+        assert ours.bit_generator.state == numpys.bit_generator.state
+        assert np.shape(out) == np.shape(want)
+        np.testing.assert_allclose(out, want, rtol=1e-9)
+
+    @pytest.mark.parametrize("inv_scale", [0.3, 1.0, 7.0])
+    def test_within_two_ulp_of_math_log(self, inv_scale):
+        edges = [2.0**-53, 3 * 2.0**-53, 0.25, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 0.75,
+                 1.0 - 3 * 2.0**-53, 1.0 - 2.0**-53]
+        u = np.concatenate([edges, make_rng(12).random(2 * _LAPLACE_BLOCK + 3)])
+        got = laplace_sample(_Uniforms(u), inv_scale, u.size)
+        want = _reference_laplace(u, inv_scale)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        assert np.array_equal(np.signbit(got), u < 0.5)  # U = 1/2 gives +0.0
+
+    def test_tails_are_mirror_images(self):
+        k = np.concatenate([[1, 2, 3, 2**51 - 1, 2**51, 2**51 + 1, 2**52 - 1],
+                            make_rng(13).integers(1, 2**52, size=1000)])
+        lower = laplace_sample(_Uniforms(k * 2.0**-53), 0.9, k.size)
+        upper = laplace_sample(_Uniforms((2**53 - k) * 2.0**-53), 0.9, k.size)
+        assert np.array_equal(upper, -lower) and np.all(lower < 0.0)
+
+    @pytest.mark.parametrize("inv_scale", [1.0, 0.01, 64 / 1.7976931348623157e308])
+    def test_extremes_are_52_ln2_scales(self, inv_scale):
+        # numpy's own upper tail reaches 53 ln 2 scales at U = 1 - 2^-53, from its rounded 2 - U - U
+        lo, hi = laplace_sample(_Uniforms([2.0**-53, 1.0 - 2.0**-53]), inv_scale, 2)
+        assert hi == -lo
+        assert hi == pytest.approx(52 * math.log(2.0) / inv_scale, rel=1e-15)
+        assert math.isfinite(hi)
+
+    def test_zero_uniforms_are_skipped_in_stream_order(self):
+        n = 2 * _LAPLACE_BLOCK + 100
+        u = make_rng(14).random(n + 1)
+        # zeros: inside the second block, ending the first, a pair, last, and as the top-up
+        zeros = [_LAPLACE_BLOCK + 7, _LAPLACE_BLOCK - 1, 40, 41, n + 3, n + 4]
+        stream = np.insert(u, sorted(zeros) - np.arange(len(zeros)), 0.0)
+        want = laplace_sample(_Uniforms(u), 1.3, n)
+        fake = _Uniforms(stream)
+        assert np.array_equal(laplace_sample(fake, 1.3, n), want)
+        assert fake.pos == n + len(zeros)  # nothing drawn past the last nonzero uniform
+        fake = _Uniforms(stream)
+        rows = (37, _LAPLACE_BLOCK, n - 37 - _LAPLACE_BLOCK)
+        blocks = [laplace_sample(fake, 1.3, r) for r in rows]
+        assert np.array_equal(np.concatenate(blocks), want)
+        assert np.array_equal(laplace_sample(_Uniforms(stream), 1.3, (n // 4, 4)).ravel(), want)
+
+    def test_scalar_is_a_batch_of_one(self):
+        draw = laplace_sample(make_rng(15), 0.4)
+        assert type(draw) is float
+        assert draw == laplace_sample(make_rng(15), 0.4, size=1)[0]
+        assert laplace_sample(_Uniforms([0.0, 0.0, 0.25]), 0.4) == 2.5 * math.log(0.5)
 
 
 class TestBernoulliPi:
