@@ -189,7 +189,7 @@ _LAPLACE_SCALE_MAX = sys.float_info.max / 64
 _LAPLACE_BLOCK = 1 << 15
 
 
-def laplace_sample(rng: np.random.Generator, inv_scale: float, size=None):
+def laplace_sample(rng: np.random.Generator, inv_scale: float, size=None, out=None):
     """Draw from the Laplace distribution with density (a/2) exp(-a|y|).
 
     Each draw is the inverse CDF of one uniform of ``rng.random`` (a uniform of exactly 0 is
@@ -200,19 +200,20 @@ def laplace_sample(rng: np.random.Generator, inv_scale: float, size=None):
         rng: Source of randomness.
         inv_scale: The inverse scale a > 0.  Variance is 2 / a**2.
         size: Optional numpy size; default draws a single float.
+        out: Optional C-contiguous float array to fill with the draws of ``size=out.shape``.
     """
     scale = 1.0 / inv_scale if inv_scale > 0.0 else math.inf  # NaN fails too
     if not (0.0 < scale <= _LAPLACE_SCALE_MAX):
         raise ParameterError(f"inv_scale must be finite and > 0 with 1/inv_scale at most "
                              f"{_LAPLACE_SCALE_MAX:.3g}, got {inv_scale!r}")
-    u = rng.random(1 if size is None else size)
+    u = rng.random(1 if size is None else size) if out is None else rng.random(out=out)
     if u.size <= _LAPLACE_BLOCK:
         _laplace_inverse_cdf(rng, u, scale)
     else:
-        flat, tmp = u.reshape(-1), np.empty(_LAPLACE_BLOCK)  # reshape: a view of the fresh array
+        flat, tmp = u.reshape(-1), np.empty(_LAPLACE_BLOCK)  # reshape: a view, u is C-contiguous
         for lo in range(0, flat.size, _LAPLACE_BLOCK):
             _laplace_inverse_cdf(rng, flat[lo:], scale, tmp)
-    return float(u[0]) if size is None else u
+    return float(u[0]) if size is None and out is None else u
 
 
 def _laplace_inverse_cdf(rng, u, scale, tmp=None):

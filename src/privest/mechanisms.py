@@ -22,6 +22,11 @@ vertices onto the selected side with the tie-corrected probability
 This law is exactly unbiased with the same closed-form bound B, satisfies
 the likelihood-ratio bound exactly, and coincides with halfspace-uniform
 sampling whenever d is odd (gamma_d = 1, no ties).
+
+The hypercube kernel draws, after its checks: the vertex bits (whole bytes
+per row, from raw 64-bit generator words), the n side bits, then the (n, d)
+rounding uniforms a row block at a time as one stream, so no draw depends on
+the block size.
 """
 
 import math
@@ -41,9 +46,6 @@ from .core import (
 
 # Relative slack on domain checks, to absorb float dust from callers.
 _DOMAIN_SLACK = 1e-9
-
-# Entries per row block of the hypercube kernel's draws.
-_LINF_BLOCK = 1 << 15
 
 # Entries per row block of a running-sum fold and of a vector kernel's output.
 _FOLD_BLOCK = 1 << 16
@@ -250,14 +252,15 @@ def _l2_ball_batch(x, radius, level, rng, grid=None):
 def _linf_ball_batch(x, radius, level, rng, grid=None):
     """The channel of :meth:`Channel.linf_ball` for an (n, d) batch.
 
-    The (n, d) uniform draws fill one reused buffer block by block, the
-    stream of one large draw; only their boolean comparisons are kept, and
-    the output is built from them one row block at a time.  ``grid`` is as
-    in :func:`_vector_output`.
+    After the domain and B checks: the vertex bits, ceil(d/8) bytes per row
+    from one draw of raw 64-bit words (unpacked big-endian: bit j of a row is
+    coordinate j, set = +1); the n side bits; the (n, d) rounding uniforms,
+    drawn a row block at a time into one reused buffer.  Each output block is
+    built in cache; ``grid`` is as in :func:`_vector_output`.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
-    bound = linf_bound_B(d, radius, level)  # checks the radius and B before any draw
+    bound = linf_bound_B(d, radius, level)  # checks d, the radius and B before any draw
     # one global test (NaN fails it too); the record is found only on failure
     limit = radius * (1.0 + _DOMAIN_SLACK)
     if x.size and not (max(x.max(), -x.min()) <= limit):
@@ -266,34 +269,28 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
         raise DomainError(
             f"record {i}: ||x||_inf = {amax[i]:.6g} exceeds the channel radius {radius:.6g}"
         )
-    # Rounded input and vertex stay boolean (True = +1): their inner product
-    # is d minus twice the number of disagreeing coordinates, exactly.
-    rounded = np.empty((n, d), dtype=bool)
-    vertex = np.empty((n, d), dtype=bool)
-    rows = max(1, _LINF_BLOCK // max(d, 1))
-    u = np.empty((min(rows, n), d))
-    threshold = np.empty_like(u)
-    for lo in range(0, n, rows):
-        r = min(rows, n - lo)
-        np.add(np.divide(x[lo : lo + r], 2.0 * radius, out=threshold[:r]), 0.5, out=threshold[:r])
-        np.less(rng.random(out=u[:r]), threshold[:r], out=rounded[lo : lo + r])
-    for lo in range(0, n, rows):
-        r = min(rows, n - lo)
-        np.less(rng.random(out=u[:r]), 0.5, out=vertex[lo : lo + r])
-    ip = d - 2 * np.count_nonzero(np.not_equal(rounded, vertex, out=rounded), axis=1)
+    nbytes = -(-d // 8)
+    words = rng.bit_generator.random_raw(-(-n * nbytes // 8))
+    vertex_bits = words.view(np.uint8)[: n * nbytes].reshape(n, nbytes)
     p_plus = 0.5 * (1.0 + cube_tie_gamma(d) / level.phi_eps)
-    side = np.where(rng.random(n) < p_plus, 1.0, -1.0)
-    # ties (ip == 0) pass through with sign(ip) treated as +1 and no flip
-    flip = np.where(ip == 0, 1.0, np.sign(ip) * side)
+    positive_side = rng.random(n) < p_plus
     _count(n)
-    signed_bound = (bound * flip)[:, None]
+    rows = min(n, max(1, _FOLD_BLOCK // d))
+    u, rounded, ones = np.empty((rows, d)), np.empty((rows, d), dtype=bool), np.ones(d)
 
     def fill(lo, out):
-        # (2 vertex - 1) * signed_bound: exact, and faster than a broadcast np.where
-        hi = lo + len(out)
-        np.multiply(vertex[lo:hi], 2.0, out=out)
-        np.subtract(out, 1.0, out=out)
-        np.multiply(out, signed_bound[lo:hi], out=out)
+        r = len(out)
+        vertex = np.unpackbits(vertex_bits[lo : lo + r], axis=1, count=d).view(bool)
+        np.add(np.divide(x[lo : lo + r], 2.0 * radius, out=out), 0.5, out=out)
+        np.less(rng.random(out=u[:r]), out, out=rounded[:r])
+        # <vertex, rounded> is d minus twice the disagreements, counted exactly in floats
+        ip = d - 2.0 * (np.not_equal(rounded[:r], vertex, out=out) @ ones)
+        # ties (ip == 0) pass through; else the vertex is flipped onto the positive
+        # side of the rounded input when positive_side holds, else onto the negative
+        negate = (ip != 0.0) & ((ip > 0.0) != positive_side[lo : lo + r])
+        # each coordinate is +B where the (possibly negated) vertex bit is set, else -B
+        np.subtract(np.not_equal(vertex, negate[:, None], out=out), 0.5, out=out)
+        np.copysign(bound, out, out=out)
 
     return _vector_output(fill, n, d, grid)
 
@@ -323,7 +320,7 @@ def _laplace_vector_batch(x, radius, level, sensitivity_norm, rng, grid=None):
     _count(n)
 
     def fill(lo, out):
-        np.add(laplace_sample(rng, inv, size=out.shape), x[lo : lo + len(out)], out=out)
+        np.add(laplace_sample(rng, inv, out=out), x[lo : lo + len(out)], out=out)
 
     return _vector_output(fill, n, d, grid)
 

@@ -170,6 +170,16 @@ class TestLaplace:
         assert np.array_equal(np.concatenate(blocks), want)
         assert np.array_equal(laplace_sample(_Uniforms(stream), 1.3, (n // 4, 4)).ravel(), want)
 
+    @pytest.mark.parametrize("shape", [(0,), (1,), (20, 8), (3 * _LAPLACE_BLOCK + 5,),
+                                       (_LAPLACE_BLOCK // 4 + 3, 9)])
+    def test_out_receives_the_draws_of_size(self, shape):
+        by_size, into = make_rng(16), make_rng(16)
+        want = laplace_sample(by_size, 0.6, size=shape)
+        out = np.full(shape, np.nan)
+        assert laplace_sample(into, 0.6, out=out) is out
+        assert np.array_equal(out, want)
+        assert into.bit_generator.state == by_size.bit_generator.state
+
     def test_scalar_is_a_batch_of_one(self):
         draw = laplace_sample(make_rng(15), 0.4)
         assert type(draw) is float

@@ -46,29 +46,29 @@ _SETUPS = {
 GOLDEN = {
     ("mean_scalar", "optimal"): "3924a3ca27b6799a48b45dc68ef25027550647fefbc4aa7df58ea97682bb57d8",
     ("mean_scalar", "nonprivate"): "c3d0a5d01ef3cbed560da5a626d99f178399971c5ba1c4e8f70c999a17696a07",
-    ("mean_vector", "optimal"): "ea86bd82109124964d807a605a9d3f9d2f88fbedda384089b7ad7041cec55a6b",
+    ("mean_vector", "optimal"): "ec717dd37df3eabcb3c2fd7acb8af3e542d990c867fefa5522671476b46d4913",
     ("mean_vector", "laplace_baseline"):
         "4fde0583362bceb936673415c551ddbbb7ec61c4ef487d047fc0293f9d2e3155",
     ("mean_vector", "nonprivate"): "0d2f5cdfd6cbe0643cdf45a8602a7c46dfc01e715471d354e12048065af5de37",
     ("median", "optimal"): "4b061205031484fa82a012d5d8969dcae1e7101e70de2d67db435dce90d52261",
     ("median", "laplace_baseline"): "129fed69c10f8f07c69bd8f9172a56ec689df898d432a86ae841575c0ac6007d",
     ("median", "nonprivate"): "10327c958aa83c5dc1f8ddda1bd9362cd6cd71d1d5ba0d51ac597bc83d88d9ed",
-    ("sparse", "optimal"): "9c1fcaa1c914b3808155e7fb771d7fe4a4c8e084bb846e3b03ed0f0275e797d9",
+    ("sparse", "optimal"): "2440c7fd43ab882f24787bdd27ac95c5b90146e156cf49741b74e12403dbf8d8",
     ("sparse", "nonprivate"): "f1d443066910a05d7fa316583646c0ab4bc0bc480937839061ca039d81d9c701",
-    ("logistic", "optimal"): "a93412cfd4ba4f904b702bf31aba1a9850fdc36b417270d62c188078ac4ba81e",
+    ("logistic", "optimal"): "611db33c94e08746d66dc67d1b2083c583694a3d85be5d26c2334697656c4f9c",
     ("logistic", "laplace_baseline"): "194ba8b92b9ce7f5a4730accb96a02b78b3935d4fc05332c7bcdc39723c1ae29",
     ("logistic", "nonprivate"): "998af026ecdd2976b8e5611a1a33f523ce2c041a2ddd9918c9650afc273747da",
-    ("density", "optimal"): "3aa9cd9a61b38e49653c8e0a6daed871a6a917889ee6eec5ea0d77305f615a7d",
+    ("density", "optimal"): "e496238cad8ff413239bd2b9d2351a6d391b36950f68411ddd8600ad3dc96780",
     ("density", "nonprivate"): "83d3f3faf679f8956a5ccc6c9e5a0919bab9e0ce42a0c2ed85c282ac6795e637",
 }
 
 PRESET_GOLDEN = {
-    "drug-use": "a651d3316da23d7ce9fe62b050e37286d37adb4f306d5b3b53058c9c44c58cc2",
+    "drug-use": "a2ebe8478878ffee85d4dc8fd3f046828bc62def7dcace04e6041a8b4a314051",
     "median-salary": "2de7fc933b22a2acd391410f5afffc5cc7b719213ab303b2d355f308f8340dbe",
     "mean-rates": "556a5737b655628b2033a3e1bf8fcb23908ec0f9930b2231bdf1cc3aaea13c5a",
     "dimension-scaling": "e1a741a2d4bcb71012c8cdff47f02da4560e24463d65edeb61d9846feb0a0f97",
-    "density-rate": "2d9ff12d8b0429be158cf658d045e633958b7f7b4be2f2e32f879e35aadc044c",
-    "sparse-mean": "9afe500d8ad8adc571bcf4c7fb1bff422e872eb7d97e54cbf23c88785f5d8053",
+    "density-rate": "d0aeacbb16b9c5c220f7a77f8f4219840f00a96e4e74d806cb232ec37bf62198",
+    "sparse-mean": "e13a2d0a062e3aff54503500ff10de12cefc6aaf1ee7ea4e03d9023b62b1d7c2",
     "logistic": "d5e3089e2a625c21479219cd8ebb681c35af21fbdad259fb2b75825bb3c9f57c",
 }
 

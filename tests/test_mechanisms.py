@@ -15,13 +15,13 @@ from privest.core import (
     make_rng,
     uniform_sphere,
 )
+from privest import mechanisms
 from privest.audit import halfspace_expectation_cube, sphere_halfspace_mean_quadrature
 from privest.experiments import _prefix_means
 from privest.mechanisms import (
     _FOLD_BLOCK,
     Channel,
     MomentAssumption,
-    _LINF_BLOCK,
     _l2_ball_batch,
     _laplace_vector_batch,
     _linf_ball_batch,
@@ -217,13 +217,18 @@ def _l2_ball_reference(x, radius, level, rng):
 
 
 def _linf_ball_reference(x, radius, level, rng):
-    """The hypercube batch kernel as first written, with float +/-1 arrays."""
+    """The hypercube batch kernel as whole-array draws, with float +/-1 arrays: the vertex
+    bits (whole bytes per row, from raw 64-bit words), then the side bits, then one (n, d)
+    draw of rounding uniforms."""
     n, d = x.shape
-    x_rounded = np.where(rng.random((n, d)) < 0.5 + x / (2.0 * radius), 1.0, -1.0)
-    v = np.where(rng.random((n, d)) < 0.5, 1.0, -1.0)
-    ip = np.einsum("ij,ij->i", v, x_rounded)
+    nbytes = (d + 7) // 8
+    words = rng.bit_generator.random_raw((n * nbytes + 7) // 8)
+    bits = np.unpackbits(words.view(np.uint8))[: 8 * n * nbytes].reshape(n, 8 * nbytes)[:, :d]
+    v = np.where(bits == 1, 1.0, -1.0)
     p_plus = 0.5 * (1.0 + cube_tie_gamma(d) / level.phi_eps)
     side = np.where(rng.random(n) < p_plus, 1.0, -1.0)
+    x_rounded = np.where(rng.random((n, d)) < 0.5 + x / (2.0 * radius), 1.0, -1.0)
+    ip = np.einsum("ij,ij->i", v, x_rounded)
     flip = np.where(ip == 0.0, 1.0, np.sign(ip) * side)
     return linf_bound_B(d, radius, level) * v * flip[:, None]
 
@@ -238,7 +243,7 @@ def _assert_pinned(kernel, reference, x, radius, level, seed):
 
 
 class TestKernelPins:
-    """The batch kernels reproduce their first formulation bit for bit."""
+    """The batch kernels reproduce their whole-array reference formulations bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_l2_with_zero_norm_rows(self, seed):
@@ -263,15 +268,32 @@ class TestKernelPins:
 
     @pytest.mark.parametrize("d", [1, 8, 23, 64])
     def test_linf_spans_several_row_blocks(self, d):
-        n = 3 * max(1, _LINF_BLOCK // d) + 5
+        n = 3 * max(1, _FOLD_BLOCK // d) + 5
         x = make_rng(600 + d).uniform(-1.0, 1.0, size=(n, d))
         _assert_pinned(_linf_ball_batch, _linf_ball_reference, x, 1.0, ONE, d)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_linf_output_does_not_depend_on_the_block_size(self, d, monkeypatch):
+        n = 300
+        x = make_rng(620, d).uniform(-1.0, 1.0, size=(n, d))
+        grid = (1, 7, 150, n - 1)
+        runs = []
+        for block in (1, 7, _FOLD_BLOCK):
+            monkeypatch.setattr(mechanisms, "_FOLD_BLOCK", block)
+            whole, streamed = make_rng(621, d), make_rng(621, d)
+            z = _linf_ball_batch(x, 1.0, ONE, whole)
+            means = _linf_ball_batch(x, 1.0, ONE, streamed, grid=grid)
+            runs.append((z, means, whole.bit_generator.state, streamed.bit_generator.state))
+        for z, means, end, streamed_end in runs:
+            assert np.array_equal(z, runs[0][0])
+            assert np.array_equal(means, runs[0][1])
+            assert end == streamed_end == runs[0][2]
 
     def test_linf_empty_batch(self):
         _assert_pinned(_linf_ball_batch, _linf_ball_reference, np.empty((0, 5)), 1.0, ONE, 0)
 
     def test_linf_domain_error_names_first_offending_record(self):
-        rows = _LINF_BLOCK // 8
+        rows = _FOLD_BLOCK // 8
         x = make_rng(610).uniform(-0.5, 0.5, size=(3 * rows + 5, 8))
         x[5, 2] = 1.0 + 1e-10  # within the relative slack: accepted
         x[rows + 2, 3] = -1.7
