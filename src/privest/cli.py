@@ -115,7 +115,7 @@ def _cmd_estimate(args) -> int:
     # one run of the bench arm: data from stream (seed, 0, 0), channel noise from (seed, 2, 0)
     with np.errstate(all="ignore"):  # as in run_experiment: a non-finite estimate is rejected
         data = [gen.sample(n, make_rng(spec.seed, 0, 0))]
-        estimate = ESTIMATORS[spec.estimator].arm(spec, gen, data, make_rng(spec.seed, 2, 0))[n][0]
+        estimate = ESTIMATORS[spec.estimator].arm(spec, gen, data, make_rng(spec.seed, 2, 0))[0][0]
     if not np.isfinite(estimate).all():
         raise ConfigError(f"the estimate at n = {n}, eps = {spec.eps!r} is not finite")
     print(json.dumps({"estimator": spec.estimator, "eps": spec.eps, "n": n,

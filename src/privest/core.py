@@ -168,6 +168,23 @@ def resolve_fields(obj, what, finite=False):
         object.__setattr__(obj, key, value)
 
 
+# Float64s of working set per row block of every streaming loop (512 KB, in L2).  Each
+# loop gives its width per row; no output depends on the block size.
+BLOCK = 1 << 16
+
+
+def block_rows(width: int) -> int:
+    """Rows per block of a loop that holds ``width`` float64s of working set per row."""
+    return max(1, BLOCK // max(width, 1))
+
+
+def row_blocks(start: int, stop: int, width: int):
+    """The ``(lo, hi)`` bounds of rows start..stop - 1, in blocks of :func:`block_rows` rows."""
+    rows = block_rows(width)
+    for lo in range(start, stop, rows):
+        yield lo, min(lo + rows, stop)
+
+
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Return a reproducible generator for (seed, stream...) derivation.
 
@@ -184,9 +201,6 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
 # Draws lie within 52 ln 2 ~ 36.04 scales of 0 (-log 2^-52, the smallest inverse-CDF argument),
 # so this cap keeps them finite
 _LAPLACE_SCALE_MAX = sys.float_info.max / 64
-
-# Uniforms per inverse-CDF block: a block and its temporary (512 KB) stay in L2.
-_LAPLACE_BLOCK = 1 << 15
 
 
 def laplace_sample(rng: np.random.Generator, inv_scale: float, size=None, out=None):
@@ -207,27 +221,24 @@ def laplace_sample(rng: np.random.Generator, inv_scale: float, size=None, out=No
         raise ParameterError(f"inv_scale must be finite and > 0 with 1/inv_scale at most "
                              f"{_LAPLACE_SCALE_MAX:.3g}, got {inv_scale!r}")
     u = rng.random(1 if size is None else size) if out is None else rng.random(out=out)
-    if u.size <= _LAPLACE_BLOCK:
-        _laplace_inverse_cdf(rng, u, scale)
-    else:
-        flat, tmp = u.reshape(-1), np.empty(_LAPLACE_BLOCK)  # reshape: a view, u is C-contiguous
-        for lo in range(0, flat.size, _LAPLACE_BLOCK):
-            _laplace_inverse_cdf(rng, flat[lo:], scale, tmp)
+    flat = u.reshape(-1)  # a view: u is C-contiguous
+    tmp = np.empty(min(flat.size, block_rows(2)))  # a draw and its temporary per row
+    for lo, hi in row_blocks(0, flat.size, 2):
+        _laplace_inverse_cdf(rng, flat[lo:], scale, tmp[: hi - lo])
     return float(u[0]) if size is None and out is None else u
 
 
-def _laplace_inverse_cdf(rng, u, scale, tmp=None):
-    """Overwrite the first block of the uniforms ``u`` (all of it, or its first ``len(tmp)``
-    through the reused temporary ``tmp``) with Laplace draws of ``scale``, by the inverse CDF
-    of the module note.  Zeros are first dropped from ``u``, in order, and it is topped up
-    from ``rng``."""
-    block = u if tmp is None else u[: len(tmp)]
+def _laplace_inverse_cdf(rng, u, scale, tmp):
+    """Overwrite the first ``len(tmp)`` of the uniforms ``u`` with Laplace draws of ``scale``,
+    by the inverse CDF of the module note, through the reused temporary ``tmp``.  Zeros are
+    first dropped from ``u``, in order, and it is topped up from ``rng``."""
+    block = u[: len(tmp)]
     while np.count_nonzero(block) < block.size:
         flat = u.reshape(-1)
         keep = flat[flat != 0.0]
         flat[: keep.size] = keep
         flat[keep.size :] = rng.random(flat.size - keep.size)
-    a = np.subtract(1.0, block, out=None if tmp is None else tmp[: block.size])
+    a = np.subtract(1.0, block, out=tmp)
     np.minimum(a, block, out=a)
     np.add(a, a, out=a)
     np.log(a, out=a)

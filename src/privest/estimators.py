@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ParameterError, PrivacyLevel
+from .core import DomainError, ParameterError, PrivacyLevel, block_rows, row_blocks
 from .mechanisms import (
     _DOMAIN_SLACK,
     MomentAssumption,
@@ -39,9 +39,6 @@ from .mechanisms import (
 
 # sup-norm bound of the non-constant trigonometric basis elements
 ORTH_BOUND = math.sqrt(2.0)
-
-# Entries per row block of the basis evaluation.
-_BASIS_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +85,8 @@ def private_mean_vector(
     if kernel is None:
         raise ParameterError(f"unknown geometry {geometry!r} (use 'l2' or 'linf')")
     sizes = _check_grid([len(data)] if grid is None else grid, len(data))
-    if level is None:
-        means = np.array([mean for _, mean in _prefix_means(data, sizes)])
-    else:
-        means = kernel(data, radius, level, rng, grid=sizes)
+    means = (_prefix_means(data, sizes) if level is None
+             else kernel(data, radius, level, rng, grid=sizes))
     return means[0] if grid is None else means
 
 
@@ -126,8 +121,8 @@ def private_median_sgd(
 def _median_sgd_paths(x_mat, radius, level, rng, grid, one_sided=False):
     """Replicate-lockstep median SGD returning prefix Polyak averages.
 
-    ``x_mat`` is (reps, n); the returned array is (reps, len(grid)) with
-    column g holding the average of the first grid[g] iterates.  Runs
+    ``x_mat`` is (reps, n); the returned array is (len(grid), reps) with
+    row g holding each replicate's average of the first grid[g] iterates.  Runs
     :func:`_sgd_paths` on sign RR of sign(theta - x_i), step eps r / sqrt(i)
     and the clip to the projection interval.
     """
@@ -151,9 +146,9 @@ def _sgd_paths(theta0, gradient, step, project, n, grid):
     From the (reps, ...) block ``theta0``, step i = 1..n adds theta to the
     running sum and sets theta = project(theta - step(i) gradient(theta, i - 1)),
     ``gradient`` privatizing the (sub)gradient at record i - 1.  Returns
-    (reps, len(grid), ...): plane g is the Polyak average of the first grid[g]
-    iterates, ``grid`` being checked by the caller before any draw.  All n
-    steps run, so the channel draws do not depend on the grid.
+    (len(grid), reps, ...): plane g holds each replicate's Polyak average of the
+    first grid[g] iterates, ``grid`` being checked by the caller before any draw.
+    All n steps run, so the channel draws do not depend on the grid.
     """
     stops = set(grid)
     theta, theta_sum, means = theta0, np.zeros_like(theta0), []
@@ -162,7 +157,7 @@ def _sgd_paths(theta0, gradient, step, project, n, grid):
         theta = project(theta - step(i) * gradient(theta, i - 1))
         if i in stops:
             means.append(theta_sum / i)
-    return np.stack(means, axis=1)
+    return np.stack(means)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +312,8 @@ def _logistic_sgd_paths(xs, ys, geometry, radius, level, gamma0, beta_exp, proj_
                         rng, grid):
     """Replicate-lockstep logistic SGD returning prefix Polyak averages.
 
-    ``xs`` is (reps, n, d), ``ys`` is (reps, n); returns (reps, G, d) with
-    plane g holding the iterate average after grid[g] steps.  Runs
+    ``xs`` is (reps, n, d), ``ys`` is (reps, n); returns (len(grid), reps, d)
+    with plane g holding each replicate's iterate average after grid[g] steps.  Runs
     :func:`_sgd_paths` on the privatized log-loss gradient, step
     gamma0 i^(-beta_exp) and the optional l2 projection.
     """
@@ -376,10 +371,9 @@ def trig_basis_matrix(k: int, t, out=None) -> np.ndarray:
     if out is None:
         out = np.empty((t.size, k))
     n_cos = (k + 1) // 2
-    rows = max(1, _BASIS_BLOCK // (2 * n_cos + 3))  # the harmonics and 3 per-point temporaries
-    harmonics = np.empty((n_cos, min(rows, t.size)), dtype=complex)  # row m - 1: e^(i m theta)
-    for lo in range(0, t.size, rows):
-        hi = min(lo + rows, t.size)
+    width = 2 * n_cos + 3  # the complex harmonics and 3 per-point temporaries
+    harmonics = np.empty((n_cos, min(block_rows(width), t.size)), dtype=complex)  # e^(i m theta)
+    for lo, hi in row_blocks(0, t.size, width):
         z, theta = harmonics[:, : hi - lo], 2.0 * math.pi * t[lo:hi]
         z[0].real, z[0].imag = np.cos(theta), np.sin(theta)
         for m in range(1, n_cos):
@@ -389,16 +383,17 @@ def trig_basis_matrix(k: int, t, out=None) -> np.ndarray:
     return out
 
 
-def _projection_coeffs(data, k_for, basis):
-    """Map each n of ``k_for`` (n -> order k, n increasing) to the mean of ``basis(k, data[:n])``.
+def _projection_coeffs(data, grid, ks, basis):
+    """For each n of the increasing ``grid`` and its order k of ``ks``, the mean of
+    ``basis(k, data[:n])``, in a list aligned with the grid.
 
     One running sum of basis rows at the largest order (lower orders are
     column prefixes), each mean summed in the order of
     :func:`~privest.mechanisms._running_means`.
     """
-    k_max = max(k_for.values())
+    k_max = max(ks)
     fill = lambda lo, out: basis(k_max, data[lo : lo + len(out)], out=out)
-    return {n: mean[: k_for[n]] for n, mean in _running_means(fill, k_max, list(k_for))}
+    return [mean[:k] for mean, k in zip(_running_means(fill, k_max, grid), ks)]
 
 
 @dataclass(frozen=True)
@@ -429,7 +424,10 @@ def series_bandwidth(n: int, level: PrivacyLevel | None, beta: float) -> int:
     order = (n * level.eps_sq) ** (1.0 / (2.0 * beta + 2.0))
     if not order < math.inf:
         raise ParameterError(f"basis order overflows at n = {n}, eps = {level.epsilon!r}")
-    return max(1, round(order))
+    k = max(1, round(order))
+    if k > n:  # more coefficients than observations
+        raise ParameterError(f"basis order {order:.6g} exceeds n = {n} at eps = {level.epsilon!r}")
+    return k
 
 
 def density_estimate(
@@ -456,15 +454,13 @@ def density_estimate(
     if not (beta > 0.5):
         raise ParameterError(f"smoothness beta must be > 1/2, got {beta!r}")
     _check_unit_interval(data, "density observations must lie in [0, 1]")
-    k_for = {n: series_bandwidth(n, level, beta) if k is None else k for n in sizes}
+    ks = [series_bandwidth(n, level, beta) if k is None else k for n in sizes]
     if level is None:
-        coeffs = _projection_coeffs(data, k_for, trig_basis_matrix)
+        coeffs = _projection_coeffs(data, sizes, ks, trig_basis_matrix)
     else:
         # lower basis orders are column prefixes, so one build serves all n
-        basis = trig_basis_matrix(max(k_for.values()), data[: sizes[-1]])
-        coeffs = {
-            n: _linf_ball_batch(basis[:n, :k_n], ORTH_BOUND, level, rng, grid=(n,))[0]
-            for n, k_n in k_for.items()
-        }
-    estimates = [DensityEstimate(k=k_for[n], coeffs=coeffs[n]) for n in sizes]
+        basis = trig_basis_matrix(max(ks), data[: sizes[-1]])
+        coeffs = [_linf_ball_batch(basis[:n, :k_n], ORTH_BOUND, level, rng, grid=(n,))[0]
+                  for n, k_n in zip(sizes, ks)]
+    estimates = [DensityEstimate(k=k_n, coeffs=c) for k_n, c in zip(ks, coeffs)]
     return estimates[0] if grid is None else estimates

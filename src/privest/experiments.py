@@ -62,6 +62,9 @@ _ARM_TAG = {"optimal": 1, "laplace_baseline": 2, "nonprivate": 3}
 # trapezoid nodes on [0, 1] for the integrated squared density error
 _QUAD_NODES = 2**12
 
+# Most (replicate, n) cells, so CSV records, of one arm; the largest preset arm has 1600.
+MAX_CELLS = 10**7
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -91,8 +94,9 @@ class SummaryRow:
 class Estimator:
     """One problem family: a channel plus an aggregator.
 
-    ``arm(spec, gen, samples, rng)`` maps each n of the grid to one estimate
-    per sample, all drawn from the one noise stream ``rng``.  The arm owns
+    ``arm(spec, gen, samples, rng)`` returns a sequence aligned with
+    ``spec.n_grid`` whose entry g holds one estimate per sample, from its first
+    n_grid[g] records, all drawn from the one noise stream ``rng``.  The arm owns
     ``samples`` and may overwrite them; a sample may also be a read-only
     view (see :class:`~privest.generators.FixedVector`).
     ``scorer(spec, gen)`` returns the function that scores one estimate.
@@ -146,6 +150,9 @@ class ExperimentSpec:
         _check_grid(self.n_grid, math.inf)
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        if self.replicates * len(self.n_grid) > MAX_CELLS:
+            raise ConfigError(f"replicates x len(n_grid) = {self.replicates} x {len(self.n_grid)} "
+                              f"exceeds the {MAX_CELLS} cells of one arm")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         gen = make_generator(self.generator)
@@ -176,7 +183,7 @@ class ExperimentSpec:
 
 def _replicate_chunks(replicates, cells_per_rep, budget=4_000_000):
     size = max(1, int(budget / max(cells_per_rep, 1)))
-    return [range(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
+    return (range(lo, min(lo + size, replicates)) for lo in range(0, replicates, size))
 
 
 def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
@@ -198,7 +205,7 @@ def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
     if entry.lockstep:
         chunks = _replicate_chunks(spec.replicates, max_n * spec.d)
     else:
-        chunks = [range(r, r + 1) for r in range(spec.replicates)]
+        chunks = (range(r, r + 1) for r in range(spec.replicates))
     records = []
     for reps in chunks:
         start = time.perf_counter()
@@ -208,8 +215,8 @@ def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
             estimates = entry.arm(spec, gen, samples, rng)
             cells = len(reps) * len(spec.n_grid)
             wall_ms = (time.perf_counter() - start) * 1e3 / cells if timing else 0.0
-            values = [(rep, n, score(estimates[n][j])) for j, rep in enumerate(reps)
-                      for n in spec.n_grid]
+            values = [(rep, n, score(estimates[g][j])) for j, rep in enumerate(reps)
+                      for g, n in enumerate(spec.n_grid)]
         for rep, n, value in values:
             if not math.isfinite(value):
                 raise ConfigError(f"arm {spec.name}/{spec.mechanism} at n = {n}, eps = {eps!r}: "
@@ -243,7 +250,7 @@ def _mean_scalar_arm(spec, gen, samples, rng):
     (data,) = samples
     # built on every mechanism, so each rejects a bad moment assumption
     assumption = MomentAssumption(k=spec.options["moment_k"], radius_k=spec.options["radius_k"])
-    return {n: [private_mean_scalar(data[:n], assumption, spec.level, rng)] for n in spec.n_grid}
+    return [[private_mean_scalar(data[:n], assumption, spec.level, rng)] for n in spec.n_grid]
 
 
 def _centered(gen):
@@ -258,27 +265,25 @@ def _mean_vector_arm(spec, gen, samples, rng):
     radius, level, grid = spec.options["radius"], spec.level, spec.n_grid
     if level is None:
         # private_mean_vector's sum, called here for the tracer's prefix-means span
-        return {n: [mean] for n, mean in _prefix_means(data, grid)}
+        return _prefix_means(data, grid)[:, None]
     if spec.mechanism == "laplace_baseline":
         range_bound, mode = (1.0, "l1") if _centered(gen) else (radius, "l2_paper")
-        means = _laplace_vector_batch(data, range_bound, level, mode, rng, grid=grid)
-        return {n: [mean] for n, mean in zip(grid, means)}
+        return _laplace_vector_batch(data, range_bound, level, mode, rng, grid=grid)[:, None]
     center = 0.5 if _centered(gen) else 0.0
     if center:
         data -= center  # in place: the arm owns its sample
     means = private_mean_vector(data, spec.options["geometry"], radius, level, rng, grid=grid)
-    return {n: [mean + center] for n, mean in zip(grid, means)}
+    return (means + center)[:, None]
 
 
 def _median_arm(spec, gen, samples, rng):
     data = np.stack(samples)
     radius, one_sided = spec.options["radius"], spec.options["one_sided"]
     if spec.mechanism == "optimal":
-        paths = _median_sgd_paths(data, radius, spec.level, rng, spec.n_grid, one_sided)
-        return {n: paths[:, j] for j, n in enumerate(spec.n_grid)}
+        return _median_sgd_paths(data, radius, spec.level, rng, spec.n_grid, one_sided)
     if spec.mechanism == "laplace_baseline":
         data = _naive_median_batch(data, radius, spec.level, rng, one_sided)
-    return {n: np.median(data[:, :n], axis=1) for n in spec.n_grid}
+    return [np.median(data[:, :n], axis=1) for n in spec.n_grid]
 
 
 def _median_scorer(spec, gen):
@@ -291,23 +296,22 @@ def _sparse_arm(spec, gen, samples, rng):
     (data,) = samples
     opts = spec.options
     means = sparse_mean(data, opts["radius"], spec.level, rng, opts["lam"], grid=spec.n_grid)
-    return {n: [mean] for n, mean in zip(spec.n_grid, means)}
+    return means[:, None]
 
 
 def _logistic_arm(spec, gen, samples, rng):
     xs, ys = (np.stack(column) for column in zip(*samples))
     opts = spec.options
-    paths = _logistic_sgd_paths(
+    return _logistic_sgd_paths(
         xs, ys, opts["geometry"], opts["radius"], spec.level, opts["gamma0"], opts["beta_exp"],
         opts["proj_radius"], spec.mechanism, rng, spec.n_grid,
     )
-    return {n: paths[:, g] for g, n in enumerate(spec.n_grid)}
 
 
 def _density_arm(spec, gen, samples, rng):
     (data,) = samples
     estimates = density_estimate(data, spec.options["beta"], spec.level, rng, grid=spec.n_grid)
-    return {n: [estimate.coeffs] for n, estimate in zip(spec.n_grid, estimates)}
+    return [[estimate.coeffs] for estimate in estimates]
 
 
 def _density_scorer(spec, gen):

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, field_schema, resolve, resolve_fields
+from .core import ConfigError, block_rows, field_schema, resolve, resolve_fields, row_blocks
 from .estimators import _sigmoid, trig_basis_matrix
 
 _CDF_GRID = 2**14  # inverse-CDF resolution for density sampling
-_BLOCK = 1 << 16  # entries per row block of a Bernoulli product's uniform draws
 
 
 def _phi(z):
@@ -157,11 +156,9 @@ class BernoulliProduct(_Generator):
         # row blocks of uniforms, the stream of one (n, d) draw, compared straight into the output
         freqs = np.array(self.freqs)
         out = np.empty((n, self.dim))
-        rows = max(1, _BLOCK // self.dim)
-        u = np.empty((min(rows, n), self.dim))
-        for lo in range(0, n, rows):
-            r = min(rows, n - lo)
-            np.less(rng.random(out=u[:r]), freqs, out=out[lo : lo + r])
+        u = np.empty((min(block_rows(self.dim), n), self.dim))
+        for lo, hi in row_blocks(0, n, self.dim):
+            np.less(rng.random(out=u[: hi - lo]), freqs, out=out[lo:hi])
         return out
 
 

@@ -40,15 +40,14 @@ from .core import (
     DomainError,
     ParameterError,
     PrivacyLevel,
+    block_rows,
     laplace_sample,
+    row_blocks,
     uniform_sphere,
 )
 
 # Relative slack on domain checks, to absorb float dust from callers.
 _DOMAIN_SLACK = 1e-9
-
-# Entries per row block of a running-sum fold and of a vector kernel's output.
-_FOLD_BLOCK = 1 << 16
 
 # Count of raw records pushed through any channel; test-only bookkeeping
 # used to assert the one-channel-call-per-record privacy structure.
@@ -275,7 +274,7 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
     p_plus = 0.5 * (1.0 + cube_tie_gamma(d) / level.phi_eps)
     positive_side = rng.random(n) < p_plus
     _count(n)
-    rows = min(n, max(1, _FOLD_BLOCK // d))
+    rows = min(n, block_rows(d))
     u, rounded, ones = np.empty((rows, d)), np.empty((rows, d), dtype=bool), np.ones(d)
 
     def fill(lo, out):
@@ -337,18 +336,15 @@ def _row_norms(x):
     inf, silently: the caller's domain check rejects it.
     """
     n, d = x.shape
-    rows = max(1, _FOLD_BLOCK // max(d, 1))
+    norms = np.empty(n)
     with np.errstate(over="ignore"):
-        if n <= rows:
-            return np.linalg.norm(x, axis=1)
-        norms = np.empty(n)
-        for lo in range(0, n, rows):
-            norms[lo : lo + rows] = np.linalg.norm(x[lo : lo + rows], axis=1)
+        for lo, hi in row_blocks(0, n, d):
+            norms[lo:hi] = np.linalg.norm(x[lo:hi], axis=1)
     return norms
 
 
 def _running_means(fill, d, grid):
-    """Mean of the first n rows of an (N, d) array for each n of the increasing grid.
+    """The (len(grid), d) means of the first grid[g] rows of an (N, d) array, grid nondecreasing.
 
     ``fill(lo, out)`` writes rows lo, lo + 1, ... into ``out``, a block that
     sits below the sum so far in one C-contiguous buffer.  For d >= 2
@@ -357,25 +353,24 @@ def _running_means(fill, d, grid):
     an exact identity).  That sum would take a single column pairwise, so
     for d = 1 the block is accumulated in place: each mean is cumsum's.
     """
-    rows = max(1, _FOLD_BLOCK // d)
-    buf = np.empty((rows + 1, d))
+    buf = np.empty((block_rows(d) + 1, d))
     buf[0] = -0.0
-    out, prev = [], 0
-    for n in grid:
-        for lo in range(prev, n, rows):
-            r = min(rows, n - lo)
+    means, prev = np.empty((len(grid), d)), 0
+    for g, n in enumerate(grid):
+        for lo, hi in row_blocks(prev, n, d):
+            r = hi - lo
             fill(lo, buf[1 : r + 1])
             if d == 1:
                 buf[0] = np.add.accumulate(buf[: r + 1], axis=0, out=buf[: r + 1])[r]
             else:
                 buf[0] = np.add.reduce(buf[: r + 1], axis=0, initial=-0.0)
-        out.append((n, buf[0] / n))
+        np.divide(buf[0], n, out=means[g])
         prev = n
-    return out
+    return means
 
 
 def _prefix_means(z, grid):
-    """Mean of the first n rows of an (N, d) z for each n of the increasing grid.
+    """The (len(grid), d) means of the first grid[g] rows of an (N, d) z, grid increasing.
 
     Each mean equals ``np.cumsum(z, axis=0)[n - 1] / n`` bit for bit, but
     only the grid rows are formed: a running sum is folded through z one
@@ -403,21 +398,16 @@ def _vector_output(fill, n, d, grid):
     Without ``grid``, the (n, d) array.  With an increasing ``grid`` of row
     counts, the (len(grid), d) array whose row g is the mean of the first
     grid[g] rows: bit for bit the prefix means of the array, from one
-    running sum in O(block) memory.  Rows past the last grid point are
-    still filled, so the kernel consumes the same draws either way.
+    running sum in O(block) memory.  The sum runs on to row n, so the
+    kernel consumes the same draws either way.
     """
-    rows = max(1, _FOLD_BLOCK // max(d, 1))
     if grid is None:
         z = np.empty((n, d))
-        for lo in range(0, n, rows):
-            fill(lo, z[lo : lo + rows])
+        for lo, hi in row_blocks(0, n, d):
+            fill(lo, z[lo:hi])
         return z
     grid = _check_grid(grid, n)
-    means = np.array([mean for _, mean in _running_means(fill, d, grid)])
-    tail = np.empty((min(rows, n - grid[-1]), d))
-    for lo in range(grid[-1], n, rows):
-        fill(lo, tail[: min(rows, n - lo)])
-    return means
+    return _running_means(fill, d, grid + [n])[:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def test_criterion_05_median_guarantee():
         data = make_rng(SEED, 6, int(eps * 10)).uniform(-1.0, 1.0, size=(reps, grid[-1]))
         paths = _median_sgd_paths(data, radius, level, make_rng(SEED, 7, int(eps * 10)), grid)
         for j, n in enumerate(grid):
-            excess = float(np.mean(paths[:, j] ** 2) / (2.0 * radius))
+            excess = float(np.mean(paths[j] ** 2) / (2.0 * radius))
             bound = 6.0 * radius / math.sqrt(n * eps * eps)
             if excess > bound:
                 failures.append((eps, n, excess, bound))

@@ -53,7 +53,7 @@ def test_every_wrap_point_exists_and_is_restored():
     assert [getattr(owner, attr) for owner, attr, _, _ in points] == before
 
 
-@pytest.mark.parametrize("workload", ["mean-batch", "density-series"])
+@pytest.mark.parametrize("workload", ["mean-batch", "density-series", "sgd-stream"])
 def test_traced_warmup_records_every_required_span(workload):
     tracing, workloads = _load("tracing"), _load("workloads")
     specs = workloads.warmup_specs(workloads.build_specs(workload, seed=0))

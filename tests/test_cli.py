@@ -425,6 +425,19 @@ _BENCH = {
 }
 
 
+@pytest.mark.parametrize("config", [
+    {**_BENCH, "replicates": 10**12},
+    # an order of 20 or more basis functions at n = 16
+    {**_BENCH, "estimator": "density", "eps": 1e100, "n_grid": [16, 32],
+     "generator": {"kind": "trig_density", "coeffs": [0.3]}},
+], ids=["replicates", "basis-order"])
+def test_bench_config_too_large_for_its_grid_exits_2(tmp_path, capsys, config):
+    out = tmp_path / "x.csv"
+    assert main(["bench", "--config", _write(tmp_path, config), "--out", str(out)]) == 2
+    assert _one_config_error_line(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("change", [
     {"n_grid": ["a"]}, {"n_grid": [100.9]}, {"eps": "x"}, {"replicates": 2.7},
     {"generator": [1]}, {"metric": "excess_risk"}, {"options": {"geometry": "bogus"}},

@@ -12,8 +12,8 @@ import pytest
 from scipy.stats import chisquare
 
 from privest.audit import channel_pmf
-from privest.core import PrivacyLevel, make_rng
-from privest.mechanisms import _FOLD_BLOCK, Channel, _linf_ball_batch
+from privest.core import BLOCK, PrivacyLevel, make_rng
+from privest.mechanisms import Channel, _linf_ball_batch
 
 # The 36 hypercube cases below read p >= 0.02 at their fixed seeds.  Each of these
 # mutants of the sampler fails at least one of them: a vertex bit forced, the first
@@ -34,7 +34,7 @@ def _records(d):
 def test_linf_vertex_frequencies_match_the_enumerated_pmf(d, eps):
     level = PrivacyLevel(eps)
     channel = Channel.linf_ball(d, 1.0, level)
-    n = 3 * (_FOLD_BLOCK // d) + 7  # the kernel fills its output in several row blocks
+    n = 3 * (BLOCK // d) + 7  # the kernel fills its output in several row blocks
     index = 1 << np.arange(d)  # row i of cube_vertices has bit j set where coordinate j is +1
     for i, (name, x) in enumerate(_records(d).items()):
         z = _linf_ball_batch(np.broadcast_to(x, (n, d)), 1.0, level, make_rng(800, d, i))

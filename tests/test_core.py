@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privest.core import (
-    _LAPLACE_BLOCK,
+    BLOCK,
     ParameterError,
     PrivacyLevel,
     bernoulli_pi,
+    block_rows,
     laplace_sample,
     make_rng,
+    row_blocks,
     uniform_sphere,
 )
+
+_LAPLACE_BLOCK = block_rows(2)  # uniforms per inverse-CDF block: a draw and its temporary
 
 
 class TestPrivacyLevel:
@@ -68,6 +72,18 @@ class TestRng:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError):
             make_rng(-1)
+
+
+class TestRowBlocks:
+    def test_rows_per_block(self):
+        assert block_rows(3) == BLOCK // 3
+        assert block_rows(0) == BLOCK and block_rows(2 * BLOCK) == 1
+
+    def test_blocks_tile_the_rows_in_order(self):
+        rows = block_rows(7)
+        assert list(row_blocks(5, 6 + 2 * rows, 7)) == [
+            (5, 5 + rows), (5 + rows, 5 + 2 * rows), (5 + 2 * rows, 6 + 2 * rows)]
+        assert list(row_blocks(4, 4, 7)) == []
 
 
 class _Uniforms:

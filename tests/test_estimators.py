@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privest import estimators
-from privest.core import DomainError, ParameterError, PrivacyLevel, make_rng
+from privest.core import BLOCK, DomainError, ParameterError, PrivacyLevel, block_rows, make_rng
 from privest.estimators import (
     DensityEstimate,
     ORTH_BOUND,
     MomentAssumption,
-    _BASIS_BLOCK,
     _logistic_sgd_paths,
     _median_sgd_paths,
     _projection_coeffs,
@@ -29,7 +28,6 @@ from privest.estimators import (
     trig_basis_matrix,
 )
 from privest.mechanisms import (
-    _FOLD_BLOCK,
     _l2_ball_batch,
     _linf_ball_batch,
     _prefix_means,
@@ -147,13 +145,13 @@ class TestMedianSgd:
             np.full((reps, n), c), 1.0, ONE, make_rng(46), [n]
         )
         bound = 6.0 / math.sqrt(n)
-        assert np.mean(np.abs(paths[:, 0] - c) <= bound) >= 0.90
+        assert np.mean(np.abs(paths[0] - c) <= bound) >= 0.90
 
     def test_symmetric_data_centered(self):
         n, reps = 10_000, 100
         data = make_rng(47).uniform(-1, 1, size=(reps, n))
         paths = _median_sgd_paths(data, 1.0, ONE, make_rng(48), [n])
-        assert np.mean(np.abs(paths[:, 0]) <= 6.0 / math.sqrt(n)) >= 0.90
+        assert np.mean(np.abs(paths[0]) <= 6.0 / math.sqrt(n)) >= 0.90
 
     def test_beats_naive_estimator_on_lognormal(self):
         from privest.generators import Lognormal
@@ -163,7 +161,7 @@ class TestMedianSgd:
         n, reps = 20_000, 30
         radius = 2.0 * gen.true_median
         data = np.stack([gen.sample(n, make_rng(49, r)) for r in range(reps)])
-        sgd = _median_sgd_paths(data, radius, ONE, make_rng(50), [n], one_sided=True)[:, 0]
+        sgd = _median_sgd_paths(data, radius, ONE, make_rng(50), [n], one_sided=True)[0]
         noisy = _naive_median_batch(data, radius, ONE, make_rng(51), one_sided=True)
         naive = np.median(noisy, axis=1)
         risk_star = gen.abs_risk(gen.true_median)
@@ -198,7 +196,7 @@ class TestMedianSgd:
         assert iterates.shape == (3, 500)
         assert np.all(np.abs(iterates) <= 1.0)
         for g, n in enumerate(grid):
-            np.testing.assert_allclose(paths[:, g], iterates[:, :n].mean(axis=1), atol=1e-12)
+            np.testing.assert_allclose(paths[g], iterates[:, :n].mean(axis=1), atol=1e-12)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
     def test_engine_rejects_bad_radius(self, radius):
@@ -464,8 +462,8 @@ class TestLogisticSgd:
         assert np.array_equal(paths, _logistic_sgd_paths(*args, make_rng(71), [100, 300]))
         assert iterates.shape == (2, 300, 3)
         assert np.all(np.linalg.norm(iterates, axis=2) <= 5.0 + 1e-9)
-        np.testing.assert_allclose(paths[:, 0], iterates[:, :100].mean(axis=1), atol=1e-12)
-        np.testing.assert_allclose(paths[:, 1], iterates.mean(axis=1), atol=1e-12)
+        np.testing.assert_allclose(paths[0], iterates[:, :100].mean(axis=1), atol=1e-12)
+        np.testing.assert_allclose(paths[1], iterates.mean(axis=1), atol=1e-12)
 
     def test_single_and_batch_implementations_agree(self):
         x, y = self._stream(400, 3, 62)
@@ -498,7 +496,7 @@ class TestLogisticSgd:
         paths = _logistic_sgd_paths(
             xs, ys, "linf", 1.0, ONE, 1.0, 0.6, 5.0, "optimal", make_rng(67), [n]
         )
-        mse = float(np.mean(np.sum(paths[:, 0, :] ** 2, axis=1)))
+        mse = float(np.mean(np.sum(paths[0] ** 2, axis=1)))
         assert mse <= 10.0 * d * d / n
 
 
@@ -553,7 +551,7 @@ def _trig_basis_exact(k, t):
 
 def _basis_rows(k):
     """Rows per block of the basis evaluation at order k."""
-    return max(1, _BASIS_BLOCK // (2 * ((k + 1) // 2) + 3))
+    return block_rows(2 * ((k + 1) // 2) + 3)
 
 
 class TestBlockedBasis:
@@ -596,7 +594,7 @@ class TestBlockedBasis:
 
     @pytest.mark.parametrize("k", [1, 2, 7, 64])
     def test_classical_coefficients_unchanged(self, k):
-        n = 3 * (_FOLD_BLOCK // max(k, 2)) + 11
+        n = 3 * (BLOCK // max(k, 2)) + 11
         data = make_rng(82, k).random(n)
         estimate = density_estimate(data, 1.0, None, None, k=k)
         assert np.array_equal(estimate.coeffs, _row_order_mean(trig_basis_matrix(k, data)))
@@ -639,7 +637,7 @@ class TestStreamedMeans:
                                                   ("linf", _linf_ball_batch)])
     @pytest.mark.parametrize("d", [1, 2, 27])
     def test_private_mean_vector(self, geometry, kernel, d):
-        n = 2 * (_FOLD_BLOCK // d) + 5
+        n = 2 * (BLOCK // d) + 5
         x = make_rng(90, d).uniform(-1.0, 1.0, size=(n, d)) * (0.9 / math.sqrt(d))
         self._assert_equal_streams(
             lambda rng: private_mean_vector(x, geometry, 1.0, ONE, rng),
@@ -648,7 +646,7 @@ class TestStreamedMeans:
 
     @pytest.mark.parametrize("d", [2, 32])
     def test_sparse_mean(self, d):
-        n = 2 * (_FOLD_BLOCK // d) + 5
+        n = 2 * (BLOCK // d) + 5
         x = np.zeros((n, d))
         x[:, 0] = 1.0
         self._assert_equal_streams(
@@ -659,7 +657,7 @@ class TestStreamedMeans:
 
     @pytest.mark.parametrize("k", [1, 2, 23])
     def test_density_estimate(self, k):
-        data = make_rng(91, k).random(2 * (_FOLD_BLOCK // k) + 5)
+        data = make_rng(91, k).random(2 * (BLOCK // k) + 5)
         self._assert_equal_streams(
             lambda rng: density_estimate(data, 1.0, ONE, rng, k=k).coeffs,
             lambda rng: _row_order_mean(
@@ -731,6 +729,12 @@ class TestDensityEstimate:
         # n eps^2 overflows at eps = 1e200, so the order has no integer value
         with pytest.raises(ParameterError, match="basis order overflows at n = 64, eps = 1e"):
             series_bandwidth(64, PrivacyLevel(1e200), 1.0)
+
+    def test_an_order_above_n_is_rejected(self):
+        # (16 eps^2)^(1/4) is 16 at eps = 64 and 20 at eps = 100: more coefficients than points
+        assert series_bandwidth(16, PrivacyLevel(64.0), 1.0) == 16
+        with pytest.raises(ParameterError, match="basis order 20 exceeds n = 16 at eps = 100.0"):
+            series_bandwidth(16, PrivacyLevel(100.0), 1.0)
 
     def test_validations(self):
         for level in (ONE, None):
@@ -810,7 +814,7 @@ class TestNoChannel:
     @pytest.mark.parametrize("d", [1, 2, 27])
     def test_private_mean_vector_is_the_prefix_means(self, d, geometry, grid):
         x = make_rng(101, d).uniform(-1.0, 1.0, (300, d)) / math.sqrt(d)
-        want = np.array([mean for _, mean in _prefix_means(x, grid or [300])])
+        want = _prefix_means(x, grid or [300])
         got = self._no_channel(lambda: private_mean_vector(x, geometry, 1.0, None, None, grid))
         assert np.array_equal(got, want if grid else want[0])
 
@@ -820,7 +824,7 @@ class TestNoChannel:
         x = make_rng(102).uniform(-0.5, 0.5, (300, 4))
         # no lam: the raw average, the eps -> inf limit of the default threshold
         want = [mean if lam is None else soft_threshold(mean, lam)
-                for _, mean in _prefix_means(x, grid or [300])]
+                for mean in _prefix_means(x, grid or [300])]
         got = self._no_channel(lambda: sparse_mean(x, 1.0, None, None, lam, grid))
         assert np.array_equal(got, want if grid else want[0])
 
@@ -828,13 +832,13 @@ class TestNoChannel:
     def test_density_estimate_is_the_classical_projection(self, beta):
         data = make_rng(103).random(5000)
         grid = [2, 40, 1000, 5000]
-        k_for = {n: max(1, round(n ** (1.0 / (2.0 * beta + 1.0)))) for n in grid}
-        want = _projection_coeffs(data, k_for, trig_basis_matrix)
+        ks = [max(1, round(n ** (1.0 / (2.0 * beta + 1.0)))) for n in grid]
+        want = _projection_coeffs(data, grid, ks, trig_basis_matrix)
         got = self._no_channel(lambda: density_estimate(data, beta, None, None, grid=grid))
-        assert [e.k for e in got] == list(k_for.values())
-        assert all(np.array_equal(e.coeffs, want[n]) for e, n in zip(got, grid))
+        assert [e.k for e in got] == ks
+        assert all(np.array_equal(e.coeffs, coeffs) for e, coeffs in zip(got, want))
         whole = self._no_channel(lambda: density_estimate(data, beta, None, None))
-        assert whole.k == k_for[5000] and np.array_equal(whole.coeffs, want[5000])
+        assert whole.k == ks[-1] and np.array_equal(whole.coeffs, want[-1])
 
 
 class TestOneChannelCallPerRecord:

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from privest.core import ConfigError, ParameterError, PrivacyLevel, make_rng
+from privest.core import BLOCK, ConfigError, ParameterError, PrivacyLevel, make_rng
 from privest.estimators import _projection_coeffs, trig_basis_matrix
 from privest.experiments import (
     CSV_HEADER,
     ESTIMATORS,
+    MAX_CELLS,
     PRESETS,
     ExperimentSpec,
     RunRecord,
@@ -22,7 +23,6 @@ from privest.experiments import (
     spec_from_config,
     summarize,
 )
-from privest.mechanisms import _FOLD_BLOCK
 
 
 def _tiny_spec(mechanism="optimal", **overrides):
@@ -49,8 +49,8 @@ class TestPrefixMeans:
         csum = np.cumsum(z, axis=0)
         for layout in (z, np.asfortranarray(z)):
             got = _prefix_means(layout, grid)
-            assert [n for n, _ in got] == list(grid)
-            for n, mean in got:
+            assert got.shape == (len(grid), d)
+            for n, mean in zip(grid, got):
                 want = csum[n - 1] / n
                 assert np.array_equal(mean, want)
                 assert np.array_equal(np.signbit(mean), np.signbit(want))
@@ -63,18 +63,18 @@ class TestProjectionCoeffs:
         {1000: 1, 5000: 2, 70_001: 23, 150_007: 64},
         {3: 1, 4100: 16, 9000: 20, 100_003: 47},
         {10: 1, 20: 1},
-        {_FOLD_BLOCK // 64: 64, 5 * _FOLD_BLOCK // 64: 64},
+        {BLOCK // 64: 64, 5 * BLOCK // 64: 64},
     ])
     def test_equals_basis_means_bit_for_bit(self, k_for):
         data = make_rng(45).random(max(k_for) + 13)
-        got = _projection_coeffs(data, k_for, trig_basis_matrix)
+        got = _projection_coeffs(data, list(k_for), list(k_for.values()), trig_basis_matrix)
         basis = trig_basis_matrix(max(k_for.values()), data)
-        assert list(got) == list(k_for)
+        assert len(got) == len(k_for)
         csum = np.cumsum(basis[:, :1], axis=0)
-        for n, k in k_for.items():
+        for (n, k), coeffs in zip(k_for.items(), got):
             # numpy's axis-0 mean sums one column pairwise; the fold, like cumsum, row by row
             want = csum[n - 1] / n if k == 1 else basis[:n, :k].mean(axis=0)
-            assert np.array_equal(got[n], want)
+            assert np.array_equal(coeffs, want)
 
 
 class TestSpecValidation:
@@ -89,6 +89,12 @@ class TestSpecValidation:
     def test_non_increasing_grid(self):
         with pytest.raises(ConfigError):
             _tiny_spec(n_grid=(128, 128))
+
+    def test_cells_of_an_arm_are_capped(self):
+        # replicates x len(n_grid): 2 grid sizes here
+        assert _tiny_spec(replicates=MAX_CELLS // 2).replicates == MAX_CELLS // 2
+        with pytest.raises(ConfigError, match=f"exceeds the {MAX_CELLS} cells of one arm"):
+            _tiny_spec(replicates=MAX_CELLS // 2 + 1)
 
     def test_generator_estimator_compatibility(self):
         with pytest.raises(ConfigError, match="incompatible"):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import privest.cli
-from privest.core import ConfigError, field_schema, make_rng
+from privest.core import BLOCK, ConfigError, field_schema, make_rng
 from privest.generators import (
     GENERATORS,
     BernoulliProduct,
@@ -17,7 +17,6 @@ from privest.generators import (
     LogisticModel,
     Lognormal,
     TrigDensity,
-    _BLOCK,
     make_generator,
 )
 
@@ -200,7 +199,7 @@ class TestBernoulliProduct:
     def test_blocked_draws_equal_one_whole_draw(self, d, blocks):
         """Row blocks of uniforms are the stream of one (n, d) draw, bit for bit."""
         gen = BernoulliProduct(tuple(np.linspace(0.05, 0.95, d)))
-        n = int(blocks * (_BLOCK // d))  # under one block, a multiple of it, or neither
+        n = int(blocks * (BLOCK // d))  # under one block, a multiple of it, or neither
         blocked, whole = make_rng(86, d), make_rng(86, d)
         got = gen.sample(n, blocked)
         want = (whole.random((n, d)) < np.array(gen.freqs)).astype(float)

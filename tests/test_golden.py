@@ -22,6 +22,7 @@ from dataclasses import replace
 
 import pytest
 
+from privest import core
 from privest.experiments import (
     ESTIMATORS,
     PRESETS,
@@ -114,6 +115,17 @@ def test_arm_csv_matches_golden_digest(estimator, mechanism):
 @pytest.mark.parametrize("preset", list(PRESETS))
 def test_preset_csv_matches_golden_digest(preset):
     assert preset_digest(preset) == PRESET_GOLDEN[preset]
+
+
+def test_every_digest_holds_at_any_block_size(monkeypatch):
+    """Every streaming loop sizes its row blocks by ``core.BLOCK``; no output depends on it.
+
+    At 7 float64s per block the loops run 1 to 3 rows at a time, so every
+    block boundary, and every partial last block, falls somewhere else.
+    """
+    monkeypatch.setattr(core, "BLOCK", 7)
+    assert {arm: arm_digest(*arm) for arm in _ARMS} == GOLDEN
+    assert {preset: preset_digest(preset) for preset in PRESETS} == PRESET_GOLDEN
 
 
 def _print_table(name, entries):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from privest.core import (
+    BLOCK,
     DomainError,
     ParameterError,
     PrivacyLevel,
@@ -15,11 +16,10 @@ from privest.core import (
     make_rng,
     uniform_sphere,
 )
-from privest import mechanisms
+from privest import core
 from privest.audit import halfspace_expectation_cube, sphere_halfspace_mean_quadrature
 from privest.experiments import _prefix_means
 from privest.mechanisms import (
-    _FOLD_BLOCK,
     Channel,
     MomentAssumption,
     _l2_ball_batch,
@@ -268,7 +268,7 @@ class TestKernelPins:
 
     @pytest.mark.parametrize("d", [1, 8, 23, 64])
     def test_linf_spans_several_row_blocks(self, d):
-        n = 3 * max(1, _FOLD_BLOCK // d) + 5
+        n = 3 * max(1, BLOCK // d) + 5
         x = make_rng(600 + d).uniform(-1.0, 1.0, size=(n, d))
         _assert_pinned(_linf_ball_batch, _linf_ball_reference, x, 1.0, ONE, d)
 
@@ -278,8 +278,8 @@ class TestKernelPins:
         x = make_rng(620, d).uniform(-1.0, 1.0, size=(n, d))
         grid = (1, 7, 150, n - 1)
         runs = []
-        for block in (1, 7, _FOLD_BLOCK):
-            monkeypatch.setattr(mechanisms, "_FOLD_BLOCK", block)
+        for block in (1, 7, BLOCK):
+            monkeypatch.setattr(core, "BLOCK", block)
             whole, streamed = make_rng(621, d), make_rng(621, d)
             z = _linf_ball_batch(x, 1.0, ONE, whole)
             means = _linf_ball_batch(x, 1.0, ONE, streamed, grid=grid)
@@ -293,7 +293,7 @@ class TestKernelPins:
         _assert_pinned(_linf_ball_batch, _linf_ball_reference, np.empty((0, 5)), 1.0, ONE, 0)
 
     def test_linf_domain_error_names_first_offending_record(self):
-        rows = _FOLD_BLOCK // 8
+        rows = BLOCK // 8
         x = make_rng(610).uniform(-0.5, 0.5, size=(3 * rows + 5, 8))
         x[5, 2] = 1.0 + 1e-10  # within the relative slack: accepted
         x[rows + 2, 3] = -1.7
@@ -344,7 +344,7 @@ class TestStreamedKernels:
     @pytest.mark.parametrize("d", [1, 2, 27, 64])
     def test_equals_prefix_means_of_output(self, kind, d):
         kernel = _VECTOR_KERNELS[kind]
-        rows = _FOLD_BLOCK // d
+        rows = BLOCK // d
         n = 3 * rows + 17
         x = _streamed_records(d, n)
         grids = [(n,), (1,), (rows - 1, rows + 1, 2 * rows + 5, n - 3), (7, 1000)]
@@ -353,7 +353,7 @@ class TestStreamedKernels:
             reset_privatization_count()
             got = kernel(x, streamed, grid=grid)
             assert privatization_count() == n
-            want = np.array([mean for _, mean in _prefix_means(kernel(x, whole), grid)])
+            want = _prefix_means(kernel(x, whole), grid)
             assert got.shape == (len(grid), d)
             assert np.array_equal(got, want)
             # rows past the last grid point still draw: both generators end in one state
