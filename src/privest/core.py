@@ -175,14 +175,15 @@ BLOCK = 1 << 16
 
 def block_rows(width: int) -> int:
     """Rows per block of a loop that holds ``width`` float64s of working set per row."""
-    return max(1, BLOCK // max(width, 1))
+    return (BLOCK // width or 1) if width > 0 else BLOCK  # builtins max() costs more per call
 
 
 def row_blocks(start: int, stop: int, width: int):
     """The ``(lo, hi)`` bounds of rows start..stop - 1, in blocks of :func:`block_rows` rows."""
     rows = block_rows(width)
-    for lo in range(start, stop, rows):
-        yield lo, min(lo + rows, stop)
+    if stop - start <= rows:  # at most one block: no generator to set up per call
+        return ((start, stop),) if stop > start else ()
+    return ((lo, min(lo + rows, stop)) for lo in range(start, stop, rows))
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -221,24 +222,27 @@ def laplace_sample(rng: np.random.Generator, inv_scale: float, size=None, out=No
         raise ParameterError(f"inv_scale must be finite and > 0 with 1/inv_scale at most "
                              f"{_LAPLACE_SCALE_MAX:.3g}, got {inv_scale!r}")
     u = rng.random(1 if size is None else size) if out is None else rng.random(out=out)
-    flat = u.reshape(-1)  # a view: u is C-contiguous
-    tmp = np.empty(min(flat.size, block_rows(2)))  # a draw and its temporary per row
-    for lo, hi in row_blocks(0, flat.size, 2):
-        _laplace_inverse_cdf(rng, flat[lo:], scale, tmp[: hi - lo])
+    rows = block_rows(2)  # a draw and its temporary per row
+    if u.size <= rows:  # one block: no loop, and numpy's own temporary
+        _laplace_inverse_cdf(rng, u, scale)
+    else:
+        flat, tmp = u.reshape(-1), np.empty(rows)  # reshape: a view, u is C-contiguous
+        for lo, _ in row_blocks(0, flat.size, 2):
+            _laplace_inverse_cdf(rng, flat[lo:], scale, tmp)
     return float(u[0]) if size is None and out is None else u
 
 
-def _laplace_inverse_cdf(rng, u, scale, tmp):
-    """Overwrite the first ``len(tmp)`` of the uniforms ``u`` with Laplace draws of ``scale``,
-    by the inverse CDF of the module note, through the reused temporary ``tmp``.  Zeros are
-    first dropped from ``u``, in order, and it is topped up from ``rng``."""
-    block = u[: len(tmp)]
+def _laplace_inverse_cdf(rng, u, scale, tmp=None):
+    """Overwrite ``u`` (or its first ``len(tmp)``, through the reused ``tmp``) with Laplace
+    draws of ``scale`` by the module note's inverse CDF.  Zeros are first dropped from ``u``,
+    in order, and it is topped up from ``rng``."""
+    block = u if tmp is None else u[: len(tmp)]
     while np.count_nonzero(block) < block.size:
         flat = u.reshape(-1)
         keep = flat[flat != 0.0]
         flat[: keep.size] = keep
         flat[keep.size :] = rng.random(flat.size - keep.size)
-    a = np.subtract(1.0, block, out=tmp)
+    a = np.subtract(1.0, block, out=None if tmp is None else tmp[: block.size])
     np.minimum(a, block, out=a)
     np.add(a, a, out=a)
     np.log(a, out=a)

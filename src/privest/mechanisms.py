@@ -336,8 +336,10 @@ def _row_norms(x):
     inf, silently: the caller's domain check rejects it.
     """
     n, d = x.shape
-    norms = np.empty(n)
     with np.errstate(over="ignore"):
+        if n <= block_rows(d):  # one block: numpy's own output array
+            return np.linalg.norm(x, axis=1)
+        norms = np.empty(n)
         for lo, hi in row_blocks(0, n, d):
             norms[lo:hi] = np.linalg.norm(x[lo:hi], axis=1)
     return norms

@@ -470,6 +470,16 @@ def test_estimate_malformed_config_exits_2(tmp_path, capsys, config):
     assert _one_config_error_line(capsys)
 
 
+def test_estimate_density_order_above_n_exits_2(tmp_path, capsys):
+    # at n = 3 and eps 10 the private order (n eps^2)^(1/4) = 4.16 exceeds n
+    config = {"estimator": "density", "n": 3, "eps": 10.0,
+              "generator": {"kind": "trig_density", "coeffs": [0.3]}}
+    assert main(["estimate", "--config", _write(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: basis order 4.16179 exceeds n = 3")
+    assert err.count("\n") == 1
+
+
 _STRING_VECTOR = {"kind": "fixed_vector", "value": "ab"}
 
 

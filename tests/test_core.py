@@ -84,6 +84,7 @@ class TestRowBlocks:
         assert list(row_blocks(5, 6 + 2 * rows, 7)) == [
             (5, 5 + rows), (5 + rows, 5 + 2 * rows), (5 + 2 * rows, 6 + 2 * rows)]
         assert list(row_blocks(4, 4, 7)) == []
+        assert list(row_blocks(3, 3 + rows, 7)) == [(3, 3 + rows)]  # one block, returned as is
 
 
 class _Uniforms:

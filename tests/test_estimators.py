@@ -736,6 +736,15 @@ class TestDensityEstimate:
         with pytest.raises(ParameterError, match="basis order 20 exceeds n = 16 at eps = 100.0"):
             series_bandwidth(16, PrivacyLevel(100.0), 1.0)
 
+    def test_an_order_above_a_small_n_is_rejected_at_moderate_eps(self):
+        # at n = 2 the order (2 eps^2)^(1/4) rounds to 2 at eps 4 and to 3 at eps 5; at n = 3
+        # and eps 10 it is 4.16, so one small grid point rejects a moderate eps
+        assert series_bandwidth(2, PrivacyLevel(4.0), 1.0) == 2
+        with pytest.raises(ParameterError, match="basis order 2.65915 exceeds n = 2 at eps = 5.0"):
+            series_bandwidth(2, PrivacyLevel(5.0), 1.0)
+        with pytest.raises(ParameterError, match="basis order 4.16179 exceeds n = 3 at eps = 10.0"):
+            density_estimate(np.array([0.1, 0.5, 0.9]), 1.0, PrivacyLevel(10.0), make_rng(0))
+
     def test_validations(self):
         for level in (ONE, None):
             with pytest.raises(ParameterError):
