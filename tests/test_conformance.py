@@ -1,6 +1,6 @@
-"""Sampler conformance: the frequencies a channel kernel draws against its exact law.
+"""Sampler conformance: the draws of a sampler against its exact law.
 
-These tests guard the law of a kernel whose draws change on purpose (a new
+These tests guard the law of a sampler whose draws change on purpose (a new
 draw order or primitive), where the golden digests and the bit-for-bit pins
 are regenerated and so prove nothing about the law.
 """
@@ -9,10 +9,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chisquare, kstest
 
 from privest.audit import channel_pmf
-from privest.core import BLOCK, PrivacyLevel, make_rng
+from privest.core import BLOCK, PrivacyLevel, block_rows, make_rng
+from privest.generators import TrigDensity
 from privest.mechanisms import Channel, _linf_ball_batch
 
 # The 36 hypercube cases below read p >= 0.02 at their fixed seeds.  Each of these
@@ -42,3 +43,19 @@ def test_linf_vertex_frequencies_match_the_enumerated_pmf(d, eps):
         expected = n * channel_pmf(channel, x).probs
         pvalue = chisquare(counts, expected).pvalue
         assert pvalue > P_FLOOR, f"{name} record {x}: p = {pvalue:.3g}"
+
+
+@pytest.mark.parametrize("coeffs", [(0.5, 0.0, 0.25), (1.0 / math.sqrt(2.0),)],
+                         ids=["density-rate", "zero-at-half"])
+def test_trig_density_draws_follow_the_cdf_they_invert(coeffs):
+    """Kolmogorov-Smirnov against the piecewise-linear CDF that ``sample`` inverts.
+
+    Both cases read p = 0.72 at this seed, and each fails on either of these mutants: the
+    first row block's output read back as uniforms by every later block, the guide bucket
+    halved.  A draw in the neighbouring CDF interval moves by at most 2^-14, below what this
+    test sees; ``test_generators`` pins every draw to ``np.interp`` bit for bit.
+    """
+    gen = TrigDensity(coeffs=coeffs)
+    draws = gen.sample(8 * block_rows(8) + 7, make_rng(801))  # several of the sampler's blocks
+    pvalue = kstest(draws, lambda t: np.interp(t, gen.grid, gen.cdf)).pvalue
+    assert pvalue > P_FLOOR, f"coeffs {coeffs}: p = {pvalue:.3g}"

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import privest.cli
-from privest.core import BLOCK, ConfigError, field_schema, make_rng
+from privest.core import BLOCK, ConfigError, block_rows, field_schema, make_rng
 from privest.generators import (
     GENERATORS,
     BernoulliProduct,
@@ -267,3 +268,99 @@ class TestTrigDensity:
     def test_samples_in_unit_interval(self):
         draws = TrigDensity(coeffs=(0.5,)).sample(10_000, make_rng(90))
         assert np.all((draws >= 0.0) & (draws <= 1.0))
+
+
+def _quartic(sign, excess=0.0):
+    """Coefficients of (1 + excess)(2/3)(1 - sign cos 2 pi t)^2 - excess: a quartic minimum."""
+    return (-sign * 4.0 * (1.0 + excess) / (3.0 * math.sqrt(2.0)), 0.0,
+            (1.0 + excess) / (3.0 * math.sqrt(2.0)))
+
+
+# Densities whose CDF has flat spans (a quartic zero) or that are negative, inside the -1e-9
+# that the range rule forgives: at t = 0 and t = 1 only, or on the 20 nodes nearest each end,
+# where rounding dips the cdf below 0 and lifts it above 1 before its last node.
+_EDGE_DENSITIES = {
+    "quartic-zero-at-0": _quartic(1),
+    "quartic-zero-at-half": _quartic(-1),
+    "negative-at-the-ends": (-(1.0 + 4e-10) / math.sqrt(2.0),),
+    "negative-near-the-ends": _quartic(1, 5e-10),
+}
+
+
+class _Uniforms:
+    """Stands in for a generator whose ``random(n)`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def _quiet_density(coeffs):
+    """``TrigDensity(coeffs)``, failing on any warning its construction emits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return TrigDensity(coeffs=coeffs)
+
+
+def _node_uniforms(gen):
+    """Every CDF node in [0, 1), the range of ``Generator.random``, and its two neighbours."""
+    nodes = gen.cdf[gen.cdf < 1.0]
+    u = np.concatenate([nodes, np.nextafter(nodes, -1.0), np.nextafter(nodes, 2.0)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _assert_sample_is_interp(gen, seed):
+    """``sample`` equals ``np.interp`` over the same uniforms, bit for bit, and uses no more."""
+    u = _node_uniforms(gen)
+    assert np.array_equal(gen.sample(u.size, _Uniforms(u)), np.interp(u, gen.cdf, gen.grid))
+    rows = block_rows(8)  # the sampler's row block
+    for n in (0, 1, rows - 1, rows, rows + 1):
+        drawn, reference = make_rng(seed, n), make_rng(seed, n)
+        got = gen.sample(n, drawn)
+        assert np.array_equal(got, np.interp(reference.random(n), gen.cdf, gen.grid))
+        assert drawn.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("name", list(_EDGE_DENSITIES))
+def test_guide_table_sampler_is_interp_on_edge_densities(name):
+    gen = _quiet_density(_EDGE_DENSITIES[name])
+    assert np.any(np.diff(gen.cdf) == 0.0) or np.min(gen.density(gen.grid)) < 0.0
+    _assert_sample_is_interp(gen, 95)
+
+
+def test_where_rounding_dips_the_cdf_a_draw_still_inverts_it():
+    """At a density just below 0 on the 39 nodes around t = 1/2, rounding dips the cdf by 1e-12.
+
+    A u inside the dip lies in two intervals that rise through it, and ``np.interp``'s pick
+    depends on the uniform before it; the sampler may pick the other, but each draw is a
+    point where the interpolated CDF equals u.  Outside the dip the two agree bit for bit.
+    """
+    gen = _quiet_density(_quartic(-1, 5e-10))
+    assert np.any(np.diff(gen.cdf) < 0.0)
+    u = _node_uniforms(gen)
+    x = gen.sample(u.size, _Uniforms(u))
+    assert np.allclose(np.interp(x, gen.grid, gen.cdf), u, rtol=0.0, atol=1e-15)
+    peak, trough = gen.cdf[gen.grid <= 0.5].max(), gen.cdf[gen.grid >= 0.5].min()
+    dip = (u >= trough) & (u < peak)
+    assert 0 < np.count_nonzero(dip) < 200
+    assert np.array_equal(x[~dip], np.interp(u[~dip], gen.cdf, gen.grid))
+    u = make_rng(97).random(1 << 16)
+    assert np.array_equal(gen.sample(u.size, _Uniforms(u)), np.interp(u, gen.cdf, gen.grid))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(raw=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+       reach=st.one_of(st.just(1.0), st.floats(0.0, 1.1)))
+def test_guide_table_sampler_is_interp(raw, reach):
+    """On random valid densities, reaching down to 0 where ``reach`` is at least 1."""
+    total = math.sqrt(2.0) * sum(abs(c) for c in raw)
+    if total == 0.0:
+        return
+    try:
+        gen = _quiet_density(tuple(c * reach / total for c in raw))
+    except ConfigError:  # negative somewhere on the grid
+        return
+    _assert_sample_is_interp(gen, 96)
