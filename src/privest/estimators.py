@@ -18,13 +18,15 @@ the same range rules.  That is the non-private reference of the paper.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import DomainError, ParameterError, PrivacyLevel, block_rows, row_blocks
+from .core import DomainError, ParameterError, PrivacyLevel, row_blocks
 from .mechanisms import (
     _DOMAIN_SLACK,
     MomentAssumption,
+    RowSource,
     _check_grid,
     _check_radius,
     _l2_ball_batch,
@@ -370,17 +372,30 @@ def trig_basis_matrix(k: int, t, out=None) -> np.ndarray:
     _check_unit_interval(t, "basis argument must lie in [0, 1]")
     if out is None:
         out = np.empty((t.size, k))
-    n_cos = (k + 1) // 2
-    width = 2 * n_cos + 3  # the complex harmonics and 3 per-point temporaries
-    harmonics = np.empty((n_cos, min(block_rows(width), t.size)), dtype=complex)  # e^(i m theta)
-    for lo, hi in row_blocks(0, t.size, width):
-        z, theta = harmonics[:, : hi - lo], 2.0 * math.pi * t[lo:hi]
-        z[0].real, z[0].imag = np.cos(theta), np.sin(theta)
-        for m in range(1, n_cos):
-            np.multiply(z[m - 1], z[0], out=z[m])
-        np.multiply(z.real.T, ORTH_BOUND, out=out[lo:hi, 0::2])
-        np.multiply(z.imag[: k // 2].T, ORTH_BOUND, out=out[lo:hi, 1::2])
+    rotation = _rotations(t)
+    for lo, hi in row_blocks(0, t.size, 2 * ((k + 1) // 2) + 3):  # 2 per harmonic, 3 spare
+        _basis_block(k, rotation, lo, out[lo:hi])
     return out
+
+
+def _rotations(t):
+    """e^(i theta), theta = 2 pi t, at each point of t: one cos and one sin per point."""
+    out = np.empty(t.size, dtype=complex)
+    for lo, hi in row_blocks(0, t.size, 3):  # theta, its cos and its sin per point
+        theta = 2.0 * math.pi * t[lo:hi]
+        out[lo:hi].real, out[lo:hi].imag = np.cos(theta), np.sin(theta)
+    return out
+
+
+def _basis_block(k, rotation, lo, out):
+    """Basis rows lo, lo + 1, ... at order k into ``out``, from the points' :func:`_rotations`,
+    by the one basis recurrence: harmonic m + 1 is harmonic m rotated by e^(i theta)."""
+    z = np.empty(((k + 1) // 2, len(out)), dtype=complex)  # e^(i m theta), m = 1, 2, ...
+    z[0] = rotation[lo : lo + len(out)]
+    for m in range(1, len(z)):
+        np.multiply(z[m - 1], z[0], out=z[m])
+    np.multiply(z.real.T, ORTH_BOUND, out=out[:, 0::2])
+    np.multiply(z.imag[: k // 2].T, ORTH_BOUND, out=out[:, 1::2])
 
 
 def _projection_coeffs(data, grid, ks, basis):
@@ -445,7 +460,8 @@ def density_estimate(
     estimated coefficients are the averages of the privatized vectors.
     Passing ``level=None`` disables the channel and reproduces the classical
     projection estimator at the classical order.  Each n of ``grid`` has its
-    own order k and channel pass over one basis build.
+    own order k and channel pass, which builds the basis rows a block at a time
+    from one kept e^(2 pi i t) per point.  ``k`` may not exceed the smallest n.
     """
     data = np.asarray(data, dtype=float)
     sizes = [data.size] if grid is None else _check_grid(grid, data.size)
@@ -454,13 +470,16 @@ def density_estimate(
     if not (beta > 0.5):
         raise ParameterError(f"smoothness beta must be > 1/2, got {beta!r}")
     _check_unit_interval(data, "density observations must lie in [0, 1]")
+    if k is not None and not 1 <= k <= sizes[0]:  # as series_bandwidth: at most n coefficients
+        raise ParameterError(f"basis order {k} exceeds n = {sizes[0]}" if k > 0 else
+                             f"need at least one basis element, got k={k}")
     ks = [series_bandwidth(n, level, beta) if k is None else k for n in sizes]
     if level is None:
         coeffs = _projection_coeffs(data, sizes, ks, trig_basis_matrix)
     else:
-        # lower basis orders are column prefixes, so one build serves all n
-        basis = trig_basis_matrix(max(ks), data[: sizes[-1]])
-        coeffs = [_linf_ball_batch(basis[:n, :k_n], ORTH_BOUND, level, rng, grid=(n,))[0]
+        rotation = _rotations(data[: sizes[-1]])
+        coeffs = [_linf_ball_batch(RowSource((n, k_n), partial(_basis_block, k_n, rotation)),
+                                   ORTH_BOUND, level, rng, grid=(n,))[0]
                   for n, k_n in zip(sizes, ks)]
     estimates = [DensityEstimate(k=k_n, coeffs=c) for k_n, c in zip(ks, coeffs)]
     return estimates[0] if grid is None else estimates

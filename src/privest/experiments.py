@@ -136,6 +136,7 @@ class ExperimentSpec:
     options: dict = field(default_factory=dict)
     d: int = field(init=False)
     level: PrivacyLevel | None = field(init=False)
+    _generator: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         resolve_fields(self, "experiment config")
@@ -156,6 +157,7 @@ class ExperimentSpec:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         gen = make_generator(self.generator)
+        object.__setattr__(self, "_generator", gen)
         if gen.kind not in entry.generators:
             raise ConfigError(
                 f"generator {gen.kind!r} is incompatible with estimator {self.estimator!r}; "
@@ -178,7 +180,8 @@ class ExperimentSpec:
         object.__setattr__(self, "level", level if self.mechanism != "nonprivate" else None)
 
     def build_generator(self):
-        return make_generator(dict(self.generator))
+        """The generator that construction built; generators are frozen, so every run shares it."""
+        return self._generator
 
 
 def _replicate_chunks(replicates, cells_per_rep, budget=4_000_000):

@@ -30,6 +30,7 @@ the block size.
 """
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -248,6 +249,21 @@ def _l2_ball_batch(x, radius, level, rng, grid=None):
     return _vector_output(fill, n, d, grid)
 
 
+# An (n, d) batch that is never formed: fill(lo, out) writes its rows lo, lo + 1, ... into out
+RowSource = namedtuple("RowSource", "shape fill")
+
+
+def _check_linf_rows(x, radius, first=0):
+    """DomainError naming the first row of ``x`` (record first + i) outside the radius ball."""
+    # one global test (NaN fails it too); the record is found only on failure
+    limit = radius * (1.0 + _DOMAIN_SLACK)
+    if x.size and not (max(x.max(), -x.min()) <= limit):
+        amax = np.max(np.abs(x), axis=1)
+        i = int(np.argmax(~(amax <= limit)))
+        raise DomainError(f"record {first + i}: ||x||_inf = {amax[i]:.6g} exceeds the channel "
+                          f"radius {radius:.6g}")
+
+
 def _linf_ball_batch(x, radius, level, rng, grid=None):
     """The channel of :meth:`Channel.linf_ball` for an (n, d) batch.
 
@@ -255,19 +271,16 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
     from one draw of raw 64-bit words (unpacked big-endian: bit j of a row is
     coordinate j, set = +1); the n side bits; the (n, d) rounding uniforms,
     drawn a row block at a time into one reused buffer.  Each output block is
-    built in cache; ``grid`` is as in :func:`_vector_output`.
+    built in cache; ``grid`` is as in :func:`_vector_output`.  A ``RowSource``
+    ``x`` writes each block of rows into the output block, checked there before
+    use; the draws are those of the array it stands for.
     """
-    x = np.asarray(x, dtype=float)
+    source = isinstance(x, RowSource)
+    x = x if source else np.asarray(x, dtype=float)
     n, d = x.shape
     bound = linf_bound_B(d, radius, level)  # checks d, the radius and B before any draw
-    # one global test (NaN fails it too); the record is found only on failure
-    limit = radius * (1.0 + _DOMAIN_SLACK)
-    if x.size and not (max(x.max(), -x.min()) <= limit):
-        amax = np.max(np.abs(x), axis=1)
-        i = int(np.argmax(~(amax <= limit)))
-        raise DomainError(
-            f"record {i}: ||x||_inf = {amax[i]:.6g} exceeds the channel radius {radius:.6g}"
-        )
+    if not source:
+        _check_linf_rows(x, radius)
     nbytes = -(-d // 8)
     words = rng.bit_generator.random_raw(-(-n * nbytes // 8))
     vertex_bits = words.view(np.uint8)[: n * nbytes].reshape(n, nbytes)
@@ -280,7 +293,10 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
     def fill(lo, out):
         r = len(out)
         vertex = np.unpackbits(vertex_bits[lo : lo + r], axis=1, count=d).view(bool)
-        np.add(np.divide(x[lo : lo + r], 2.0 * radius, out=out), 0.5, out=out)
+        if source:
+            x.fill(lo, out)
+            _check_linf_rows(out, radius, lo)
+        np.add(np.divide(out if source else x[lo : lo + r], 2.0 * radius, out=out), 0.5, out=out)
         np.less(rng.random(out=u[:r]), out, out=rounded[:r])
         # <vertex, rounded> is d minus twice the disagreements, counted exactly in floats
         ip = d - 2.0 * (np.not_equal(rounded[:r], vertex, out=out) @ ones)

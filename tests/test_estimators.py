@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -744,6 +745,33 @@ class TestDensityEstimate:
             series_bandwidth(2, PrivacyLevel(5.0), 1.0)
         with pytest.raises(ParameterError, match="basis order 4.16179 exceeds n = 3 at eps = 10.0"):
             density_estimate(np.array([0.1, 0.5, 0.9]), 1.0, PrivacyLevel(10.0), make_rng(0))
+
+    @pytest.mark.parametrize("level", [ONE, None], ids=["private", "no-channel"])
+    def test_an_explicit_order_above_the_smallest_n_is_rejected(self, level):
+        data, rng = np.array([0.1, 0.5, 0.9]), make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="basis order 50 exceeds n = 3"):
+            density_estimate(data, 1.0, level, rng, k=50)
+        with pytest.raises(ParameterError, match="basis order 3 exceeds n = 2"):
+            density_estimate(data, 1.0, level, rng, k=3, grid=[2, 3])
+        with pytest.raises(ParameterError, match="need at least one basis element, got k=0"):
+            density_estimate(data, 1.0, level, rng, k=0)
+        assert rng.bit_generator.state == state
+        assert density_estimate(data, 1.0, level, rng, k=3).k == 3
+
+    def test_the_private_basis_is_never_formed(self):
+        # the density-rate preset's grid at its own n_max, 2^18 (order 23 at eps 1); at 2^16 the
+        # fixed O(block) buffers alone, about 2 MB, are a quarter of that n's 8.4 MB basis
+        grid = [2**j for j in range(12, 19)]
+        data = make_rng(73).random(grid[-1])
+        k_max = series_bandwidth(grid[-1], ONE, 1.0)
+        tracemalloc.start()
+        try:
+            density_estimate(data, 1.0, ONE, make_rng(74), grid=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * grid[-1] * k_max / 4
 
     def test_validations(self):
         for level in (ONE, None):

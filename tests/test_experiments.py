@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from privest import experiments
 from privest.core import BLOCK, ConfigError, ParameterError, PrivacyLevel, make_rng
 from privest.estimators import _projection_coeffs, trig_basis_matrix
 from privest.experiments import (
@@ -279,6 +280,18 @@ class TestRunExperiment:
 
     def test_deterministic_given_seed(self):
         assert run_experiment(_tiny_spec()) == run_experiment(_tiny_spec())
+
+    def test_runs_the_generator_that_the_spec_built(self, monkeypatch):
+        density = _tiny_spec(estimator="density", n_grid=(64,), replicates=2,
+                             generator={"kind": "trig_density", "coeffs": [0.5, 0.0, 0.25]})
+        specs, built, make = [_tiny_spec(), density], [], experiments.make_generator
+        monkeypatch.setattr(experiments, "make_generator",
+                            lambda config: built.append(config) or make(config))
+        for spec in specs:
+            assert run_experiment(spec) and spec.build_generator() is spec.build_generator()
+        assert built == []
+        replace(density, seed=1)  # a new spec builds its own
+        assert len(built) == 1
 
     def test_seed_changes_values(self):
         a = run_experiment(_tiny_spec())

@@ -22,6 +22,7 @@ from privest.experiments import _prefix_means
 from privest.mechanisms import (
     Channel,
     MomentAssumption,
+    RowSource,
     _l2_ball_batch,
     _laplace_vector_batch,
     _linf_ball_batch,
@@ -303,6 +304,36 @@ class TestKernelPins:
         assert str(excinfo.value) == (
             f"record {rows + 2}: ||x||_inf = 1.7 exceeds the channel radius 1"
         )
+
+    @pytest.mark.parametrize("d", [1, 23])
+    def test_linf_row_source_draws_what_its_array_draws(self, d):
+        n = 2 * (BLOCK // d) + 5
+        x = make_rng(630, d).uniform(-1.0, 1.0, size=(n, d))
+        source = RowSource(x.shape, lambda lo, out: np.copyto(out, x[lo : lo + len(out)]))
+        for grid in (None, (1, n // 2, n)):
+            ours, theirs = make_rng(631, d), make_rng(631, d)
+            got = _linf_ball_batch(source, 1.0, ONE, ours, grid=grid)
+            assert np.array_equal(got, _linf_ball_batch(x, 1.0, ONE, theirs, grid=grid))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [1.25, np.nan], ids=["above", "nan"])
+    def test_linf_row_source_rows_are_checked_as_they_are_written(self, bad):
+        rows = BLOCK // 8
+        x = make_rng(611).uniform(-0.5, 0.5, size=(3 * rows + 5, 8))
+        x[5, 2] = 1.0 + 1e-10  # within the relative slack: accepted
+        x[2 * rows + 3, 4] = bad  # one row, in the third block
+        blocks = []
+
+        def fill(lo, out):
+            blocks.append(lo)
+            out[...] = x[lo : lo + len(out)]
+
+        with pytest.raises(DomainError) as excinfo:
+            _linf_ball_batch(RowSource(x.shape, fill), 1.0, ONE, make_rng(0), grid=(len(x),))
+        assert str(excinfo.value) == (
+            f"record {2 * rows + 3}: ||x||_inf = {bad:.6g} exceeds the channel radius 1"
+        )
+        assert blocks == [0, rows, 2 * rows]  # the offending block is never used
 
     def test_laplace_kernels_add_data_to_noise(self):
         x = make_rng(500).uniform(0.0, 1.0, size=(300, 3))
