@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, ParameterError, SizeError, UnsupportedChannelError
-from .mechanisms import Channel, cube_tie_gamma, cube_vertices
+from .mechanisms import Channel, _check_ball, _check_signs, cube_tie_gamma, cube_vertices
 
 _ENUMERATION_DIM_CAP = 20
 MC_MIN_DRAWS = 1000  # fewest draws monte_carlo_unbias accepts
@@ -54,8 +54,7 @@ def halfspace_expectation_cube(x_vertex) -> np.ndarray:
     d = x.size
     if d > _ENUMERATION_DIM_CAP:
         raise SizeError(f"vertex enumeration capped at d <= {_ENUMERATION_DIM_CAP}, got {d}")
-    if not np.all(np.abs(x) == 1.0):
-        raise DomainError("x must be a vertex of the {-1, +1}^d cube")
+    _check_signs(x)
     vertices = cube_vertices(d)
     accepted = vertices[vertices @ x >= 0.0]
     return accepted.mean(axis=0)
@@ -94,7 +93,7 @@ def _linf_conditional_matrix(d: int, level) -> np.ndarray:
     return out
 
 
-def channel_pmf_grid(channel: Channel, x_grid) -> EnumeratedPmf | tuple:
+def channel_pmf_grid(channel: Channel, x_grid) -> tuple:
     """Exact pmfs of a discrete channel for every row of ``x_grid``.
 
     Returns ``(support, probs_matrix)`` with ``probs_matrix`` of shape
@@ -103,8 +102,7 @@ def channel_pmf_grid(channel: Channel, x_grid) -> EnumeratedPmf | tuple:
     """
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if channel.kind == "sign_rr":
-        if not np.all(np.abs(x_grid) == 1.0):
-            raise DomainError("sign channel inputs must be -1 or +1")
+        _check_signs(x_grid)
         pi, flip = channel.level.pi_eps, _flip_probability(channel.level)
         # support rows are [-phi, +phi]
         return channel.support_points(), np.where(x_grid > 0, [[flip, pi]], [[pi, flip]])
@@ -114,8 +112,7 @@ def channel_pmf_grid(channel: Channel, x_grid) -> EnumeratedPmf | tuple:
             raise SizeError(f"pmf enumeration capped at d <= {_PMF_DIM_CAP}, got {d}")
         if x_grid.shape[1] != d:
             raise ParameterError(f"inputs must have dimension {d}")
-        if np.max(np.abs(x_grid)) > channel.radius * (1.0 + 1e-9):
-            raise DomainError("grid point outside the channel's linf ball")
+        _check_ball(x_grid, "linf", channel.radius)
         probs = _rounding_probs(x_grid, channel.radius, cube_vertices(d))
         probs = probs @ _linf_conditional_matrix(d, channel.level)
         return channel.support_points(), probs

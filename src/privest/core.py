@@ -61,7 +61,6 @@ class PrivacyLevel:
 
     Attributes:
         epsilon: The privacy budget, a finite positive real.
-        exp_eps: ``exp(epsilon)`` (``inf`` when epsilon overflows the exponent).
         pi_eps: ``exp(eps) / (1 + exp(eps))``, the probability that the
             randomized-response style channels report the "true" side.
         phi_eps: ``(exp(eps) + 1) / (exp(eps) - 1)``, the inverse-gap factor
@@ -71,7 +70,6 @@ class PrivacyLevel:
     """
 
     epsilon: float
-    exp_eps: float = field(init=False)
     pi_eps: float = field(init=False)
     phi_eps: float = field(init=False)
 
@@ -82,7 +80,6 @@ class PrivacyLevel:
         object.__setattr__(self, "epsilon", eps)
         # exp(eps) overflows for eps > ~709; the derived quantities below are
         # computed in overflow-safe form and stay meaningful.
-        object.__setattr__(self, "exp_eps", math.exp(eps) if eps < 709.0 else math.inf)
         object.__setattr__(self, "pi_eps", 1.0 / (1.0 + math.exp(-eps)))
         tanh_half = math.tanh(eps / 2.0)  # 0 when eps / 2 underflows
         phi_eps = 1.0 / tanh_half if tanh_half > 0.0 else math.inf

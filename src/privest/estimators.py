@@ -24,9 +24,9 @@ import numpy as np
 
 from .core import DomainError, ParameterError, PrivacyLevel, row_blocks
 from .mechanisms import (
-    _DOMAIN_SLACK,
     MomentAssumption,
     RowSource,
+    _check_ball,
     _check_grid,
     _check_radius,
     _l2_ball_batch,
@@ -298,18 +298,6 @@ def private_logistic_sgd(
     )[0, 0]
 
 
-def _check_covariates(x, geometry, radius):
-    _check_radius(radius)
-    if geometry == "l2":
-        worst = np.linalg.norm(x, axis=-1).max(initial=0.0)
-    elif geometry == "linf":
-        worst = np.abs(x).max(initial=0.0)
-    else:
-        raise ParameterError(f"unknown geometry {geometry!r} (use 'l2' or 'linf')")
-    if not (worst <= radius * (1.0 + _DOMAIN_SLACK)):  # NaN fails too
-        raise DomainError(f"covariate {geometry} norm {worst:.6g} exceeds radius {radius:.6g}")
-
-
 def _logistic_sgd_paths(xs, ys, geometry, radius, level, gamma0, beta_exp, proj_radius, mechanism,
                         rng, grid):
     """Replicate-lockstep logistic SGD returning prefix Polyak averages.
@@ -317,18 +305,22 @@ def _logistic_sgd_paths(xs, ys, geometry, radius, level, gamma0, beta_exp, proj_
     ``xs`` is (reps, n, d), ``ys`` is (reps, n); returns (len(grid), reps, d)
     with plane g holding each replicate's iterate average after grid[g] steps.  Runs
     :func:`_sgd_paths` on the privatized log-loss gradient, step
-    gamma0 i^(-beta_exp) and the optional l2 projection.
+    gamma0 i^(-beta_exp) and the optional l2 projection.  A covariate outside the
+    ball is named by its row of ``xs.reshape(-1, d)``.
     """
     if not np.all(np.abs(ys) == 1.0):
         raise ParameterError("labels must be -1 or +1")
-    _check_covariates(xs, geometry, radius)
+    _check_radius(radius)
+    if geometry not in ("l2", "linf"):
+        raise ParameterError(f"unknown geometry {geometry!r} (use 'l2' or 'linf')")
+    reps, n, d = xs.shape
+    _check_ball(xs.reshape(-1, d), geometry, radius)
     if not (gamma0 > 0.0):
         raise ParameterError(f"gamma0 must be > 0, got {gamma0!r}")
     if not (0.5 < beta_exp < 1.0):
         raise ParameterError(f"beta_exp must lie in (1/2, 1), got {beta_exp!r}")
     if proj_radius is not None:
         _check_radius(proj_radius)
-    reps, n, d = xs.shape
     grid = _check_grid(grid, n)
     privatize = _gradient_channel(mechanism, geometry, 2.0 * radius, level, rng, d)
 

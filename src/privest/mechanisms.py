@@ -171,6 +171,23 @@ def truncation_level(assumption: MomentAssumption, n: int, level: PrivacyLevel) 
 # each privatizing a whole batch of records
 
 
+def _check_ball(x, geometry, radius, first=0, norms=None):
+    """The one ball rule: DomainError naming record first + i, the first row of the (n, d)
+    ``x`` whose ``geometry`` ("l2" or "linf") norm is NaN or above radius (1 + _DOMAIN_SLACK).
+    ``norms``, if given, are the rows' l2 norms."""
+    limit = radius * (1.0 + _DOMAIN_SLACK)
+    if geometry == "linf":  # one global test, which NaN fails; row norms only on failure
+        if not x.size or max(x.max(), -x.min()) <= limit:
+            return
+        norms = np.max(np.abs(x), axis=1)
+    elif norms is None:
+        norms = _row_norms(x)
+    if norms.size and not (norms.max() <= limit):
+        i = int(np.argmax(~(norms <= limit)))
+        raise DomainError(f"record {first + i}: ||x||_{geometry[1:]} = {norms[i]:.6g} "
+                          f"exceeds the radius {radius:.6g}")
+
+
 def _reject_nan(x):
     """DomainError if a scalar record is NaN, before any draw; +-inf are clamped as usual."""
     if x.size and np.isnan(x.min()):  # min propagates NaN, with no temporary
@@ -193,10 +210,16 @@ def _naive_median_batch(x, radius, level, rng, one_sided=False):
     return noise
 
 
-def _sign_rr_batch(s, level, rng):
-    s = np.asarray(s, dtype=float)
+def _check_signs(s):
+    """``s`` if its every entry is -1 or +1, else DomainError: the one sign rule."""
     if not np.all(np.abs(s) == 1.0):
         raise DomainError("signs must be -1 or +1")
+    return s
+
+
+def _sign_rr_batch(s, level, rng):
+    # unchecked: the entry checks its input by _check_signs, the median engine builds signs
+    s = np.asarray(s, dtype=float)
     w = np.where(rng.random(s.shape) < level.pi_eps, 1.0, -1.0)
     _count(s.size)
     return level.phi_eps * w * s
@@ -215,12 +238,7 @@ def _l2_ball_batch(x, radius, level, rng, grid=None):
     n, d = x.shape
     bound = l2_bound_B(d, radius, level)  # checks the radius and B before any draw
     norms = _row_norms(x)
-    limit = radius * (1.0 + _DOMAIN_SLACK)
-    if n and not (norms.max() <= limit):  # NaN fails too
-        i = int(np.argmax(~(norms <= limit)))
-        raise DomainError(
-            f"record {i}: ||x||_2 = {norms[i]:.6g} exceeds the channel radius {radius:.6g}"
-        )
+    _check_ball(x, "l2", radius, norms=norms)
     zero_rows = np.flatnonzero(norms == 0.0)
     if zero_rows.size:
         directions = uniform_sphere(rng, d, size=zero_rows.size)
@@ -253,17 +271,6 @@ def _l2_ball_batch(x, radius, level, rng, grid=None):
 RowSource = namedtuple("RowSource", "shape fill")
 
 
-def _check_linf_rows(x, radius, first=0):
-    """DomainError naming the first row of ``x`` (record first + i) outside the radius ball."""
-    # one global test (NaN fails it too); the record is found only on failure
-    limit = radius * (1.0 + _DOMAIN_SLACK)
-    if x.size and not (max(x.max(), -x.min()) <= limit):
-        amax = np.max(np.abs(x), axis=1)
-        i = int(np.argmax(~(amax <= limit)))
-        raise DomainError(f"record {first + i}: ||x||_inf = {amax[i]:.6g} exceeds the channel "
-                          f"radius {radius:.6g}")
-
-
 def _linf_ball_batch(x, radius, level, rng, grid=None):
     """The channel of :meth:`Channel.linf_ball` for an (n, d) batch.
 
@@ -273,20 +280,21 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
     drawn a row block at a time into one reused buffer.  Each output block is
     built in cache; ``grid`` is as in :func:`_vector_output`.  A ``RowSource``
     ``x`` writes each block of rows into the output block, checked there before
-    use; the draws are those of the array it stands for.
+    use; the draws are those of the array it stands for.  A source that fails
+    its check has still advanced ``rng``, by the draws before that block; an
+    array fails before any draw.  Either leaves the privatization count as it was.
     """
     source = isinstance(x, RowSource)
     x = x if source else np.asarray(x, dtype=float)
     n, d = x.shape
     bound = linf_bound_B(d, radius, level)  # checks d, the radius and B before any draw
     if not source:
-        _check_linf_rows(x, radius)
+        _check_ball(x, "linf", radius)
     nbytes = -(-d // 8)
     words = rng.bit_generator.random_raw(-(-n * nbytes // 8))
     vertex_bits = words.view(np.uint8)[: n * nbytes].reshape(n, nbytes)
     p_plus = 0.5 * (1.0 + cube_tie_gamma(d) / level.phi_eps)
     positive_side = rng.random(n) < p_plus
-    _count(n)
     rows = min(n, block_rows(d))
     u, rounded, ones = np.empty((rows, d)), np.empty((rows, d), dtype=bool), np.ones(d)
 
@@ -295,7 +303,7 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
         vertex = np.unpackbits(vertex_bits[lo : lo + r], axis=1, count=d).view(bool)
         if source:
             x.fill(lo, out)
-            _check_linf_rows(out, radius, lo)
+            _check_ball(out, "linf", radius, lo)
         np.add(np.divide(out if source else x[lo : lo + r], 2.0 * radius, out=out), 0.5, out=out)
         np.less(rng.random(out=u[:r]), out, out=rounded[:r])
         # <vertex, rounded> is d minus twice the disagreements, counted exactly in floats
@@ -307,7 +315,9 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
         np.subtract(np.not_equal(vertex, negate[:, None], out=out), 0.5, out=out)
         np.copysign(bound, out, out=out)
 
-    return _vector_output(fill, n, d, grid)
+    z = _vector_output(fill, n, d, grid)
+    _count(n)
+    return z
 
 
 def _laplace_vector_inv_scale(x2d, d, radius, level, sensitivity_norm):
@@ -319,9 +329,7 @@ def _laplace_vector_inv_scale(x2d, d, radius, level, sensitivity_norm):
             raise DomainError(f"l1 mode expects coordinates in [0, {radius:.6g}]")
         return level.epsilon / (d * radius)
     if sensitivity_norm == "l2_paper":
-        norms = _row_norms(x2d)
-        if norms.size and not (norms.max() <= radius * (1.0 + _DOMAIN_SLACK)):
-            raise DomainError(f"l2_paper mode expects ||x||_2 <= {radius:.6g}")
+        _check_ball(x2d, "l2", radius)
         return level.epsilon / (2.0 * radius * math.sqrt(d))
     raise ParameterError(f"unknown sensitivity_norm {sensitivity_norm!r}")
 
@@ -491,7 +499,7 @@ class Channel:
         exactly exp(eps).
         """
         return Channel("sign_rr", level, 1.0, 1, level.phi_eps,
-                       lambda x, rng: _sign_rr_batch(x, level, rng))
+                       lambda x, rng: _sign_rr_batch(_check_signs(x), level, rng))
 
     @staticmethod
     def laplace_vector(

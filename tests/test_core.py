@@ -25,7 +25,6 @@ class TestPrivacyLevel:
         level = PrivacyLevel(math.log(3.0))
         assert level.pi_eps == pytest.approx(0.75, abs=1e-12)
         assert level.phi_eps == pytest.approx(2.0, abs=1e-12)
-        assert level.exp_eps == pytest.approx(3.0, abs=1e-12)
 
     # phi_eps ~ 2 / eps: at 5e-324 eps / 2 underflows to 0, and below ~1.1e-308 phi is inf
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 5e-324, 1e-310, 1e-308])
@@ -45,17 +44,15 @@ class TestPrivacyLevel:
         assert level.phi_eps > 1.0
         # 1 - pi_eps cancels catastrophically for large eps; scale the
         # tolerance by the conditioning of that subtraction
-        rel = max(1e-12, 5e-16 * (1.0 + level.exp_eps))
-        assert level.pi_eps / (1.0 - level.pi_eps) == pytest.approx(level.exp_eps, rel=rel)
-        assert level.phi_eps == pytest.approx(
-            (level.exp_eps + 1.0) / (level.exp_eps - 1.0), rel=1e-12
-        )
+        exp_eps = math.exp(eps)
+        rel = max(1e-12, 5e-16 * (1.0 + exp_eps))
+        assert level.pi_eps / (1.0 - level.pi_eps) == pytest.approx(exp_eps, rel=rel)
+        assert level.phi_eps == pytest.approx((exp_eps + 1.0) / (exp_eps - 1.0), rel=1e-12)
 
     def test_huge_epsilon_stays_finite_where_it_matters(self):
         level = PrivacyLevel(1e6)
         assert level.pi_eps == 1.0  # saturates in float
         assert level.phi_eps == 1.0
-        assert math.isinf(level.exp_eps)
 
 
 class TestRng:

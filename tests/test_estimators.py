@@ -406,10 +406,12 @@ class TestLogisticSgd:
     def test_non_finite_covariate_rejected(self, bad, geometry, mechanism):
         x, y = self._stream(20, 2, 61)
         x[7, 1] = bad
-        with pytest.raises(DomainError, match="covariate"):
+        with pytest.raises(DomainError) as excinfo:
             private_logistic_sgd(
                 (x, y), geometry, 2.0, ONE, make_rng(0), mechanism=mechanism
             )
+        norm = {"l2": "2", "linf": "inf"}[geometry]
+        assert str(excinfo.value) == f"record 7: ||x||_{norm} = {abs(bad):.6g} exceeds the radius 2"
 
     @pytest.mark.parametrize(
         "gamma0, beta_exp", [(-1.0, 0.6), (0.0, 0.6), (1.0, 0.5), (1.0, 1.0), (1.0, 3.0)]

@@ -12,12 +12,14 @@ from privest.core import (
     DomainError,
     ParameterError,
     PrivacyLevel,
+    block_rows,
     laplace_sample,
     make_rng,
     uniform_sphere,
 )
 from privest import core
-from privest.audit import halfspace_expectation_cube, sphere_halfspace_mean_quadrature
+from privest.audit import halfspace_expectation_cube, sphere_halfspace_mean_quadrature, verify_dp
+from privest.estimators import private_logistic_sgd
 from privest.experiments import _prefix_means
 from privest.mechanisms import (
     Channel,
@@ -302,7 +304,7 @@ class TestKernelPins:
         with pytest.raises(DomainError) as excinfo:
             _linf_ball_batch(x, 1.0, ONE, make_rng(0))
         assert str(excinfo.value) == (
-            f"record {rows + 2}: ||x||_inf = 1.7 exceeds the channel radius 1"
+            f"record {rows + 2}: ||x||_inf = 1.7 exceeds the radius 1"
         )
 
     @pytest.mark.parametrize("d", [1, 23])
@@ -328,12 +330,14 @@ class TestKernelPins:
             blocks.append(lo)
             out[...] = x[lo : lo + len(out)]
 
+        reset_privatization_count()
         with pytest.raises(DomainError) as excinfo:
             _linf_ball_batch(RowSource(x.shape, fill), 1.0, ONE, make_rng(0), grid=(len(x),))
         assert str(excinfo.value) == (
-            f"record {2 * rows + 3}: ||x||_inf = {bad:.6g} exceeds the channel radius 1"
+            f"record {2 * rows + 3}: ||x||_inf = {bad:.6g} exceeds the radius 1"
         )
         assert blocks == [0, rows, 2 * rows]  # the offending block is never used
+        assert privatization_count() == 0  # as for an array, which fails before any draw
 
     def test_laplace_kernels_add_data_to_noise(self):
         x = make_rng(500).uniform(0.0, 1.0, size=(300, 3))
@@ -443,7 +447,47 @@ class TestRadiusRule:
         assert rng.bit_generator.state == state and privatization_count() == 0
 
 
+_R = 2.0  # radius of every ball-check site below, on records in R^3
+
+
+def _row_source(x):
+    return RowSource(x.shape, lambda lo, out: np.copyto(out, x[lo : lo + len(out)]))
+
+
+# every site of the ball rule -> (the norm its message names, a call on records x and rng)
+_BALL_SITES = {
+    "l2_ball": ("2", lambda x, rng: _l2_ball_batch(x, _R, ONE, rng)),
+    "linf_ball": ("inf", lambda x, rng: _linf_ball_batch(x, _R, ONE, rng)),
+    "linf_ball-row-source":
+        ("inf", lambda x, rng: _linf_ball_batch(_row_source(x), _R, ONE, rng)),
+    "laplace_vector-l2_paper":
+        ("2", lambda x, rng: _laplace_vector_batch(x, _R, ONE, "l2_paper", rng)),
+    "logistic-covariates":
+        ("2", lambda x, rng: private_logistic_sgd((x, np.ones(len(x))), "l2", _R, ONE, rng)),
+    "verify_dp": ("inf", lambda x, rng: verify_dp(Channel.linf_ball(3, _R, ONE), x)),
+}
+
+
 class TestNonFiniteRecords:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5 * _R], ids=["nan", "inf", "above"])
+    @pytest.mark.parametrize("site", sorted(_BALL_SITES))
+    def test_every_ball_site_applies_the_one_rule(self, site, bad):
+        norm, call = _BALL_SITES[site]
+        n = block_rows(3) + 9  # two row blocks: a row source is checked block by block
+        i = n - 4
+        x = make_rng(640).uniform(-0.5, 0.5, size=(n, 3))
+        x[3] = (_R * (1.0 + 1e-10), 0.0, 0.0)  # within the relative slack: accepted
+        x[i] = (0.0, bad, 0.0)
+        rng = make_rng(641)
+        state = rng.bit_generator.state
+        reset_privatization_count()
+        with pytest.raises(DomainError) as excinfo:
+            call(x, rng)
+        assert str(excinfo.value) == f"record {i}: ||x||_{norm} = {bad:.6g} exceeds the radius 2"
+        assert privatization_count() == 0
+        if site != "linf_ball-row-source":  # arrays are checked before any draw
+            assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_ball_channels_reject(self, bad):
         x = np.zeros((4, 3))
@@ -460,10 +504,16 @@ class TestNonFiniteRecords:
     def test_laplace_vector_rejects(self, bad, mode):
         x = np.zeros((4, 3))
         x[2, 1] = bad
-        with pytest.raises(DomainError, match=f"{mode} mode expects"):
+        message = {
+            "l1": lambda i: "l1 mode expects coordinates in [0, 1]",
+            "l2_paper": lambda i: f"record {i}: ||x||_2 = {abs(bad):.6g} exceeds the radius 1",
+        }[mode]
+        with pytest.raises(DomainError) as excinfo:
             _laplace_vector_batch(x, 1.0, ONE, mode, make_rng(0))
-        with pytest.raises(DomainError, match=f"{mode} mode expects"):
+        assert str(excinfo.value) == message(2)
+        with pytest.raises(DomainError) as excinfo:
             Channel.laplace_vector(3, 1.0, ONE, mode).privatize(x[2], make_rng(0))
+        assert str(excinfo.value) == message(0)
 
     @pytest.mark.parametrize("kind", ["naive_median", "truncated_laplace"])
     def test_scalar_clamp_channels_reject_nan_before_any_draw(self, kind):
@@ -490,10 +540,11 @@ class TestNonFiniteRecords:
         x = np.array([[0.1, 0.0], [1e200, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="record 1"):
-                _l2_ball_batch(x, 1.0, ONE, make_rng(0))
-            with pytest.raises(DomainError, match="l2_paper mode expects"):
-                _laplace_vector_batch(x, 1.0, ONE, "l2_paper", make_rng(0))
+            for call in (partial(_l2_ball_batch, x, 1.0, ONE),
+                         partial(_laplace_vector_batch, x, 1.0, ONE, "l2_paper")):
+                with pytest.raises(DomainError) as excinfo:
+                    call(rng=make_rng(0))
+                assert str(excinfo.value) == "record 1: ||x||_2 = inf exceeds the radius 1"
 
 
 _TRUNC = MomentAssumption(k=2.0)
@@ -623,7 +674,7 @@ class TestSignRR:
         assert LN3.phi_eps == pytest.approx(2.0, abs=1e-12)
 
     def test_likelihood_ratio_is_exactly_exp_eps(self):
-        assert LN3.pi_eps / (1.0 - LN3.pi_eps) == pytest.approx(LN3.exp_eps, rel=1e-12)
+        assert LN3.pi_eps / (1.0 - LN3.pi_eps) == pytest.approx(math.exp(LN3.epsilon), rel=1e-12)
 
     def test_unbiased_for_minus_one(self):
         draws = _sign_rr_batch(np.full(200_000, -1.0), ONE, make_rng(22))
