@@ -10,10 +10,11 @@ import math
 from dataclasses import dataclass
 
 from .core import ParameterError, PrivacyLevel
-from .mechanisms import _check_radius
+from .mechanisms import _check_n, _check_radius
 
 
-def _effective_eps_sq(eps: float, eps_form: str) -> float:
+def _n_eps_sq(n: int, eps: float, eps_form: str) -> float:
+    _check_n(n)  # the one sample-size rule
     eps = PrivacyLevel(eps).epsilon  # the one eps rule
     if eps_form not in ("eps2", "exp"):
         raise ParameterError(f"unknown eps_form {eps_form!r} (use 'eps2' or 'exp')")
@@ -24,30 +25,28 @@ def _effective_eps_sq(eps: float, eps_form: str) -> float:
     if not (0.0 < sq < math.inf):
         name = "eps^2" if eps_form == "eps2" else "(e^eps - 1)^2"
         raise ParameterError(f"{name} is not a positive finite float at eps = {eps!r}")
-    return sq
+    return n * sq
 
 
 def mean_rate(k: float, n: int, eps: float, eps_form: str = "eps2") -> float:
     """Scalar-mean minimax rate min(1, (n eps^2)^(-(k-1)/k)) for the k-th moment family."""
     if not (k > 1.0):
         raise ParameterError(f"moment order k must be > 1, got {k!r}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
     exponent = 1.0 if math.isinf(k) else (k - 1.0) / k
-    return min(1.0, (n * _effective_eps_sq(eps, eps_form)) ** (-exponent))
+    return min(1.0, _n_eps_sq(n, eps, eps_form) ** (-exponent))
 
 
 def median_rate(radius: float, n: int, eps: float, eps_form: str = "eps2") -> float:
     """Median excess-risk rate radius * min(1, (n eps^2)^(-1/2))."""
     _check_radius(radius)
-    return radius * min(1.0, (n * _effective_eps_sq(eps, eps_form)) ** -0.5)
+    return radius * min(1.0, _n_eps_sq(n, eps, eps_form) ** -0.5)
 
 
 def sparse_mean_lower(d: int, n: int, eps: float) -> float:
     """1-sparse mean linf lower bound sqrt(d log(2d) / (n (e^eps - 1)^2))."""
     if d < 2:
         raise ParameterError(f"dimension must be >= 2, got {d}")
-    return math.sqrt(d * math.log(2 * d) / (n * _effective_eps_sq(eps, "exp")))
+    return math.sqrt(d * math.log(2 * d) / _n_eps_sq(n, eps, "exp"))
 
 
 def density_rate(beta: float, n: int, eps: float, eps_form: str = "eps2") -> float:
@@ -55,14 +54,14 @@ def density_rate(beta: float, n: int, eps: float, eps_form: str = "eps2") -> flo
     if not (beta > 0.5):
         raise ParameterError(f"smoothness beta must be > 1/2, got {beta!r}")
     exponent = 2.0 * beta / (2.0 * beta + 2.0)
-    return (n * _effective_eps_sq(eps, eps_form)) ** (-exponent)
+    return _n_eps_sq(n, eps, eps_form) ** (-exponent)
 
 
 def logistic_lower(d: int, n: int, eps: float) -> float:
     """Logistic-regression lower bound min(d/4, d^2 / (4 n (e^eps - 1)^2))."""
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
-    return min(d / 4.0, d * d / (4.0 * n * _effective_eps_sq(eps, "exp")))
+    return min(d / 4.0, d * d / (4.0 * _n_eps_sq(n, eps, "exp")))
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,13 @@ from .mechanisms import (
     RowSource,
     _check_ball,
     _check_grid,
+    _check_n,
     _check_radius,
     _l2_ball_batch,
     _laplace_vector_batch,
     _linf_ball_batch,
     _prefix_means,
+    _reject_nan,
     _running_means,
     _sign_rr_batch,
     _truncated_laplace_batch,
@@ -131,6 +133,7 @@ def _median_sgd_paths(x_mat, radius, level, rng, grid, one_sided=False):
     _check_radius(radius)
     reps, n = x_mat.shape
     grid = _check_grid(grid, n)  # before theta_0 is drawn
+    _reject_nan(x_mat)  # the naive-median channel's rule; +-inf records pass
     lo = 0.0 if one_sided else -radius
     eps_r = level.epsilon * radius
 
@@ -176,6 +179,7 @@ def soft_threshold(v, lam: float):
 
 def sparse_mean_threshold(d: int, n: int, level: PrivacyLevel | None, radius: float) -> float:
     """Default regularization 2 r sqrt(d log d / (n eps^2)); for ``level=None`` its limit 0."""
+    _check_n(n)
     if level is None:
         return 0.0
     n_eps_sq = n * level.eps_sq  # 0 once eps^2 underflows (eps < ~2e-162): the limit is inf
@@ -217,13 +221,8 @@ def sparse_mean(
 
 
 def _sigmoid(t):
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))  # never overflows
+    return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logistic_gradient(theta, x, y) -> np.ndarray:
@@ -319,23 +318,22 @@ def _logistic_sgd_paths(xs, ys, geometry, radius, level, gamma0, beta_exp, proj_
         raise ParameterError(f"gamma0 must be > 0, got {gamma0!r}")
     if not (0.5 < beta_exp < 1.0):
         raise ParameterError(f"beta_exp must lie in (1/2, 1), got {beta_exp!r}")
-    if proj_radius is not None:
-        _check_radius(proj_radius)
+    project = ((lambda theta: theta) if proj_radius is None  # chosen once, before the loop
+               else partial(_l2_project, _check_radius(proj_radius)))
     grid = _check_grid(grid, n)
     privatize = _gradient_channel(mechanism, geometry, 2.0 * radius, level, rng, d)
 
     def gradient(theta, j):
         return privatize(_logistic_grad_batch(theta, xs[:, j, :], ys[:, j]))
 
-    def project(theta):
-        if proj_radius is not None:
-            norms = np.linalg.norm(theta, axis=1)
-            over = norms > proj_radius
-            theta[over] *= (proj_radius / norms[over])[:, None]
-        return theta
-
     step = lambda i: gamma0 * i ** (-beta_exp)
     return _sgd_paths(np.zeros((reps, d)), gradient, step, project, n, grid)
+
+
+def _l2_project(radius, theta):
+    """Rows of ``theta`` scaled in place by radius / max(norm, radius): 1.0 exactly inside."""
+    theta *= (radius / np.maximum(np.linalg.norm(theta, axis=1), radius))[:, None]
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +424,7 @@ def series_bandwidth(n: int, level: PrivacyLevel | None, beta: float) -> int:
 
     ``level=None`` gives the classical order max(1, round(n^(1/(2 beta + 1)))).
     """
+    _check_n(n)
     if level is None:
         return max(1, round(n ** (1.0 / (2.0 * beta + 1.0))))
     order = (n * level.eps_sq) ** (1.0 / (2.0 * beta + 2.0))

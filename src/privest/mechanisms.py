@@ -33,7 +33,6 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -93,6 +92,12 @@ def _check_radius(radius, name="radius"):
     return radius
 
 
+def _check_n(n):
+    """ParameterError unless the sample size ``n`` is >= 1: the one sample-size rule."""
+    if not (n >= 1):
+        raise ParameterError(f"sample size must be >= 1, got {n}")
+
+
 def sphere_halfspace_mean(d: int) -> float:
     """First coordinate of the mean of a uniform point on a closed unit hemisphere.
 
@@ -116,13 +121,13 @@ def cube_halfspace_mean(d: int) -> float:
         C_d^{-1} = binom(d-1, d/2) / (2^(d-1) + binom(d, d/2)/2)  (d even)
 
     Ties <Z, x> = 0 (even d) are counted inside the closed halfspace, which
-    has 2^(d-1) + binom(d, d/2)/2 vertices.  Exact integer arithmetic.
+    has 2^(d-1) + binom(d, d/2)/2 vertices.  Exact integers, one rounding (int / int).
     """
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
     if d % 2 == 1:
-        return float(Fraction(math.comb(d - 1, (d - 1) // 2), 2 ** (d - 1)))
-    return float(Fraction(2 * math.comb(d - 1, d // 2), 2**d + math.comb(d, d // 2)))
+        return math.comb(d - 1, (d - 1) // 2) / 2 ** (d - 1)
+    return 2 * math.comb(d - 1, d // 2) / (2**d + math.comb(d, d // 2))
 
 
 def cube_tie_gamma(d: int) -> float:
@@ -134,9 +139,7 @@ def cube_tie_gamma(d: int) -> float:
     """
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
-    if d % 2 == 1:
-        return 1.0
-    return float(Fraction(2**d, 2**d + math.comb(d, d // 2)))
+    return 1.0 if d % 2 == 1 else 2**d / (2**d + math.comb(d, d // 2))
 
 
 def l2_bound_B(d: int, radius: float, level: PrivacyLevel) -> float:
@@ -158,8 +161,7 @@ def linf_bound_B(d: int, radius: float, level: PrivacyLevel) -> float:
 
 def truncation_level(assumption: MomentAssumption, n: int, level: PrivacyLevel) -> float:
     """Truncation point T_k = radius_k * (n eps^2)^(1/(2k)); T = radius_k for k = inf."""
-    if n < 1:
-        raise ParameterError(f"sample size must be >= 1, got {n}")
+    _check_n(n)
     if math.isinf(assumption.k):
         return assumption.radius_k
     t_level = assumption.radius_k * (n * level.eps_sq) ** (1.0 / (2.0 * assumption.k))

@@ -13,7 +13,9 @@ from privest.bounds import (
     median_rate,
     sparse_mean_lower,
 )
-from privest.core import ParameterError
+from privest.core import ParameterError, PrivacyLevel
+from privest.estimators import series_bandwidth, sparse_mean_threshold
+from privest.mechanisms import MomentAssumption, truncation_level
 
 
 class TestMeanRate:
@@ -163,3 +165,23 @@ def test_an_eps_whose_square_underflows_is_rejected(fn, kwargs):
 def test_median_rate_takes_the_one_radius_rule(radius):
     with pytest.raises(ParameterError, match="radius must be finite and > 0"):
         median_rate(radius=radius, n=100, eps=1.0)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+@pytest.mark.parametrize("fn", [
+    lambda n: mean_rate(k=2.0, n=n, eps=1.0),
+    lambda n: median_rate(radius=1.0, n=n, eps=1.0),
+    lambda n: density_rate(beta=1.0, n=n, eps=1.0),
+    lambda n: sparse_mean_lower(d=8, n=n, eps=1.0),
+    lambda n: logistic_lower(d=8, n=n, eps=1.0),
+    lambda n: truncation_level(MomentAssumption(k=2.0), n, PrivacyLevel(1.0)),
+    lambda n: series_bandwidth(n, PrivacyLevel(1.0), 1.0),
+    lambda n: series_bandwidth(n, None, 1.0),
+    lambda n: sparse_mean_threshold(4, n, PrivacyLevel(1.0), 1.0),
+    lambda n: sparse_mean_threshold(4, n, None, 1.0),
+], ids=["mean", "median", "density", "sparse", "logistic", "truncation",
+        "bandwidth", "bandwidth-no-channel", "threshold", "threshold-no-channel"])
+def test_one_sample_size_rule(fn, n):
+    # every function of a sample size rejects n < 1 with one message, before any arithmetic
+    with pytest.raises(ParameterError, match=f"^sample size must be >= 1, got {n}$"):
+        fn(n)

@@ -13,9 +13,11 @@ from privest.estimators import (
     DensityEstimate,
     ORTH_BOUND,
     MomentAssumption,
+    _l2_project,
     _logistic_sgd_paths,
     _median_sgd_paths,
     _projection_coeffs,
+    _sigmoid,
     density_estimate,
     logistic_gradient,
     private_logistic_sgd,
@@ -29,6 +31,7 @@ from privest.estimators import (
     trig_basis_matrix,
 )
 from privest.mechanisms import (
+    Channel,
     _l2_ball_batch,
     _linf_ball_batch,
     _prefix_means,
@@ -212,6 +215,28 @@ class TestMedianSgd:
             _median_sgd_paths(np.zeros((2, 10)), 1.0, ONE, rng, grid)
         assert rng.bit_generator.state == state
 
+    def test_a_nan_record_is_rejected_before_any_draw(self):
+        # as the naive-median channel rejects it, so both median mechanisms take the same records
+        records, rng = [math.nan, 0.5, 0.2, math.nan], make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError) as excinfo:
+            private_median_sgd(records, 1.0, ONE, rng)
+        assert str(excinfo.value) == "record 0 is NaN"
+        assert rng.bit_generator.state == state
+        with pytest.raises(DomainError, match="^record 0 is NaN$"):
+            Channel.naive_median(1.0, ONE).privatize_batch(records, make_rng(0))
+
+    def test_the_engine_names_a_nan_record_by_its_flat_index(self):
+        data = np.zeros((3, 10))
+        data[1, 4] = math.nan
+        with pytest.raises(DomainError, match="^record 14 is NaN$"):
+            _median_sgd_paths(data, 1.0, ONE, make_rng(0), [10])
+
+    def test_infinite_records_pass(self):
+        # +-inf records are clamped signs, as the naive-median channel clamps them
+        estimate = private_median_sgd([math.inf, -math.inf, 0.2], 1.0, ONE, make_rng(0))
+        assert -1.0 <= estimate <= 1.0
+
 
 class TestRadiusRule:
     """The library estimators reject a radius that is not finite and > 0 before any draw."""
@@ -329,6 +354,40 @@ class TestSparseMean:
         assert target / 4.0 <= float(np.median(errors)) <= 4.0 * target
 
 
+def _two_branch_sigmoid(t):
+    """The masked two-branch logistic function, the oracle of :func:`_sigmoid`."""
+    out = np.empty_like(t)
+    pos = t >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+             -2.2250738585072014e-308, 745.0, -745.0, 709.79, -709.79, 1e308, -1e308, 36.0, -36.0]
+
+    @staticmethod
+    def _assert_bit_equal(t):
+        t = np.array(t, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(t)
+        assert np.array_equal(got.view(np.int64), _two_branch_sigmoid(t).view(np.int64))
+
+    def test_edge_values(self):
+        self._assert_bit_equal(self.EDGES)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+    def test_equals_the_two_branch_form_bit_for_bit(self, values):
+        self._assert_bit_equal(values)
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(_sigmoid(np.array([math.nan, -math.nan]))).all()
+
+
 class TestLogisticGradient:
     def test_zero_theta(self):
         theta = np.zeros(3)
@@ -388,6 +447,21 @@ class TestLogisticSgd:
         np.testing.assert_allclose(estimate, iterates.mean(axis=0), atol=1e-12)
         assert np.all(np.linalg.norm(iterates, axis=1) <= 5.0 + 1e-9)
         assert np.all(np.isfinite(iterates))
+
+    @pytest.mark.parametrize("radius", [1e-300, 0.3, 5.0, 1e300])
+    def test_projection_equals_the_boolean_index_form(self, radius):
+        # zero rows, boundary rows (whose squared norm must not overflow) and rows of many scales
+        rows = [np.zeros(3), np.full(3, -0.0)]
+        rows += [[radius, 0.0, 0.0], [0.0, -radius, -0.0]] if radius < 1e150 else []
+        rows += list(make_rng(62).standard_normal((60, 3)) * np.repeat(
+            [1e-310, 1e-3, 0.3, 1.0, 5.0, 1e3, 1e100], [8, 8, 8, 9, 9, 9, 9])[:, None])
+        theta = np.array(rows, dtype=float)
+        want = theta.copy()
+        norms = np.linalg.norm(want, axis=1)
+        over = norms > radius
+        want[over] *= (radius / norms[over])[:, None]
+        got = _l2_project(radius, theta.copy())
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_mechanism_validation(self):
         x, y = self._stream(10, 2, 61)

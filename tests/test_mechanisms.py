@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -93,6 +94,15 @@ class TestBoundFormulas:
             np.testing.assert_allclose(
                 halfspace_expectation_cube(vertex), factor * vertex, atol=1e-12
             )
+
+    def test_cube_constants_are_the_exact_fractions_rounded_once(self):
+        for d in range(1, 1025):
+            odd, even = d % 2 == 1, d // 2
+            mean = (Fraction(math.comb(d - 1, (d - 1) // 2), 2 ** (d - 1)) if odd
+                    else Fraction(2 * math.comb(d - 1, even), 2**d + math.comb(d, even)))
+            gamma = Fraction(1) if odd else Fraction(2**d, 2**d + math.comb(d, even))
+            assert cube_halfspace_mean(d) == float(mean), d
+            assert cube_tie_gamma(d) == float(gamma), d
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_sphere_constant_matches_quadrature(self, d):
@@ -715,6 +725,35 @@ class TestLaplaceVector:
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):
             Channel.laplace_vector(1, 1.0, ONE, "l3")
+
+
+class TestLaplaceCalibration:
+    """Every Laplace law, fed zeros, emits exactly the noise of its documented inverse scale:
+    the test that a miscalibrated noise scale fails without the golden digests."""
+
+    EPS, RADIUS = 0.7, 1.5
+
+    @pytest.mark.parametrize("n, d", [(20, 8), (50_000, 3), (3000, 64)])
+    @pytest.mark.parametrize("mode", ["l1", "l2_paper"])
+    def test_laplace_vector(self, mode, n, d):
+        level, r = PrivacyLevel(self.EPS), self.RADIUS
+        inv = self.EPS / (d * r) if mode == "l1" else self.EPS / (2.0 * r * math.sqrt(d))
+        got = Channel.laplace_vector(d, r, level, mode).privatize_batch(np.zeros((n, d)),
+                                                                         make_rng(31, n))
+        want = laplace_sample(make_rng(31, n), inv, size=(n, d)) + 0.0
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("kind", ["naive_median", "truncated_laplace"])
+    def test_scalar_laws(self, kind):
+        level, n = PrivacyLevel(self.EPS), 4000
+        if kind == "naive_median":
+            channel, t = Channel.naive_median(self.RADIUS, level), self.RADIUS
+        else:
+            channel = Channel.truncated_laplace(MomentAssumption(k=2.0), n, level)
+            t = truncation_level(MomentAssumption(k=2.0), n, level)
+        got = channel.privatize_batch(np.zeros(n), make_rng(32))
+        want = laplace_sample(make_rng(32), self.EPS / (2.0 * t), size=n) + 0.0
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestNaiveMedian:
