@@ -319,7 +319,7 @@ def _logistic_sgd_paths(xs, ys, geometry, radius, level, gamma0, beta_exp, proj_
     if not (0.5 < beta_exp < 1.0):
         raise ParameterError(f"beta_exp must lie in (1/2, 1), got {beta_exp!r}")
     project = ((lambda theta: theta) if proj_radius is None  # chosen once, before the loop
-               else partial(_l2_project, _check_radius(proj_radius)))
+               else partial(_l2_project, _check_radius(proj_radius, "proj_radius")))
     grid = _check_grid(grid, n)
     privatize = _gradient_channel(mechanism, geometry, 2.0 * radius, level, rng, d)
 
@@ -351,10 +351,11 @@ def trig_basis_matrix(k: int, t, out=None) -> np.ndarray:
     With the constant 1 the basis is orthonormal on [0, 1].  Columns 2m - 2
     and 2m - 1 hold sqrt(2) cos(2 pi m t) and sqrt(2) sin(2 pi m t), i.e. the
     order is cos 1, sin 1, cos 2, sin 2, ...; every entry is bounded by sqrt(2).
-    ``out``, if given, is the (t.size, k) float array to fill.  One cos and
-    one sin per point give e^(i theta), theta = 2 pi t; harmonic m is harmonic
-    m - 1 rotated by it, within 8 k 2^-52 of exact.  A row does not depend on
-    its row block, and lower orders are bit for bit the first columns of higher.
+    ``out``, if given, is the (t.size, k) float array to fill, each of its rows
+    contiguous.  One cos and one sin per point give e^(i theta), theta = 2 pi t;
+    harmonic m is harmonic m - 1 rotated by it, within 8 k 2^-52 of exact.  A row
+    does not depend on its row block, and lower orders are bit for bit the first
+    columns of higher.
     """
     if k < 1:
         raise ParameterError(f"need at least one basis element, got k={k}")
@@ -379,13 +380,15 @@ def _rotations(t):
 
 def _basis_block(k, rotation, lo, out):
     """Basis rows lo, lo + 1, ... at order k into ``out``, from the points' :func:`_rotations`,
-    by the one basis recurrence: harmonic m + 1 is harmonic m rotated by e^(i theta)."""
+    by the one basis recurrence: harmonic m + 1 is harmonic m rotated by e^(i theta), scaled
+    in place and stored as one complex copy, cos m and sin m adjacent."""
     z = np.empty(((k + 1) // 2, len(out)), dtype=complex)  # e^(i m theta), m = 1, 2, ...
     z[0] = rotation[lo : lo + len(out)]
     for m in range(1, len(z)):
         np.multiply(z[m - 1], z[0], out=z[m])
-    np.multiply(z.real.T, ORTH_BOUND, out=out[:, 0::2])
-    np.multiply(z.imag[: k // 2].T, ORTH_BOUND, out=out[:, 1::2])
+    np.multiply(z.view(float), ORTH_BOUND, out=z.view(float))
+    out[:, : k - k % 2].view(complex)[...] = z[: k // 2].T  # cos m, sin m as one complex
+    out[:, k - k % 2 :] = z[k // 2 :].real.T  # odd k: the last cos
 
 
 def _projection_coeffs(data, grid, ks, basis):

@@ -279,12 +279,14 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
     After the domain and B checks: the vertex bits, ceil(d/8) bytes per row
     from one draw of raw 64-bit words (unpacked big-endian: bit j of a row is
     coordinate j, set = +1); the n side bits; the (n, d) rounding uniforms,
-    drawn a row block at a time into one reused buffer.  Each output block is
-    built in cache; ``grid`` is as in :func:`_vector_output`.  A ``RowSource``
-    ``x`` writes each block of rows into the output block, checked there before
-    use; the draws are those of the array it stands for.  A source that fails
-    its check has still advanced ``rng``, by the draws before that block; an
-    array fails before any draw.  Either leaves the privatization count as it was.
+    drawn a row block at a time into one reused buffer.  With ``grid``, row g
+    is bound * ((2 P - m) / m) for P the exact count of +B outputs per
+    coordinate in the first m = grid[g] rows: within one ulp of B of the exact
+    mean, for any block size or summation order.  A ``RowSource`` ``x`` writes
+    each block of rows into the output block, checked there before use; the
+    draws are those of the array it stands for.  A source that fails its check
+    has still advanced ``rng``, by the draws before that block; an array fails
+    before any draw.  Either leaves the privatization count as it was.
     """
     source = isinstance(x, RowSource)
     x = x if source else np.asarray(x, dtype=float)
@@ -313,11 +315,18 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
         # ties (ip == 0) pass through; else the vertex is flipped onto the positive
         # side of the rounded input when positive_side holds, else onto the negative
         negate = (ip != 0.0) & ((ip > 0.0) != positive_side[lo : lo + r])
-        # each coordinate is +B where the (possibly negated) vertex bit is set, else -B
-        np.subtract(np.not_equal(vertex, negate[:, None], out=out), 0.5, out=out)
-        np.copysign(bound, out, out=out)
+        # 1.0 where the (possibly negated) vertex bit is set (+B); counted, or written as +-B
+        np.not_equal(vertex, negate[:, None], out=out)
+        return out if grid else np.copysign(bound, np.subtract(out, 0.5, out=out), out=out)
 
-    z = _vector_output(fill, n, d, grid)
+    if grid is not None:  # exact column counts of +B, kept through row n
+        grid, tally, block = _check_grid(grid, n) + [n], np.ones(rows), np.empty((rows, d))
+        z, plus = np.empty((len(grid), d)), np.zeros(d)
+        for g, (start, m) in enumerate(zip([0] + grid, grid)):
+            for lo, hi in row_blocks(start, m, d):
+                plus += tally[: hi - lo] @ fill(lo, block[: hi - lo])
+            z[g] = bound * ((2.0 * plus - m) / m)
+    z = _vector_output(fill, n, d, None) if grid is None else z[:-1]
     _count(n)
     return z
 
@@ -425,9 +434,9 @@ def _vector_output(fill, n, d, grid):
 
     Without ``grid``, the (n, d) array.  With an increasing ``grid`` of row
     counts, the (len(grid), d) array whose row g is the mean of the first
-    grid[g] rows: bit for bit the prefix means of the array, from one
-    running sum in O(block) memory.  The sum runs on to row n, so the
-    kernel consumes the same draws either way.
+    grid[g] rows: bit for bit the prefix means of the array (the hypercube
+    kernel's come from exact counts instead), from one running sum in O(block)
+    memory.  The sum runs on to row n, so the kernel draws the same either way.
     """
     if grid is None:
         z = np.empty((n, d))

@@ -13,10 +13,12 @@ from privest.estimators import (
     DensityEstimate,
     ORTH_BOUND,
     MomentAssumption,
+    _basis_block,
     _l2_project,
     _logistic_sgd_paths,
     _median_sgd_paths,
     _projection_coeffs,
+    _rotations,
     _sigmoid,
     density_estimate,
     logistic_gradient,
@@ -68,6 +70,13 @@ def sgd_iterates(monkeypatch):
 
     monkeypatch.setattr(estimators, "_sgd_paths", spy)
     return runs
+
+
+def _count_means(z, grid):
+    """The hypercube's documented grid means, from its (n, d) output z in {-B, +B}^d: per
+    grid point m, B * ((2 P - m) / m) for P the count of +B in each column of z[:m]."""
+    bound = np.abs(z).max()
+    return np.array([bound * ((2.0 * (z[:m] > 0).sum(axis=0) - m) / m) for m in grid])
 
 
 def _row_order_mean(z):
@@ -510,6 +519,12 @@ class TestLogisticSgd:
             )
         assert rng.bit_generator.state == state
 
+    def test_bad_proj_radius_is_named(self):
+        x, y = self._stream(10, 2, 61)
+        with pytest.raises(ParameterError) as excinfo:
+            private_logistic_sgd((x, y), "l2", 2.0, ONE, make_rng(0), proj_radius=0.0)
+        assert str(excinfo.value) == "proj_radius must be finite and > 0, got 0.0"
+
     @pytest.mark.parametrize("grid", BAD_GRIDS)
     def test_engine_rejects_bad_grid_before_any_draw(self, grid):
         x, y = self._stream(10, 2, 61)
@@ -663,6 +678,27 @@ class TestBlockedBasis:
         t = make_rng(83, k).random(3 * _basis_rows(k) + 7)
         assert np.array_equal(trig_basis_matrix(k, t), trig_basis_matrix(order, t)[:, :k])
 
+    @staticmethod
+    def _strided_basis_block(k, rotation, lo, out):
+        # the former store: two stride-2 scaled writes of the harmonics' real and imaginary parts
+        z = np.empty(((k + 1) // 2, len(out)), dtype=complex)
+        z[0] = rotation[lo : lo + len(out)]
+        for m in range(1, len(z)):
+            np.multiply(z[m - 1], z[0], out=z[m])
+        np.multiply(z.real.T, ORTH_BOUND, out=out[:, 0::2])
+        np.multiply(z.imag[: k // 2].T, ORTH_BOUND, out=out[:, 1::2])
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 22, 23, 64])
+    def test_complex_store_equals_the_strided_stores(self, k):
+        t = np.concatenate([[0.0, 0.25, 0.5, 1.0], make_rng(86, k).random(997)])
+        rotation, lo, r = _rotations(t), 3, 990
+        width = k + 1 - k % 2  # odd, so rows from row 1 on start off complex alignment
+        for make in (lambda: np.empty((r, k)), lambda: np.empty((r + 1, width))[1:, :k]):
+            got, want = make(), np.full((r, k), np.nan)
+            _basis_block(k, rotation, lo, got)
+            self._strided_basis_block(k, rotation, lo, want)
+            assert np.array_equal(got, want)
+
     def test_fills_given_output(self):
         t = make_rng(81).random(1000)
         out = np.full((1000, 5), np.nan)
@@ -701,7 +737,8 @@ class TestBlockedBasis:
 
 
 class TestStreamedMeans:
-    """The streamed library means equal the row-order mean of the materialised channel output."""
+    """The streamed library means equal the row-order mean of the materialised channel output;
+    the hypercube's, the count formula on that output."""
 
     @staticmethod
     def _assert_equal_streams(estimate, reference, seed):
@@ -716,9 +753,10 @@ class TestStreamedMeans:
     def test_private_mean_vector(self, geometry, kernel, d):
         n = 2 * (BLOCK // d) + 5
         x = make_rng(90, d).uniform(-1.0, 1.0, size=(n, d)) * (0.9 / math.sqrt(d))
+        mean = _row_order_mean if geometry == "l2" else lambda z: _count_means(z, [n])[0]
         self._assert_equal_streams(
             lambda rng: private_mean_vector(x, geometry, 1.0, ONE, rng),
-            lambda rng: _row_order_mean(kernel(x, 1.0, ONE, rng)), d,
+            lambda rng: mean(kernel(x, 1.0, ONE, rng)), d,
         )
 
     @pytest.mark.parametrize("d", [2, 32])
@@ -728,7 +766,8 @@ class TestStreamedMeans:
         x[:, 0] = 1.0
         self._assert_equal_streams(
             lambda rng: sparse_mean(x, 1.0, ONE, rng, lam=0.05),
-            lambda rng: soft_threshold(_linf_ball_batch(x, 1.0, ONE, rng).mean(axis=0), 0.05),
+            lambda rng: soft_threshold(_count_means(_linf_ball_batch(x, 1.0, ONE, rng), [n])[0],
+                                       0.05),
             d,
         )
 
@@ -737,9 +776,9 @@ class TestStreamedMeans:
         data = make_rng(91, k).random(2 * (BLOCK // k) + 5)
         self._assert_equal_streams(
             lambda rng: density_estimate(data, 1.0, ONE, rng, k=k).coeffs,
-            lambda rng: _row_order_mean(
-                _linf_ball_batch(trig_basis_matrix(k, data), ORTH_BOUND, ONE, rng)
-            ),
+            lambda rng: _count_means(
+                _linf_ball_batch(trig_basis_matrix(k, data), ORTH_BOUND, ONE, rng), [data.size]
+            )[0],
             k,
         )
 
@@ -782,10 +821,10 @@ class TestGrid:
         grid = [40, 120, 300]
         got = private_mean_vector(self.X_VECTOR, "linf", 1.0, ONE, make_rng(3), grid=grid)
         z = _linf_ball_batch(self.X_VECTOR, 1.0, ONE, make_rng(3))
-        assert np.array_equal(got, [_row_order_mean(z[:n]) for n in grid])
+        assert np.array_equal(got, _count_means(z, grid))
         lam = sparse_mean_threshold(4, 40, ONE, 1.0)
         sparse = sparse_mean(self.X_VECTOR, 1.0, ONE, make_rng(3), grid=grid)
-        assert np.array_equal(sparse[0], soft_threshold(_row_order_mean(z[:40]), lam))
+        assert np.array_equal(sparse[0], soft_threshold(_count_means(z, [40])[0], lam))
 
     @pytest.mark.parametrize("grid", BAD_GRIDS)
     @pytest.mark.parametrize("name", sorted(CALLS))

@@ -47,29 +47,29 @@ _SETUPS = {
 GOLDEN = {
     ("mean_scalar", "optimal"): "3924a3ca27b6799a48b45dc68ef25027550647fefbc4aa7df58ea97682bb57d8",
     ("mean_scalar", "nonprivate"): "c3d0a5d01ef3cbed560da5a626d99f178399971c5ba1c4e8f70c999a17696a07",
-    ("mean_vector", "optimal"): "ec717dd37df3eabcb3c2fd7acb8af3e542d990c867fefa5522671476b46d4913",
+    ("mean_vector", "optimal"): "d3c221491b46931a468bdf9d2807e32430576ca3a3d6c608bb9c611f8abcbbc7",
     ("mean_vector", "laplace_baseline"):
         "4fde0583362bceb936673415c551ddbbb7ec61c4ef487d047fc0293f9d2e3155",
     ("mean_vector", "nonprivate"): "0d2f5cdfd6cbe0643cdf45a8602a7c46dfc01e715471d354e12048065af5de37",
     ("median", "optimal"): "4b061205031484fa82a012d5d8969dcae1e7101e70de2d67db435dce90d52261",
     ("median", "laplace_baseline"): "129fed69c10f8f07c69bd8f9172a56ec689df898d432a86ae841575c0ac6007d",
     ("median", "nonprivate"): "10327c958aa83c5dc1f8ddda1bd9362cd6cd71d1d5ba0d51ac597bc83d88d9ed",
-    ("sparse", "optimal"): "2440c7fd43ab882f24787bdd27ac95c5b90146e156cf49741b74e12403dbf8d8",
+    ("sparse", "optimal"): "39db044a5a738f53862432e478e84c45354aaeef232697edda42296dddca3387",
     ("sparse", "nonprivate"): "f1d443066910a05d7fa316583646c0ab4bc0bc480937839061ca039d81d9c701",
     ("logistic", "optimal"): "611db33c94e08746d66dc67d1b2083c583694a3d85be5d26c2334697656c4f9c",
     ("logistic", "laplace_baseline"): "194ba8b92b9ce7f5a4730accb96a02b78b3935d4fc05332c7bcdc39723c1ae29",
     ("logistic", "nonprivate"): "998af026ecdd2976b8e5611a1a33f523ce2c041a2ddd9918c9650afc273747da",
-    ("density", "optimal"): "e496238cad8ff413239bd2b9d2351a6d391b36950f68411ddd8600ad3dc96780",
+    ("density", "optimal"): "fb4a873c5c1e9b0dd36c71a48b18b94ec54248656b4d23a9a918f1ad0a383516",
     ("density", "nonprivate"): "83d3f3faf679f8956a5ccc6c9e5a0919bab9e0ce42a0c2ed85c282ac6795e637",
 }
 
 PRESET_GOLDEN = {
-    "drug-use": "a2ebe8478878ffee85d4dc8fd3f046828bc62def7dcace04e6041a8b4a314051",
+    "drug-use": "4e3d94b49f1b0d7bc167a20657bbf9fceec0f1de81f1c34821c85c7ff30a85c3",
     "median-salary": "2de7fc933b22a2acd391410f5afffc5cc7b719213ab303b2d355f308f8340dbe",
     "mean-rates": "556a5737b655628b2033a3e1bf8fcb23908ec0f9930b2231bdf1cc3aaea13c5a",
     "dimension-scaling": "e1a741a2d4bcb71012c8cdff47f02da4560e24463d65edeb61d9846feb0a0f97",
-    "density-rate": "d0aeacbb16b9c5c220f7a77f8f4219840f00a96e4e74d806cb232ec37bf62198",
-    "sparse-mean": "e13a2d0a062e3aff54503500ff10de12cefc6aaf1ee7ea4e03d9023b62b1d7c2",
+    "density-rate": "cafeda6ab54be012f2461b83d7eed05ff03ab8084e851f622e938c6e3eb4f754",
+    "sparse-mean": "dd85bd7a9d5ea798536114b150aadf6bb1092042fe04679863060c2d1e5e3202",
     "logistic": "d5e3089e2a625c21479219cd8ebb681c35af21fbdad259fb2b75825bb3c9f57c",
 }
 

@@ -382,8 +382,16 @@ def _streamed_records(d, n):
     return x
 
 
+def _count_means(z, grid):
+    """The hypercube's documented grid means, from its (n, d) output z in {-B, +B}^d: per
+    grid point m, B * ((2 P - m) / m) for P the count of +B in each column of z[:m]."""
+    bound = np.abs(z).max()
+    return np.array([bound * ((2.0 * (z[:m] > 0).sum(axis=0) - m) / m) for m in grid])
+
+
 class TestStreamedKernels:
-    """``grid=`` returns the prefix means of the materialised output, bit for bit."""
+    """``grid=`` returns the prefix means of the materialised output, bit for bit; for the
+    hypercube, the count formula on that output."""
 
     @pytest.mark.parametrize("kind", sorted(_VECTOR_KERNELS))
     @pytest.mark.parametrize("d", [1, 2, 27, 64])
@@ -398,7 +406,8 @@ class TestStreamedKernels:
             reset_privatization_count()
             got = kernel(x, streamed, grid=grid)
             assert privatization_count() == n
-            want = _prefix_means(kernel(x, whole), grid)
+            means = _count_means if kind == "linf_ball" else _prefix_means
+            want = means(kernel(x, whole), grid)
             assert got.shape == (len(grid), d)
             assert np.array_equal(got, want)
             # rows past the last grid point still draw: both generators end in one state
@@ -410,6 +419,48 @@ class TestStreamedKernels:
         for grid in [(), (0, 10), (10, 10), (20, 10), (51,)]:
             with pytest.raises(ParameterError):
                 _VECTOR_KERNELS[kind](x, make_rng(0), grid=grid)
+
+
+class TestHypercubeCounts:
+    """The hypercube's grid means are exact counts of +B, whatever the block size."""
+
+    @pytest.mark.parametrize("source", [False, True], ids=["array", "row_source"])
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("d", [1, 2, 23, 27, 64])
+    def test_grid_means_are_the_count_formula(self, d, block, source, monkeypatch):
+        rows = block_rows(d) if block is None else max(block // d, 1)
+        n = 3 * rows + 17
+        x = _streamed_records(d, n)
+        records = _row_source(x) if source else x
+        grids = [(n,), tuple(sorted({1, rows, rows + 1, 2 * rows - 1, n - 1})), (rows + 3,)]
+        default = {g: _linf_ball_batch(records, 1.0, LN3, make_rng(702, d), grid=g) for g in grids}
+        if block is not None:
+            monkeypatch.setattr(core, "BLOCK", block)
+        for grid in grids:
+            counted, whole = make_rng(702, d), make_rng(702, d)
+            reset_privatization_count()
+            got = _linf_ball_batch(records, 1.0, LN3, counted, grid=grid)
+            assert privatization_count() == n
+            # P is taken from the grid=None output of the same generator state
+            assert np.array_equal(got, _count_means(_linf_ball_batch(records, 1.0, LN3, whole),
+                                                    grid))
+            assert np.array_equal(got, default[grid])  # no mean depends on the block size
+            assert counted.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_means_within_one_ulp_of_the_exact_mean(self, d):
+        n = 2**16
+        x = make_rng(703, d).uniform(-1.0, 1.0, size=(n, d))
+        grid = (1, 3, 1000, 40_001, n)
+        got = _linf_ball_batch(x, 1.0, ONE, make_rng(704, d), grid=grid)
+        z = _linf_ball_batch(x, 1.0, ONE, make_rng(704, d))
+        bound = linf_bound_B(d, 1.0, ONE)
+        ulp = Fraction(float(np.spacing(bound)))
+        for means, m in zip(got, grid):
+            for j in range(d):
+                plus = int(np.count_nonzero(z[:m, j] > 0))
+                exact = Fraction(bound) * (2 * plus - m) / m
+                assert abs(Fraction(float(means[j])) - exact) <= ulp
 
 
 @pytest.mark.parametrize("kind", ["l2_ball", "linf_ball", "laplace_l2_paper"])
