@@ -19,8 +19,6 @@ wall-clock measurements would break it.
 
 import csv
 import math
-import os
-import stat
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -420,23 +418,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path, header, lines) -> None:
-    """Write ``header`` and ``lines`` as UTF-8 text with LF endings over the old bytes of ``path``:
-    no O_TRUNC, which waits out the writeback of the last close (tens of ms on ext4); a regular
-    file is cut to the new length after the write, so a crash during it can leave the old tail."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(lines)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
-
-
 def emit_csv(records, path) -> None:
     """Write records as UTF-8 CSV with LF endings and 17-significant-digit floats."""
-    _write_csv(path, CSV_HEADER, (
-        f"{r.experiment},{r.mechanism},{r.n},{_fmt(r.eps)},{r.replicate},"
-        f"{r.metric_name},{_fmt(r.value)},{_fmt(r.wall_ms)}\n" for r in records))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for r in records:
+            fh.write(
+                f"{r.experiment},{r.mechanism},{r.n},{_fmt(r.eps)},{r.replicate},"
+                f"{r.metric_name},{_fmt(r.value)},{_fmt(r.wall_ms)}\n"
+            )
 
 
 def parse_csv(path) -> list:
@@ -456,9 +446,12 @@ def parse_csv(path) -> list:
 
 
 def emit_summary_csv(rows, path) -> None:
-    _write_csv(path, "experiment,mechanism,n,mean,p5,p95", (
-        f"{r.experiment},{r.mechanism},{r.n},{_fmt(r.mean)},{_fmt(r.p5)},{_fmt(r.p95)}\n"
-        for r in rows))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("experiment,mechanism,n,mean,p5,p95\n")
+        for r in rows:
+            fh.write(
+                f"{r.experiment},{r.mechanism},{r.n},{_fmt(r.mean)},{_fmt(r.p5)},{_fmt(r.p95)}\n"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,7 @@ def _l2_ball_batch(x, radius, level, rng, grid=None):
     bound = l2_bound_B(d, radius, level)  # checks the radius and B before any draw
     norms = _row_norms(x)
     _check_ball(x, "l2", radius, norms=norms)
+    grid = None if grid is None else _check_grid(grid, n)
     zero_rows = np.flatnonzero(norms == 0.0)
     if zero_rows.size:
         directions = uniform_sphere(rng, d, size=zero_rows.size)
@@ -285,8 +286,8 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
     mean, for any block size or summation order.  A ``RowSource`` ``x`` writes
     each block of rows into the output block, checked there before use; the
     draws are those of the array it stands for.  A source that fails its check
-    has still advanced ``rng``, by the draws before that block; an array fails
-    before any draw.  Either leaves the privatization count as it was.
+    has still advanced ``rng``, by the draws before that block; an array or a
+    bad ``grid`` fails before any draw.  Each leaves the privatization count as it was.
     """
     source = isinstance(x, RowSource)
     x = x if source else np.asarray(x, dtype=float)
@@ -294,6 +295,7 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
     bound = linf_bound_B(d, radius, level)  # checks d, the radius and B before any draw
     if not source:
         _check_ball(x, "linf", radius)
+    grid = None if grid is None else _check_grid(grid, n) + [n]  # kept through row n
     nbytes = -(-d // 8)
     words = rng.bit_generator.random_raw(-(-n * nbytes // 8))
     vertex_bits = words.view(np.uint8)[: n * nbytes].reshape(n, nbytes)
@@ -319,8 +321,8 @@ def _linf_ball_batch(x, radius, level, rng, grid=None):
         np.not_equal(vertex, negate[:, None], out=out)
         return out if grid else np.copysign(bound, np.subtract(out, 0.5, out=out), out=out)
 
-    if grid is not None:  # exact column counts of +B, kept through row n
-        grid, tally, block = _check_grid(grid, n) + [n], np.ones(rows), np.empty((rows, d))
+    if grid is not None:  # exact column counts of +B
+        tally, block = np.ones(rows), np.empty((rows, d))
         z, plus = np.empty((len(grid), d)), np.zeros(d)
         for g, (start, m) in enumerate(zip([0] + grid, grid)):
             for lo, hi in row_blocks(start, m, d):
@@ -351,6 +353,7 @@ def _laplace_vector_batch(x, radius, level, sensitivity_norm, rng, grid=None):
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     inv = _laplace_vector_inv_scale(x, d, radius, level, sensitivity_norm)
+    grid = None if grid is None else _check_grid(grid, n)
     _count(n)
 
     def fill(lo, out):
@@ -432,8 +435,9 @@ def _check_grid(grid, n):
 def _vector_output(fill, n, d, grid):
     """The n rows of a vector kernel's output, which ``fill(lo, out)`` writes in order.
 
-    Without ``grid``, the (n, d) array.  With an increasing ``grid`` of row
-    counts, the (len(grid), d) array whose row g is the mean of the first
+    Without ``grid``, the (n, d) array.  With a ``grid`` list of row counts,
+    which the kernel passes through :func:`_check_grid` before any draw or
+    count, the (len(grid), d) array whose row g is the mean of the first
     grid[g] rows: bit for bit the prefix means of the array (the hypercube
     kernel's come from exact counts instead), from one running sum in O(block)
     memory.  The sum runs on to row n, so the kernel draws the same either way.
@@ -443,7 +447,6 @@ def _vector_output(fill, n, d, grid):
         for lo, hi in row_blocks(0, n, d):
             fill(lo, z[lo:hi])
         return z
-    grid = _check_grid(grid, n)
     return _running_means(fill, d, grid + [n])[:-1]
 
 

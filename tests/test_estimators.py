@@ -40,6 +40,7 @@ from privest.mechanisms import (
     privatization_count,
     reset_privatization_count,
 )
+from test_mechanisms import _count_means
 
 ONE = PrivacyLevel(1.0)
 
@@ -70,13 +71,6 @@ def sgd_iterates(monkeypatch):
 
     monkeypatch.setattr(estimators, "_sgd_paths", spy)
     return runs
-
-
-def _count_means(z, grid):
-    """The hypercube's documented grid means, from its (n, d) output z in {-B, +B}^d: per
-    grid point m, B * ((2 P - m) / m) for P the count of +B in each column of z[:m]."""
-    bound = np.abs(z).max()
-    return np.array([bound * ((2.0 * (z[:m] > 0).sum(axis=0) - m) / m) for m in grid])
 
 
 def _row_order_mean(z):

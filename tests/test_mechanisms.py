@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -416,9 +417,15 @@ class TestStreamedKernels:
     @pytest.mark.parametrize("kind", sorted(_VECTOR_KERNELS))
     def test_rejects_a_grid_outside_the_batch(self, kind):
         x = _streamed_records(3, 50)
-        for grid in [(), (0, 10), (10, 10), (20, 10), (51,)]:
+        sources = [x, _row_source(x)] if kind == "linf_ball" else [x]
+        for records, grid in itertools.product(sources, [(), (0, 10), (10, 10), (20, 10), (51,)]):
+            rng = make_rng(0)
+            state = rng.bit_generator.state
+            reset_privatization_count()
             with pytest.raises(ParameterError):
-                _VECTOR_KERNELS[kind](x, make_rng(0), grid=grid)
+                _VECTOR_KERNELS[kind](records, rng, grid=grid)
+            # rejected before any draw
+            assert rng.bit_generator.state == state and privatization_count() == 0
 
 
 class TestHypercubeCounts:
