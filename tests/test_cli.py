@@ -482,14 +482,6 @@ def test_estimate_density_order_above_n_exits_2(tmp_path, capsys):
 _STRING_VECTOR = {"kind": "fixed_vector", "value": "ab"}
 
 
-@pytest.mark.parametrize("flag", ["--out", "--summary-out"])
-def test_bench_output_path_that_is_a_directory_exits_3(tmp_path, capsys, flag):
-    argv = ["bench", "--config", _write(tmp_path, _BENCH), "--out", str(tmp_path / "b.csv")]
-    assert main([*argv, flag, str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("I/O error:")
-
-
 def test_estimate_string_vector_parameter_exits_2(tmp_path, capsys):
     config = {"estimator": "mean_vector", "n": 100, "generator": _STRING_VECTOR}
     assert main(["estimate", "--config", _write(tmp_path, config)]) == 2

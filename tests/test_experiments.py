@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 from dataclasses import replace
 
@@ -19,7 +18,6 @@ from privest.experiments import (
     _prefix_means,
     build_preset,
     emit_csv,
-    emit_summary_csv,
     nearest_rank,
     parse_csv,
     run_experiment,
@@ -428,23 +426,6 @@ class TestCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert b"0.10000000000000001" in raw
-
-    @pytest.mark.parametrize("old_size", [0, 10, 10_000], ids=["empty", "shorter", "longer"])
-    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old_size):
-        records = [RunRecord("e", "m", n, 0.5, 0, "x", n / 3.0) for n in range(1, 40)]
-        fresh, path = tmp_path / "fresh.csv", tmp_path / "over.csv"
-        emit_csv(records, fresh)
-        path.write_bytes(b"\xff" * old_size)
-        emit_csv(records, path)
-        assert path.read_bytes() == fresh.read_bytes()
-        summary = summarize(records)
-        emit_summary_csv(summary, fresh)
-        emit_summary_csv(summary, path)  # over the longer records CSV
-        assert path.read_bytes() == fresh.read_bytes()
-
-    def test_writes_to_a_device(self):
-        emit_csv([RunRecord("e", "m", 1, 0.1, 0, "x", 0.1, 0.0)], os.devnull)
-        emit_summary_csv([], os.devnull)
 
     def test_million_row_count(self, tmp_path):
         records = [RunRecord("e", "m", n, 1.0, 0, "x", float(n)) for n in range(1, 1_000_001)]
