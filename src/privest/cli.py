@@ -8,7 +8,7 @@ Subcommands:
     rates        evaluate closed-form minimax reference curves to CSV
 
 Exit codes: 0 success, 1 audit violation, 2 configuration error (including
-out-of-domain records and inputs an audit cannot handle), 3 I/O error.
+out-of-domain records, inputs an audit cannot handle and a MemoryError), 3 I/O error.
 ``--seed`` falls back to the LDP_SEED environment variable, then to 0.
 """
 
@@ -37,6 +37,7 @@ from .experiments import (
     ESTIMATORS,
     PRESETS,
     ExperimentSpec,
+    _write_csv,
     build_preset,
     emit_csv,
     emit_summary_csv,
@@ -92,11 +93,7 @@ def _cmd_mech_sample(args) -> int:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     channel = _CHANNELS[args.mechanism](args, d, level)
     draws = channel.privatize_batch(np.broadcast_to(x, (args.n, d)), rng)
-    header = ",".join(f"z{j}" for j in range(draws.shape[1]))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in draws:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    _write_csv(args.out, ",".join(f"z{j}" for j in range(draws.shape[1])), draws)
     print(f"wrote {draws.shape[0]} draws of {args.mechanism} to {args.out}")
     return 0
 
@@ -126,6 +123,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_bench(args) -> int:
     seed = _seed_default(args.seed)
     if args.config:
+        if args.preset or args.full:
+            raise ConfigError("--config takes no --preset or --full")
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         entries = raw if isinstance(raw, list) else [raw]
@@ -223,10 +222,7 @@ def _cmd_rates(args) -> int:
                     {"beta": args.beta, "eps_form": form}),
     }[args.curve]
     curve = bounds.build_curve(label, fn, n_grid, eps=args.eps, **kwargs)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("label,n,value\n")
-        for n, value in curve.points:
-            fh.write(f"{curve.label},{n},{format(value, '.17g')}\n")
+    _write_csv(args.out, "label,n,value", ((curve.label, n, value) for n, value in curve.points))
     print(f"wrote {len(curve.points)} points to {args.out}")
     return 0
 
@@ -298,7 +294,7 @@ def main(argv=None) -> int:
     except (ConfigError, json.JSONDecodeError) as exc:  # a ParameterError is a ConfigError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, SizeError, UnsupportedChannelError) as exc:
+    except (DomainError, SizeError, UnsupportedChannelError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -345,24 +345,22 @@ def _check_unit_interval(t, message):
         raise DomainError(message)
 
 
-def trig_basis_matrix(k: int, t, out=None) -> np.ndarray:
+def trig_basis_matrix(k: int, t) -> np.ndarray:
     """Matrix of the first k non-constant trigonometric basis elements at t in [0, 1].
 
     With the constant 1 the basis is orthonormal on [0, 1].  Columns 2m - 2
     and 2m - 1 hold sqrt(2) cos(2 pi m t) and sqrt(2) sin(2 pi m t), i.e. the
     order is cos 1, sin 1, cos 2, sin 2, ...; every entry is bounded by sqrt(2).
-    ``out``, if given, is the (t.size, k) float array to fill, each of its rows
-    contiguous.  One cos and one sin per point give e^(i theta), theta = 2 pi t;
-    harmonic m is harmonic m - 1 rotated by it, within 8 k 2^-52 of exact.  A row
-    does not depend on its row block, and lower orders are bit for bit the first
-    columns of higher.
+    One cos and one sin per point give e^(i theta), theta = 2 pi t; harmonic m
+    is harmonic m - 1 rotated by it, within 8 k 2^-52 of exact.  A row does not
+    depend on its row block, and lower orders are bit for bit the first columns
+    of higher.
     """
     if k < 1:
         raise ParameterError(f"need at least one basis element, got k={k}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     _check_unit_interval(t, "basis argument must lie in [0, 1]")
-    if out is None:
-        out = np.empty((t.size, k))
+    out = np.empty((t.size, k))
     rotation = _rotations(t)
     for lo, hi in row_blocks(0, t.size, 2 * ((k + 1) // 2) + 3):  # 2 per harmonic, 3 spare
         _basis_block(k, rotation, lo, out[lo:hi])
@@ -389,19 +387,6 @@ def _basis_block(k, rotation, lo, out):
     np.multiply(z.view(float), ORTH_BOUND, out=z.view(float))
     out[:, : k - k % 2].view(complex)[...] = z[: k // 2].T  # cos m, sin m as one complex
     out[:, k - k % 2 :] = z[k // 2 :].real.T  # odd k: the last cos
-
-
-def _projection_coeffs(data, grid, ks, basis):
-    """For each n of the increasing ``grid`` and its order k of ``ks``, the mean of
-    ``basis(k, data[:n])``, in a list aligned with the grid.
-
-    One running sum of basis rows at the largest order (lower orders are
-    column prefixes), each mean summed in the order of
-    :func:`~privest.mechanisms._running_means`.
-    """
-    k_max = max(ks)
-    fill = lambda lo, out: basis(k_max, data[lo : lo + len(out)], out=out)
-    return [mean[:k] for mean, k in zip(_running_means(fill, k_max, grid), ks)]
 
 
 @dataclass(frozen=True)
@@ -454,8 +439,9 @@ def density_estimate(
     estimated coefficients are the averages of the privatized vectors.
     Passing ``level=None`` disables the channel and reproduces the classical
     projection estimator at the classical order.  Each n of ``grid`` has its
-    own order k and channel pass, which builds the basis rows a block at a time
-    from one kept e^(2 pi i t) per point.  ``k`` may not exceed the smallest n.
+    own order k and channel pass (without the channel, one running sum at the
+    largest order).  Both arms build the basis rows a block at a time from one
+    kept e^(2 pi i t) per point.  ``k`` may not exceed the smallest n.
     """
     data = np.asarray(data, dtype=float)
     sizes = [data.size] if grid is None else _check_grid(grid, data.size)
@@ -468,10 +454,12 @@ def density_estimate(
         raise ParameterError(f"basis order {k} exceeds n = {sizes[0]}" if k > 0 else
                              f"need at least one basis element, got k={k}")
     ks = [series_bandwidth(n, level, beta) if k is None else k for n in sizes]
+    rotation = _rotations(data[: sizes[-1]])
     if level is None:
-        coeffs = _projection_coeffs(data, sizes, ks, trig_basis_matrix)
+        k_max = max(ks)
+        means = _running_means(partial(_basis_block, k_max, rotation), k_max, sizes)
+        coeffs = [mean[:k_n] for mean, k_n in zip(means, ks)]
     else:
-        rotation = _rotations(data[: sizes[-1]])
         coeffs = [_linf_ball_batch(RowSource((n, k_n), partial(_basis_block, k_n, rotation)),
                                    ORTH_BOUND, level, rng, grid=(n,))[0]
                   for n, k_n in zip(sizes, ks)]

@@ -64,6 +64,9 @@ _QUAD_NODES = 2**12
 
 # Most (replicate, n) cells, so CSV records, of one arm; the largest preset arm has 1600.
 MAX_CELLS = 10**7
+# Most numbers, n_grid[-1] x d, in one sample of an arm (800 MB of float64); the largest
+# --full preset sample is 600000 x 27.
+_MAX_ENTRIES = 10**8
 
 
 @dataclass(frozen=True)
@@ -164,6 +167,9 @@ class ExperimentSpec:
                 f"valid: {entry.generators}"
             )
         object.__setattr__(self, "d", gen.dim)
+        if self.n_grid[-1] * gen.dim > _MAX_ENTRIES:
+            raise ConfigError(f"n_grid[-1] x d = {self.n_grid[-1]} x {gen.dim} exceeds the "
+                              f"{_MAX_ENTRIES} numbers of one sample")
         object.__setattr__(self, "metric", self.metric or entry.metrics[0])
         if self.metric not in entry.metrics:
             raise ConfigError(
@@ -418,15 +424,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write UTF-8 CSV with LF endings: floats to 17 significant digits, other values by str."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]) + "\n")
+
+
 def emit_csv(records, path) -> None:
     """Write records as UTF-8 CSV with LF endings and 17-significant-digit floats."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(
-                f"{r.experiment},{r.mechanism},{r.n},{_fmt(r.eps)},{r.replicate},"
-                f"{r.metric_name},{_fmt(r.value)},{_fmt(r.wall_ms)}\n"
-            )
+    _write_csv(path, CSV_HEADER, (vars(r).values() for r in records))  # fields in order
 
 
 def parse_csv(path) -> list:
@@ -446,12 +454,7 @@ def parse_csv(path) -> list:
 
 
 def emit_summary_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("experiment,mechanism,n,mean,p5,p95\n")
-        for r in rows:
-            fh.write(
-                f"{r.experiment},{r.mechanism},{r.n},{_fmt(r.mean)},{_fmt(r.p5)},{_fmt(r.p95)}\n"
-            )
+    _write_csv(path, "experiment,mechanism,n,mean,p5,p95", (vars(r).values() for r in rows))
 
 
 # ---------------------------------------------------------------------------

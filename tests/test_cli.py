@@ -437,6 +437,42 @@ def test_bench_config_too_large_for_its_grid_exits_2(tmp_path, capsys, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [["--preset", "drug-use"], ["--full"],
+                                   ["--preset", "drug-use", "--full"]],
+                         ids=["preset", "full", "preset-full"])
+def test_bench_config_rejects_preset_and_full(tmp_path, capsys, extra):
+    out = tmp_path / "x.csv"
+    assert main(["bench", "--config", _write(tmp_path, _BENCH), *extra, "--out", str(out)]) == 2
+    assert _one_config_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [10**12, 2**61])
+def test_a_sample_above_the_size_ceiling_exits_2_before_any_draw(tmp_path, capsys, n):
+    # n x d numbers could not be allocated: rejected when the spec is built, on any host
+    assert main(["estimate", "--config", _write(tmp_path, {**_ESTIMATE, "n": n})]) == 2
+    assert _one_config_error_line(capsys)
+    out = tmp_path / "x.csv"
+    config = {**_BENCH, "n_grid": [100, n]}
+    assert main(["bench", "--config", _write(tmp_path, config), "--out", str(out)]) == 2
+    assert _one_config_error_line(capsys)
+    assert not out.exists()
+
+
+def test_a_memory_error_exits_2_with_one_input_error_line(tmp_path, capsys, monkeypatch):
+    import privest.cli
+
+    def allocate(spec, **kw):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)")
+
+    monkeypatch.setattr(privest.cli, "run_experiment", allocate)
+    out = tmp_path / "x.csv"
+    assert main(["bench", "--config", _write(tmp_path, _BENCH), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("change", [
     {"n_grid": ["a"]}, {"n_grid": [100.9]}, {"eps": "x"}, {"replicates": 2.7},
     {"generator": [1]}, {"metric": "excess_risk"}, {"options": {"geometry": "bogus"}},

@@ -17,7 +17,6 @@ from privest.estimators import (
     _l2_project,
     _logistic_sgd_paths,
     _median_sgd_paths,
-    _projection_coeffs,
     _rotations,
     _sigmoid,
     density_estimate,
@@ -693,12 +692,6 @@ class TestBlockedBasis:
             self._strided_basis_block(k, rotation, lo, want)
             assert np.array_equal(got, want)
 
-    def test_fills_given_output(self):
-        t = make_rng(81).random(1000)
-        out = np.full((1000, 5), np.nan)
-        assert trig_basis_matrix(5, t, out=out) is out
-        assert np.array_equal(out, trig_basis_matrix(5, t))
-
     @pytest.mark.parametrize("k", [1, 2, 7, 64])
     def test_classical_coefficients_unchanged(self, k):
         n = 3 * (BLOCK // max(k, 2)) + 11
@@ -868,19 +861,20 @@ class TestDensityEstimate:
         assert rng.bit_generator.state == state
         assert density_estimate(data, 1.0, level, rng, k=3).k == 3
 
-    def test_the_private_basis_is_never_formed(self):
-        # the density-rate preset's grid at its own n_max, 2^18 (order 23 at eps 1); at 2^16 the
-        # fixed O(block) buffers alone, about 2 MB, are a quarter of that n's 8.4 MB basis
+    @pytest.mark.parametrize("level", [ONE, None], ids=["private", "no-channel"])
+    def test_the_basis_is_never_formed(self, level):
+        # the density-rate preset's grid at its own n_max, 2^18, where the basis would take
+        # 48 MB (order 23 at eps 1) or 134 MB (the classical order 64); what may be held is
+        # the rotation, 16 B per point, and a few block buffers of BLOCK floats
         grid = [2**j for j in range(12, 19)]
         data = make_rng(73).random(grid[-1])
-        k_max = series_bandwidth(grid[-1], ONE, 1.0)
         tracemalloc.start()
         try:
-            density_estimate(data, 1.0, ONE, make_rng(74), grid=grid)
+            density_estimate(data, 1.0, level, make_rng(74), grid=grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * grid[-1] * k_max / 4
+        assert peak < 16 * grid[-1] + 8 * (8 * BLOCK)
 
     def test_validations(self):
         for level in (ONE, None):
@@ -979,7 +973,8 @@ class TestNoChannel:
         data = make_rng(103).random(5000)
         grid = [2, 40, 1000, 5000]
         ks = [max(1, round(n ** (1.0 / (2.0 * beta + 1.0)))) for n in grid]
-        want = _projection_coeffs(data, grid, ks, trig_basis_matrix)
+        basis = trig_basis_matrix(ks[-1], data)
+        want = [_row_order_mean(basis[:n, :k]) for n, k in zip(grid, ks)]
         got = self._no_channel(lambda: density_estimate(data, beta, None, None, grid=grid))
         assert [e.k for e in got] == ks
         assert all(np.array_equal(e.coeffs, coeffs) for e, coeffs in zip(got, want))

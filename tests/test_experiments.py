@@ -7,12 +7,13 @@ import pytest
 
 from privest import experiments
 from privest.core import BLOCK, ConfigError, ParameterError, PrivacyLevel, make_rng
-from privest.estimators import _projection_coeffs, trig_basis_matrix
+from privest.estimators import density_estimate, trig_basis_matrix
 from privest.experiments import (
     CSV_HEADER,
     ESTIMATORS,
     MAX_CELLS,
     PRESETS,
+    _MAX_ENTRIES,
     ExperimentSpec,
     RunRecord,
     _prefix_means,
@@ -58,24 +59,26 @@ class TestPrefixMeans:
 
 
 class TestProjectionCoeffs:
-    """Streamed non-private density coefficients equal the materialised basis means."""
+    """The no-channel density coefficients: each n's row-order mean of the materialised basis."""
 
     @pytest.mark.parametrize("k_for", [
-        {1000: 1, 5000: 2, 70_001: 23, 150_007: 64},
-        {3: 1, 4100: 16, 9000: 20, 100_003: 47},
-        {10: 1, 20: 1},
-        {BLOCK // 64: 64, 5 * BLOCK // 64: 64},
+        {2: 1, 2537: 23, 32_768: 64, 33_001: 64},
+        {3: 1, 4100: 1, 70_001: 1},
+        {1000: 23, 5000: 23, 70_001: 23},
+        {BLOCK // 64: 64, 5 * BLOCK // 64: 64, 150_007: 64},
     ])
     def test_equals_basis_means_bit_for_bit(self, k_for):
-        data = make_rng(45).random(max(k_for) + 13)
-        got = _projection_coeffs(data, list(k_for), list(k_for.values()), trig_basis_matrix)
-        basis = trig_basis_matrix(max(k_for.values()), data)
-        assert len(got) == len(k_for)
+        grid, ks = list(k_for), list(k_for.values())
+        k = ks[0] if len(set(ks)) == 1 else None  # mixed orders: the classical ones at beta 0.75
+        data = make_rng(45).random(grid[-1] + 13)
+        got = density_estimate(data, 0.75, None, None, k=k, grid=grid)
+        basis = trig_basis_matrix(max(ks), data)
         csum = np.cumsum(basis[:, :1], axis=0)
-        for (n, k), coeffs in zip(k_for.items(), got):
-            # numpy's axis-0 mean sums one column pairwise; the fold, like cumsum, row by row
-            want = csum[n - 1] / n if k == 1 else basis[:n, :k].mean(axis=0)
-            assert np.array_equal(coeffs, want)
+        assert [estimate.k for estimate in got] == ks
+        for n, k_n, estimate in zip(grid, ks, got):
+            # numpy's axis-0 mean sums one column pairwise; the library, like cumsum, row by row
+            want = csum[n - 1] / n if k_n == 1 else basis[:n, :k_n].mean(axis=0)
+            assert np.array_equal(estimate.coeffs, want)
 
 
 class TestSpecValidation:
@@ -96,6 +99,14 @@ class TestSpecValidation:
         assert _tiny_spec(replicates=MAX_CELLS // 2).replicates == MAX_CELLS // 2
         with pytest.raises(ConfigError, match=f"exceeds the {MAX_CELLS} cells of one arm"):
             _tiny_spec(replicates=MAX_CELLS // 2 + 1)
+
+    def test_sample_numbers_are_capped(self):
+        # n_grid[-1] x d, with d = 3 here; checked before any draw, so nothing is allocated
+        n = _MAX_ENTRIES // 3
+        assert _tiny_spec(n_grid=(64, n)).n_grid[-1] == n
+        for n_max in (n + 1, 10**12, 2**61):
+            with pytest.raises(ConfigError, match=f"exceeds the {_MAX_ENTRIES} numbers of one"):
+                _tiny_spec(n_grid=(64, n_max))
 
     def test_generator_estimator_compatibility(self):
         with pytest.raises(ConfigError, match="incompatible"):
@@ -441,6 +452,10 @@ class TestPresets:
                       "density-rate", "sparse-mean", "logistic"):
             specs = build_preset(name, seed=1)
             assert specs and all(isinstance(s, ExperimentSpec) for s in specs)
+
+    def test_full_presets_sit_below_the_size_ceiling(self):
+        largest = max(s.n_grid[-1] * s.d for name in PRESETS for s in build_preset(name, full=True))
+        assert largest == 600_000 * 27 < _MAX_ENTRIES
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
