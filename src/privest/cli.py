@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 audit violation, 2 configuration error (including
 out-of-domain records, inputs an audit cannot handle and a MemoryError), 3 I/O error.
-``--seed`` falls back to the LDP_SEED environment variable, then to 0.
+``--seed`` falls back to a config's own seed, then to LDP_SEED, then to 0.
 """
 
 import argparse
@@ -109,7 +109,7 @@ def _cmd_estimate(args) -> int:
         options=config["options"],
     )
     gen = spec.build_generator()
-    # one run of the bench arm: data from stream (seed, 0, 0), channel noise from (seed, 2, 0)
+    # data from (seed, 0, 0) as in bench; noise from (seed, 2, 0), not bench's (seed, 2, 1, 0)
     with np.errstate(all="ignore"):  # as in run_experiment: a non-finite estimate is rejected
         data = [gen.sample(n, make_rng(spec.seed, 0, 0))]
         estimate = ESTIMATORS[spec.estimator].arm(spec, gen, data, make_rng(spec.seed, 2, 0))[0][0]
@@ -121,16 +121,19 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    seed = _seed_default(args.seed)
     if args.config:
         if args.preset or args.full:
             raise ConfigError("--config takes no --preset or --full")
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         entries = raw if isinstance(raw, list) else [raw]
+        if args.seed is None:  # as in estimate: the entry's seed, then LDP_SEED, then 0
+            entries = [entry if not isinstance(entry, dict) or "seed" in entry
+                       else {**entry, "seed": _seed_default(None)} for entry in entries]
         specs = [spec_from_config(entry) for entry in entries]
         specs = override_specs(specs, eps=args.eps, seed=args.seed)
     elif args.preset:
+        seed = _seed_default(args.seed)  # LDP_SEED is read only where it is used
         specs = build_preset(args.preset, full=args.full, eps=args.eps, seed=seed)
     else:
         raise ConfigError("bench needs --preset or --config")
@@ -150,6 +153,8 @@ def _cmd_audit(args) -> int:
     level = PrivacyLevel(args.eps)
     if args.d_max < 1:
         raise ConfigError(f"--d-max must be >= 1, got {args.d_max}")
+    if args.d_max > (cap := audit_mod._ENUMERATION_DIM_CAP):  # the cube check costs O(4^d)
+        raise ConfigError(f"--d-max must be <= {cap}, got {args.d_max}")
     if args.mc < audit_mod.MC_MIN_DRAWS:  # checked before any enumeration runs
         raise ConfigError(f"--mc must be >= {audit_mod.MC_MIN_DRAWS}, got {args.mc}")
     failures = 0

@@ -176,8 +176,8 @@ class ExperimentSpec:
                 f"metric {self.metric!r} does not apply to {self.estimator!r}; "
                 f"valid: {entry.metrics}"
             )
-        if "," in self.name or "\n" in self.name:
-            raise ConfigError(f"name {self.name!r} must not contain commas or newlines")
+        if any(c in self.name for c in ',"\r\n'):  # CSV fields are written unquoted
+            raise ConfigError(f"name {self.name!r} must not contain a comma, quote, CR or LF")
         options = resolve(self.options, entry.options, f"{self.estimator} option", gen)
         object.__setattr__(self, "options", options)
         if "radius" in options:

@@ -242,27 +242,17 @@ def _l2_ball_batch(x, radius, level, rng, grid=None):
     norms = _row_norms(x)
     _check_ball(x, "l2", radius, norms=norms)
     grid = None if grid is None else _check_grid(grid, n)
-    zero_rows = np.flatnonzero(norms == 0.0)
-    if zero_rows.size:
-        directions = uniform_sphere(rng, d, size=zero_rows.size)
-    # sign prob 1/2 + ||x||/(2r); reduces to a fair sign for zero records
+    # sign prob 1/2 + ||x||/(2r)
     sign = np.where(rng.random(n) < 0.5 + norms / (2.0 * radius), 1.0, -1.0)
     t_sign = np.where(rng.random(n) < level.pi_eps, 1.0, -1.0)
-    if zero_rows.size:
-        x_rounded = radius * sign[zero_rows, None] * directions
     _count(n)
 
     def fill(lo, u):
         hi = lo + len(u)
         uniform_sphere(rng, d, out=u)
-        # The rounded input is radius * sign * x/||x||, so for a nonzero record
-        # the side of <u, x_rounded> is that of sign * <u, x>; only zero records
-        # need the inner product with their drawn direction.
+        # the side of u against x~ = radius * sign * x/||x|| is that of sign * <u, x>;
+        # at x = 0 that is +-0.0, side +1: B * T * u, uniform on the sphere, the paper's law
         ip = sign[lo:hi] * np.einsum("ij,ij->i", u, x[lo:hi])
-        a, b = np.searchsorted(zero_rows, (lo, hi)) if zero_rows.size else (0, 0)
-        if b > a:
-            rows = zero_rows[a:b] - lo
-            ip[rows] = np.einsum("ij,ij->i", u[rows], x_rounded[a:b])
         side = np.where(ip >= 0.0, 1.0, -1.0)
         u *= bound
         u *= (side * t_sign[lo:hi])[:, None]
@@ -480,10 +470,11 @@ class Channel:
     def l2_ball(dim: int, radius: float, level: PrivacyLevel) -> "Channel":
         """Records with ||x||_2 <= radius; output on the sphere ||Z||_2 = B.
 
-        Steps: (i) round x to +/- radius * x/||x|| with P(+) = 1/2 + ||x||/(2 radius)
-        (a uniform direction with a fair sign when x = 0); (ii) draw the channel
-        bit T; (iii) draw a uniform sphere point on the halfspace side selected
-        by T, scaled to norm B = :func:`l2_bound_B`.
+        Steps: (i) round x to +/- radius * x/||x|| with P(+) = 1/2 + ||x||/(2 radius);
+        (ii) draw the channel bit T; (iii) draw a uniform sphere point on the
+        halfspace side selected by T, scaled to norm B = :func:`l2_bound_B`.
+        For x = 0 the output is uniform on the B-sphere, with no drawn
+        direction: a uniform rounding direction would give that same law.
         """
         return Channel("l2_ball", level, radius, dim, l2_bound_B(dim, radius, level),
                        lambda x, rng: _l2_ball_batch(x, radius, level, rng))

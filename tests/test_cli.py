@@ -228,6 +228,38 @@ def test_bench_config_checks_every_seed_before_any_arm(tmp_path, capsys, monkeyp
     assert arms == [] and not out.exists()
 
 
+@pytest.mark.parametrize("env, argv, seeds", [
+    ("5", [], [7, 5]),  # an entry without a seed takes LDP_SEED
+    (None, [], [7, 0]),  # then 0
+    ("abc", ["--seed", "3"], [3, 3]),  # --seed first: LDP_SEED is never read
+], ids=["env", "zero", "flag"])
+def test_bench_config_seed_precedence(tmp_path, monkeypatch, env, argv, seeds):
+    """As in estimate: --seed, then the entry's own seed, then LDP_SEED, then 0."""
+    import privest.cli
+
+    arms = []
+    monkeypatch.setattr(privest.cli, "run_experiment", lambda spec, **kw: arms.append(spec) or [])
+    if env is None:
+        monkeypatch.delenv("LDP_SEED", raising=False)
+    else:
+        monkeypatch.setenv("LDP_SEED", env)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{**_BENCH, "name": "own", "seed": 7}, {**_BENCH, "name": "none"}]))
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), *argv]) == 0
+    assert [spec.seed for spec in arms] == seeds
+
+
+def test_bench_config_with_seeds_ignores_a_bad_seed_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LDP_SEED", "abc")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_BENCH, "seed": 7}))
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    cfg.write_text(json.dumps(_BENCH))  # now LDP_SEED is used, and rejected
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: LDP_SEED must be an integer, got 'abc'\n"
+
+
 @pytest.mark.filterwarnings("error")  # numpy's overflow warning would be a second stderr line
 @pytest.mark.parametrize("estimator, generator", [
     ("mean_scalar", {"kind": "bounded_uniform"}),
@@ -737,6 +769,14 @@ def test_audit_rejects_a_d_max_below_one(capsys, d_max):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"configuration error: --d-max must be >= 1, got {d_max}\n"
+
+
+@pytest.mark.parametrize("d_max", ["21", "400"])
+def test_audit_rejects_a_d_max_above_the_cap_before_any_enumeration(capsys, d_max):
+    assert main(["audit", f"--d-max={d_max}", "--mc", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: --d-max must be <= 20, got {d_max}\n"
 
 
 def test_audit_checks_mc_before_any_enumeration(capsys):

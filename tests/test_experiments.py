@@ -431,6 +431,28 @@ class TestCsv:
         emit_csv(records, path)
         assert parse_csv(path) == records
 
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", '"a', '"a"'])
+    def test_names_that_break_the_round_trip_are_rejected(self, tmp_path, name):
+        records = [RunRecord(name, "m", 1, 0.1, 0, "x", 0.5, 0.0),
+                   RunRecord("e", "m", 2, 0.1, 0, "x", 0.25, 0.0)]
+        path = tmp_path / "names.csv"
+        emit_csv(records, path)
+        try:
+            assert parse_csv(path) != records
+        except (IndexError, ValueError):  # rows split or merged
+            pass
+        with pytest.raises(ConfigError, match="must not contain"):
+            _tiny_spec(name=name)
+
+    def test_other_names_round_trip(self, tmp_path):
+        with pytest.raises(ConfigError, match="must not contain"):
+            _tiny_spec(name='a"b')  # a quote anywhere, though this one would round-trip
+        name = "a b'c;\u00e9\t"
+        records = [RunRecord(_tiny_spec(name=name).name, "m", 1, 0.1, 0, "x", 0.5, 0.0)]
+        path = tmp_path / "names.csv"
+        emit_csv(records, path)
+        assert parse_csv(path) == records
+
     def test_seventeen_digits_and_lf(self, tmp_path):
         path = tmp_path / "fmt.csv"
         emit_csv([RunRecord("e", "m", 1, 0.1, 0, "x", 0.1, 0.0)], path)

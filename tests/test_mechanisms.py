@@ -213,14 +213,13 @@ class TestLinfBall:
 
 
 def _l2_ball_reference(x, radius, level, rng):
-    """The l2 batch kernel as first written, with (n, d) float temporaries."""
+    """The l2 batch kernel as first written, with (n, d) float temporaries.  A zero record
+    rounds to 0, so its side is +1 and its output is uniform on the sphere."""
     n, d = x.shape
     norms = np.linalg.norm(x, axis=1)
     directions = np.zeros_like(x)
     nz = norms > 0.0
     directions[nz] = x[nz] / norms[nz, None]
-    if np.any(~nz):
-        directions[~nz] = uniform_sphere(rng, d, size=int((~nz).sum()))
     sign = np.where(rng.random(n) < 0.5 + norms / (2.0 * radius), 1.0, -1.0)
     x_rounded = radius * sign[:, None] * directions
     t_sign = np.where(rng.random(n) < level.pi_eps, 1.0, -1.0)
@@ -379,7 +378,7 @@ _VECTOR_KERNELS = {
 
 def _streamed_records(d, n):
     x = make_rng(700, d).uniform(-1.0, 1.0, size=(n, d)) * (0.9 / math.sqrt(d))
-    x[::9] = 0.0  # zero-norm rows take the l2 kernel's drawn directions
+    x[::9] = 0.0  # zero-norm rows take the l2 kernel's side +1, with no extra draw
     return x
 
 
