@@ -151,7 +151,9 @@ def monte_carlo_unbias(channel: Channel, x, n: int, rng) -> tuple:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     draws = channel.privatize_batch(np.broadcast_to(x, (n, x.size)), rng)
     mean = draws.mean(axis=0)
-    stderr = draws.std(axis=0, ddof=1) / math.sqrt(n)
+    # in units of the largest |draw|, so no square overflows at a bound B near the float limit
+    scale = np.abs(draws).max(axis=0)
+    stderr = scale * (draws / scale).std(axis=0, ddof=1) / math.sqrt(n)
     return mean, stderr
 
 

@@ -49,10 +49,15 @@ def sparse_mean_lower(d: int, n: int, eps: float) -> float:
     return math.sqrt(d * math.log(2 * d) / _n_eps_sq(n, eps, "exp"))
 
 
-def density_rate(beta: float, n: int, eps: float, eps_form: str = "eps2") -> float:
-    """Sobolev-beta density L2 rate (n eps^2)^(-2 beta / (2 beta + 2))."""
+def _check_smoothness(beta):
+    """ParameterError unless the Sobolev smoothness beta is > 1/2 (NaN fails): the one rule."""
     if not (beta > 0.5):
         raise ParameterError(f"smoothness beta must be > 1/2, got {beta!r}")
+
+
+def density_rate(beta: float, n: int, eps: float, eps_form: str = "eps2") -> float:
+    """Sobolev-beta density L2 rate (n eps^2)^(-2 beta / (2 beta + 2))."""
+    _check_smoothness(beta)
     exponent = 2.0 * beta / (2.0 * beta + 2.0)
     return _n_eps_sq(n, eps, eps_form) ** (-exponent)
 

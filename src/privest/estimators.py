@@ -22,6 +22,7 @@ from functools import partial
 
 import numpy as np
 
+from .bounds import _check_smoothness
 from .core import DomainError, ParameterError, PrivacyLevel, row_blocks
 from .mechanisms import (
     MomentAssumption,
@@ -413,6 +414,7 @@ def series_bandwidth(n: int, level: PrivacyLevel | None, beta: float) -> int:
     ``level=None`` gives the classical order max(1, round(n^(1/(2 beta + 1)))).
     """
     _check_n(n)
+    _check_smoothness(beta)
     if level is None:
         return max(1, round(n ** (1.0 / (2.0 * beta + 1.0))))
     order = (n * level.eps_sq) ** (1.0 / (2.0 * beta + 2.0))
@@ -447,8 +449,7 @@ def density_estimate(
     sizes = [data.size] if grid is None else _check_grid(grid, data.size)
     if sizes[0] < 2:
         raise ParameterError("density estimation needs at least 2 observations")
-    if not (beta > 0.5):
-        raise ParameterError(f"smoothness beta must be > 1/2, got {beta!r}")
+    _check_smoothness(beta)
     _check_unit_interval(data, "density observations must lie in [0, 1]")
     if k is not None and not 1 <= k <= sizes[0]:  # as series_bandwidth: at most n coefficients
         raise ParameterError(f"basis order {k} exceeds n = {sizes[0]}" if k > 0 else

@@ -190,11 +190,6 @@ class ExperimentSpec:
         return self._generator
 
 
-def _replicate_chunks(replicates, cells_per_rep, budget=4_000_000):
-    size = max(1, int(budget / max(cells_per_rep, 1)))
-    return (range(lo, min(lo + size, replicates)) for lo in range(0, replicates, size))
-
-
 def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
     """Execute one experiment arm; deterministic given (spec, seed).
 
@@ -211,12 +206,10 @@ def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
     score = entry.scorer(spec, gen)
     eps = math.inf if spec.level is None else spec.eps
     max_n = max(spec.n_grid)
-    if entry.lockstep:
-        chunks = _replicate_chunks(spec.replicates, max_n * spec.d)
-    else:
-        chunks = (range(r, r + 1) for r in range(spec.replicates))
+    chunk = max(1, 4_000_000 // (max_n * spec.d)) if entry.lockstep else 1  # ~4e6 data cells
     records = []
-    for reps in chunks:
+    for lo in range(0, spec.replicates, chunk):
+        reps = range(lo, min(lo + chunk, spec.replicates))
         start = time.perf_counter()
         with np.errstate(all="ignore"):
             samples = [gen.sample(max_n, make_rng(spec.seed, 0, r)) for r in reps]

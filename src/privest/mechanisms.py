@@ -232,7 +232,7 @@ def _l2_ball_batch(x, radius, level, rng, grid=None):
 
     A uniform sphere point reflected onto the required halfspace side
     follows the conditional law exactly, by the negation symmetry of the
-    sphere measure (ties have measure zero).  The n-length draws come
+    sphere measure (ties have measure zero).  The n-length coin draw comes
     first, then the sphere points one row block at a time; ``grid`` is as
     in :func:`_vector_output`.
     """
@@ -242,20 +242,16 @@ def _l2_ball_batch(x, radius, level, rng, grid=None):
     norms = _row_norms(x)
     _check_ball(x, "l2", radius, norms=norms)
     grid = None if grid is None else _check_grid(grid, n)
-    # sign prob 1/2 + ||x||/(2r)
-    sign = np.where(rng.random(n) < 0.5 + norms / (2.0 * radius), 1.0, -1.0)
-    t_sign = np.where(rng.random(n) < level.pi_eps, 1.0, -1.0)
+    # one coin +-B per record: the rounding sign times the channel bit T (see Channel.l2_ball)
+    coin = np.where(rng.random(n) < 0.5 + norms / (2.0 * radius) / level.phi_eps, bound, -bound)
     _count(n)
 
     def fill(lo, u):
         hi = lo + len(u)
         uniform_sphere(rng, d, out=u)
-        # the side of u against x~ = radius * sign * x/||x|| is that of sign * <u, x>;
-        # at x = 0 that is +-0.0, side +1: B * T * u, uniform on the sphere, the paper's law
-        ip = sign[lo:hi] * np.einsum("ij,ij->i", u, x[lo:hi])
-        side = np.where(ip >= 0.0, 1.0, -1.0)
-        u *= bound
-        u *= (side * t_sign[lo:hi])[:, None]
+        # Z = coin sign<u, x> u with sign(+-0.0) = +1: a zero record gives coin u, uniform
+        ip = np.einsum("ij,ij->i", u, x[lo:hi])
+        u *= np.where(ip >= 0.0, coin[lo:hi], -coin[lo:hi])[:, None]
 
     return _vector_output(fill, n, d, grid)
 
@@ -470,11 +466,12 @@ class Channel:
     def l2_ball(dim: int, radius: float, level: PrivacyLevel) -> "Channel":
         """Records with ||x||_2 <= radius; output on the sphere ||Z||_2 = B.
 
-        Steps: (i) round x to +/- radius * x/||x|| with P(+) = 1/2 + ||x||/(2 radius);
-        (ii) draw the channel bit T; (iii) draw a uniform sphere point on the
-        halfspace side selected by T, scaled to norm B = :func:`l2_bound_B`.
-        For x = 0 the output is uniform on the B-sphere, with no drawn
-        direction: a uniform rounding direction would give that same law.
+        The paper's steps: (i) round x to s * radius * x/||x||, P(s = +1) = 1/2 + ||x||/(2 radius);
+        (ii) draw the channel bit T, P(T = +1) = pi_eps; (iii) draw a uniform sphere point u on
+        the side of the rounded input selected by T, scaled to norm B = :func:`l2_bound_B`.
+        s and T act only through their product, so the kernel draws one coin T * s, +1 with
+        probability 1/2 + ||x||/(2 radius phi_eps), and reports B * coin * sign<u, x> * u.
+        For x = 0 that is uniform on the B-sphere, as with a uniform rounding direction.
         """
         return Channel("l2_ball", level, radius, dim, l2_bound_B(dim, radius, level),
                        lambda x, rng: _l2_ball_batch(x, radius, level, rng))
@@ -521,7 +518,7 @@ class Channel:
             raise ParameterError(f"dimension must be >= 1, got {dim}")
         if sensitivity_norm not in ("l1", "l2_paper"):
             raise ParameterError(f"unknown sensitivity_norm {sensitivity_norm!r}")
-        return Channel("laplace_vector", level, radius, dim, math.inf, lambda x, rng:
+        return Channel("laplace_vector", level, _check_radius(radius), dim, math.inf, lambda x, rng:
                        _laplace_vector_batch(x, radius, level, sensitivity_norm, rng))
 
     @staticmethod
@@ -532,7 +529,7 @@ class Channel:
         median is known to be non-negative); the noise scale stays eps/(2r),
         so the channel stays eps-LDP.
         """
-        return Channel("naive_median", level, radius, 1, math.inf,
+        return Channel("naive_median", level, _check_radius(radius), 1, math.inf,
                        lambda x, rng: _naive_median_batch(x, radius, level, rng, one_sided))
 
     @staticmethod

@@ -145,6 +145,15 @@ class TestMonteCarloUnbias:
         with pytest.raises(ParameterError):
             monte_carlo_unbias(Channel.sign_rr(ONE), 1.0, 10, make_rng(0))
 
+    def test_l2_bound_whose_square_overflows(self):
+        # B^2 overflows, a warning that the suite turns into an error.  Each coordinate of a
+        # uniform point on the B-circle has sd B / sqrt(2)
+        channel, n = Channel.l2_ball(2, 1.0, PrivacyLevel(1e-160)), 4000
+        mean, stderr = monte_carlo_unbias(channel, [0.3, 0.4], n, make_rng(34))
+        assert channel.bound_B > 1e155  # B^2 > 1e310
+        np.testing.assert_allclose(stderr, channel.bound_B / math.sqrt(2 * n), rtol=0.1)
+        assert np.all(np.abs(mean - [0.3, 0.4]) <= 5.0 * stderr)
+
 
 class TestSlopeFit:
     def test_exact_inverse_sqrt(self):

@@ -649,6 +649,13 @@ _REJECTED = {
                   lambda x, rng: sparse_mean(x, 1.0, _LEVEL, rng)),
     "density-beta-half": ("density", _DENSITY, {"beta": 0.5}, [64],
                           lambda x, rng: density_estimate(x, 0.5, _LEVEL, rng)),
+    # rejected before the scorer builds its basis, whose order depends on beta
+    "density-beta-neg1": ("density", _DENSITY, {"beta": -1}, [64],
+                          lambda x, rng: density_estimate(x, -1.0, _LEVEL, rng)),
+    "density-beta-neg-half": ("density", _DENSITY, {"beta": -0.5}, [64],
+                              lambda x, rng: density_estimate(x, -0.5, _LEVEL, rng)),
+    "density-beta-nan": ("density", _DENSITY, {"beta": "nan"}, [64],
+                         lambda x, rng: density_estimate(x, math.nan, _LEVEL, rng)),
     "density-n1": ("density", _DENSITY, {}, [1, 64],
                    lambda x, rng: density_estimate(x, 1.0, _LEVEL, rng, grid=[1, 64])),
     "proj_radius-0": ("logistic", _LOGISTIC, {"proj_radius": 0}, [64],

@@ -67,10 +67,10 @@ PRESET_GOLDEN = {
     "drug-use": "4e3d94b49f1b0d7bc167a20657bbf9fceec0f1de81f1c34821c85c7ff30a85c3",
     "median-salary": "2de7fc933b22a2acd391410f5afffc5cc7b719213ab303b2d355f308f8340dbe",
     "mean-rates": "556a5737b655628b2033a3e1bf8fcb23908ec0f9930b2231bdf1cc3aaea13c5a",
-    "dimension-scaling": "e1a741a2d4bcb71012c8cdff47f02da4560e24463d65edeb61d9846feb0a0f97",
+    "dimension-scaling": "a1012bca4c13cba51f270bc7d989b2888a61ce45f7444d321acf147187479f85",
     "density-rate": "cafeda6ab54be012f2461b83d7eed05ff03ab8084e851f622e938c6e3eb4f754",
     "sparse-mean": "dd85bd7a9d5ea798536114b150aadf6bb1092042fe04679863060c2d1e5e3202",
-    "logistic": "d5e3089e2a625c21479219cd8ebb681c35af21fbdad259fb2b75825bb3c9f57c",
+    "logistic": "18e55f6bfb1a02c087f00f26e7818333c94b99a29a69361fd2f77519d197b9e2",
 }
 
 _ARMS = [(est, mech) for est, entry in ESTIMATORS.items() for mech in entry.mechanisms]

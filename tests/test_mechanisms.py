@@ -8,6 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from privest.core import (
     BLOCK,
@@ -213,20 +214,47 @@ class TestLinfBall:
 
 
 def _l2_ball_reference(x, radius, level, rng):
-    """The l2 batch kernel as first written, with (n, d) float temporaries.  A zero record
-    rounds to 0, so its side is +1 and its output is uniform on the sphere."""
+    """The l2 batch kernel as whole-array draws: one coin +-B per record (the product of
+    the rounding sign and the channel bit), then every sphere point u; Z = coin sign<u, x> u."""
     n, d = x.shape
     norms = np.linalg.norm(x, axis=1)
-    directions = np.zeros_like(x)
+    bound = l2_bound_B(d, radius, level)
+    coin = np.where(rng.random(n) < 0.5 + norms / (2.0 * radius) / level.phi_eps, bound, -bound)
+    u = uniform_sphere(rng, d, size=n)
+    return u * np.where(np.einsum("ij,ij->i", u, x) >= 0.0, coin, -coin)[:, None]
+
+
+def _l2_ball_paper(x, radius, level, rng):
+    """The paper's l2 sampler, the law oracle: round x to sign * r x/||x|| (a uniform
+    direction at x = 0), draw the channel bit T, then a uniform sphere point on the side
+    of the rounded input that T selects, scaled to B."""
+    n, d = x.shape
+    norms = np.linalg.norm(x, axis=1)
+    directions = uniform_sphere(rng, d, size=n)
     nz = norms > 0.0
     directions[nz] = x[nz] / norms[nz, None]
     sign = np.where(rng.random(n) < 0.5 + norms / (2.0 * radius), 1.0, -1.0)
-    x_rounded = radius * sign[:, None] * directions
     t_sign = np.where(rng.random(n) < level.pi_eps, 1.0, -1.0)
     u = uniform_sphere(rng, d, size=n)
-    ip = np.einsum("ij,ij->i", u, x_rounded)
-    side = np.where(ip >= 0.0, 1.0, -1.0)
+    side = np.where(np.einsum("ij,ij->i", u, sign[:, None] * directions) >= 0.0, 1.0, -1.0)
     return l2_bound_B(d, radius, level) * u * (side * t_sign)[:, None]
+
+
+class TestL2Law:
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("scale", [0.0, 0.55, 1.0])
+    def test_kernel_draws_the_papers_law(self, scale, d):
+        """Two-sample Kolmogorov-Smirnov on <Z, e>/B, for x = scale r e, between the
+        kernel and the paper's two-draw sampler; at d = 1 it compares side frequencies."""
+        level, radius, n = LN3, 1.3, 100_000  # several of the kernel's row blocks
+        e = np.linspace(0.6, -0.3, d)
+        e /= np.linalg.norm(e)
+        x = np.broadcast_to(scale * radius * e, (n, d))
+        bound = l2_bound_B(d, radius, level)
+        ours = _l2_ball_batch(x, radius, level, make_rng(830, d)) @ e / bound
+        paper = _l2_ball_paper(x, radius, level, make_rng(831, d)) @ e / bound
+        pvalue = ks_2samp(ours, paper).pvalue
+        assert pvalue > 1e-4, f"||x|| = {scale} r: p = {pvalue:.3g}"
 
 
 def _linf_ball_reference(x, radius, level, rng):
@@ -378,7 +406,7 @@ _VECTOR_KERNELS = {
 
 def _streamed_records(d, n):
     x = make_rng(700, d).uniform(-1.0, 1.0, size=(n, d)) * (0.9 / math.sqrt(d))
-    x[::9] = 0.0  # zero-norm rows take the l2 kernel's side +1, with no extra draw
+    x[::9] = 0.0  # zero-norm rows: the l2 kernel's output is coin * u, with no extra draw
     return x
 
 
@@ -501,15 +529,25 @@ class TestRadiusRule:
         lambda r, rng: _truncated_laplace_batch(np.zeros(3), r, ONE, rng),
         lambda r, rng: l2_bound_B(2, r, ONE),
         lambda r, rng: linf_bound_B(2, r, ONE),
+        # every Channel constructor with a radius, when the channel is built
+        lambda r, rng: Channel.l2_ball(2, r, ONE),
+        lambda r, rng: Channel.linf_ball(2, r, ONE),
+        lambda r, rng: Channel.laplace_vector(2, r, ONE, "l1"),
+        lambda r, rng: Channel.laplace_vector(2, r, ONE, "l2_paper"),
+        lambda r, rng: Channel.naive_median(r, ONE),
+        # its radius is the moment bound radius_k, the truncation level T at k = inf
+        lambda r, rng: Channel.truncated_laplace(MomentAssumption(math.inf, r), 3, ONE),
     ], ids=["l2", "linf", "laplace-l1", "laplace-l2_paper", "naive_median", "truncated_laplace",
-            "l2_bound", "linf_bound"])
+            "l2_bound", "linf_bound", "Channel.l2_ball", "Channel.linf_ball",
+            "Channel.laplace_vector-l1", "Channel.laplace_vector-l2_paper",
+            "Channel.naive_median", "Channel.truncated_laplace"])
     def test_rejects_before_any_draw(self, call, radius):
         rng = make_rng(0)
         state = rng.bit_generator.state
         reset_privatization_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="radius must be finite and > 0"):
+            with pytest.raises(ParameterError, match=r"radius(_k)? must be finite and > 0"):
                 call(radius, rng)
         assert rng.bit_generator.state == state and privatization_count() == 0
 
