@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ParameterError, SizeError, UnsupportedChannelError
+from .core import DomainError, ParameterError, SizeError, UnsupportedChannelError, _check_count
 from .mechanisms import Channel, _check_ball, _check_signs, cube_tie_gamma, cube_vertices
 
 _ENUMERATION_DIM_CAP = 20
@@ -181,8 +181,7 @@ def sphere_halfspace_mean_quadrature(d: int, nodes: int = 20001) -> float:
     where s_d is the unit-sphere surface area in R^d.  Independent of the
     Gamma-ratio closed form, hence usable as its oracle.
     """
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
+    _check_count(d)
     if d == 1:
         # the "hemisphere" is the single point {+1}
         return 1.0

@@ -9,12 +9,12 @@ choice so plotted curves are unambiguous.
 import math
 from dataclasses import dataclass
 
-from .core import ParameterError, PrivacyLevel
-from .mechanisms import _check_n, _check_radius
+from .core import ParameterError, PrivacyLevel, _check_count, _check_n
+from .mechanisms import _check_radius
 
 
 def _n_eps_sq(n: int, eps: float, eps_form: str) -> float:
-    _check_n(n)  # the one sample-size rule
+    _check_n(n)
     eps = PrivacyLevel(eps).epsilon  # the one eps rule
     if eps_form not in ("eps2", "exp"):
         raise ParameterError(f"unknown eps_form {eps_form!r} (use 'eps2' or 'exp')")
@@ -44,8 +44,7 @@ def median_rate(radius: float, n: int, eps: float, eps_form: str = "eps2") -> fl
 
 def sparse_mean_lower(d: int, n: int, eps: float) -> float:
     """1-sparse mean linf lower bound sqrt(d log(2d) / (n (e^eps - 1)^2))."""
-    if d < 2:
-        raise ParameterError(f"dimension must be >= 2, got {d}")
+    _check_count(d, low=2)
     return math.sqrt(d * math.log(2 * d) / _n_eps_sq(n, eps, "exp"))
 
 
@@ -58,14 +57,13 @@ def _check_smoothness(beta):
 def density_rate(beta: float, n: int, eps: float, eps_form: str = "eps2") -> float:
     """Sobolev-beta density L2 rate (n eps^2)^(-2 beta / (2 beta + 2))."""
     _check_smoothness(beta)
-    exponent = 2.0 * beta / (2.0 * beta + 2.0)
+    exponent = 1.0 if math.isinf(beta) else beta / (beta + 1.0)  # no inf / inf
     return _n_eps_sq(n, eps, eps_form) ** (-exponent)
 
 
 def logistic_lower(d: int, n: int, eps: float) -> float:
     """Logistic-regression lower bound min(d/4, d^2 / (4 n (e^eps - 1)^2))."""
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
+    _check_count(d)
     return min(d / 4.0, d * d / (4.0 * _n_eps_sq(n, eps, "exp")))
 
 

@@ -29,14 +29,16 @@ from .core import (
     PrivacyLevel,
     SizeError,
     UnsupportedChannelError,
+    _check_count,
     make_rng,
     resolve,
 )
 from .estimators import MomentAssumption
 from .experiments import (
-    ESTIMATORS,
     PRESETS,
     ExperimentSpec,
+    _check_entries,
+    _draw_estimates,
     _write_csv,
     build_preset,
     emit_csv,
@@ -89,8 +91,8 @@ def _cmd_mech_sample(args) -> int:
     rng = make_rng(seed)
     x = _parse_vector(args.x)
     d = x.size
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    _check_count(args.n, "--n must be")
+    _check_entries(args.n, d, "--n x d")
     channel = _CHANNELS[args.mechanism](args, d, level)
     draws = channel.privatize_batch(np.broadcast_to(x, (args.n, d)), rng)
     _write_csv(args.out, ",".join(f"z{j}" for j in range(draws.shape[1])), draws)
@@ -108,11 +110,7 @@ def _cmd_estimate(args) -> int:
         _seed_default(config["seed"] if args.seed is None else args.seed),
         options=config["options"],
     )
-    gen = spec.build_generator()
-    # data from (seed, 0, 0) as in bench; noise from (seed, 2, 0), not bench's (seed, 2, 1, 0)
-    with np.errstate(all="ignore"):  # as in run_experiment: a non-finite estimate is rejected
-        data = [gen.sample(n, make_rng(spec.seed, 0, 0))]
-        estimate = ESTIMATORS[spec.estimator].arm(spec, gen, data, make_rng(spec.seed, 2, 0))[0][0]
+    estimate = _draw_estimates(spec, range(1))[0][0]  # replicate 0 of bench's optimal arm
     if not np.isfinite(estimate).all():
         raise ConfigError(f"the estimate at n = {n}, eps = {spec.eps!r} is not finite")
     print(json.dumps({"estimator": spec.estimator, "eps": spec.eps, "n": n,
@@ -151,12 +149,11 @@ def _cmd_bench(args) -> int:
 def _cmd_audit(args) -> int:
     seed = _seed_default(args.seed)
     level = PrivacyLevel(args.eps)
-    if args.d_max < 1:
-        raise ConfigError(f"--d-max must be >= 1, got {args.d_max}")
+    _check_count(args.d_max, "--d-max must be")
     if args.d_max > (cap := audit_mod._ENUMERATION_DIM_CAP):  # the cube check costs O(4^d)
         raise ConfigError(f"--d-max must be <= {cap}, got {args.d_max}")
-    if args.mc < audit_mod.MC_MIN_DRAWS:  # checked before any enumeration runs
-        raise ConfigError(f"--mc must be >= {audit_mod.MC_MIN_DRAWS}, got {args.mc}")
+    _check_count(args.mc, "--mc must be", audit_mod.MC_MIN_DRAWS)  # before any enumeration
+    _check_entries(args.mc, 3, "--mc x d")  # the d = 3 Monte-Carlo check below
     failures = 0
 
     def check(name, ok, detail=""):

@@ -31,6 +31,7 @@ import math
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -183,6 +184,16 @@ def row_blocks(start: int, stop: int, width: int):
     return ((lo, min(lo + rows, stop)) for lo in range(start, stop, rows))
 
 
+def _check_count(value, rule="dimension must be", low=1):
+    """ParameterError ``"<rule> >= <low>, got <value>"`` unless ``low <= value < 2**63``, the int64
+    range that :func:`typed` gives every config int (NaN fails too): the one count rule."""
+    if not (low <= value < 2**63):
+        raise ParameterError(f"{rule} {'< 2**63' if value >= low else f'>= {low}'}, got {value}")
+
+
+_check_n = partial(_check_count, rule="sample size must be")  # the one sample-size rule
+
+
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Return a reproducible generator for (seed, stream...) derivation.
 
@@ -263,8 +274,7 @@ def uniform_sphere(rng: np.random.Generator, d: int, size=None, out=None) -> np.
     C-contiguous (rows, d) float array to fill and return instead; filling
     consecutive blocks draws what one large call would.
     """
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
+    _check_count(d)
     if out is None:
         g = rng.standard_normal((1 if size is None else int(size), d))
     else:

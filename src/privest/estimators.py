@@ -23,13 +23,12 @@ from functools import partial
 import numpy as np
 
 from .bounds import _check_smoothness
-from .core import DomainError, ParameterError, PrivacyLevel, row_blocks
+from .core import DomainError, ParameterError, PrivacyLevel, _check_count, _check_n, row_blocks
 from .mechanisms import (
     MomentAssumption,
     RowSource,
     _check_ball,
     _check_grid,
-    _check_n,
     _check_radius,
     _l2_ball_batch,
     _laplace_vector_batch,
@@ -208,8 +207,7 @@ def sparse_mean(
     if data.ndim != 2 or data.shape[0] == 0:
         raise ParameterError("data must be a non-empty (n, d) array")
     n, d = data.shape
-    if d < 2:
-        raise ParameterError(f"sparse mean needs dimension >= 2, got {d}")
+    _check_count(d, "sparse mean needs dimension", 2)
     sizes = [n] if grid is None else _check_grid(grid, n)
     means = private_mean_vector(data, "linf", radius, level, rng, grid=sizes)
     lams = [sparse_mean_threshold(d, m, level, radius) if lam is None else lam for m in sizes]

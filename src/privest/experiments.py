@@ -29,6 +29,7 @@ from .core import (
     ConfigError,
     Option,
     PrivacyLevel,
+    _check_count,
     field_schema,
     make_rng,
     resolve,
@@ -55,8 +56,7 @@ from .mechanisms import _l2_ball_batch, _linf_ball_batch, _truncated_laplace_bat
 
 CSV_HEADER = "experiment,mechanism,n,eps,replicate,metric_name,value,wall_ms"
 
-# assigned stream keys: (seed, 0, rep) data, (seed, 1, j) metadata,
-# (seed, 2, arm, ...) channel noise
+# stream keys: (seed, 0, rep) data, (seed, 1, j) metadata, (seed, 2, arm, ...) channel noise
 _ARM_TAG = {"optimal": 1, "laplace_baseline": 2, "nonprivate": 3}
 
 # trapezoid nodes on [0, 1] for the integrated squared density error
@@ -67,6 +67,12 @@ MAX_CELLS = 10**7
 # Most numbers, n_grid[-1] x d, in one sample of an arm (800 MB of float64); the largest
 # --full preset sample is 600000 x 27.
 _MAX_ENTRIES = 10**8
+
+
+def _check_entries(n, d, what="n_grid[-1] x d"):
+    """ConfigError if a sample of n records of dimension d exceeds the size ceiling."""
+    if n * d > _MAX_ENTRIES:
+        raise ConfigError(f"{what} = {n} x {d} exceeds the {_MAX_ENTRIES} numbers of one sample")
 
 
 @dataclass(frozen=True)
@@ -152,13 +158,11 @@ class ExperimentSpec:
                 f"valid pairs: {[(self.estimator, m) for m in entry.mechanisms]}"
             )
         _check_grid(self.n_grid, math.inf)
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        _check_count(self.replicates, "replicates must be")
         if self.replicates * len(self.n_grid) > MAX_CELLS:
             raise ConfigError(f"replicates x len(n_grid) = {self.replicates} x {len(self.n_grid)} "
                               f"exceeds the {MAX_CELLS} cells of one arm")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        _check_count(self.seed, "seed must be", 0)
         gen = make_generator(self.generator)
         object.__setattr__(self, "_generator", gen)
         if gen.kind not in entry.generators:
@@ -167,9 +171,7 @@ class ExperimentSpec:
                 f"valid: {entry.generators}"
             )
         object.__setattr__(self, "d", gen.dim)
-        if self.n_grid[-1] * gen.dim > _MAX_ENTRIES:
-            raise ConfigError(f"n_grid[-1] x d = {self.n_grid[-1]} x {gen.dim} exceeds the "
-                              f"{_MAX_ENTRIES} numbers of one sample")
+        _check_entries(self.n_grid[-1], gen.dim)
         object.__setattr__(self, "metric", self.metric or entry.metrics[0])
         if self.metric not in entry.metrics:
             raise ConfigError(
@@ -193,30 +195,25 @@ class ExperimentSpec:
 def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
     """Execute one experiment arm; deterministic given (spec, seed).
 
-    Returns records ordered by (replicate, n).  Channel noise comes from
-    the stream (seed, 2, arm, r) of each replicate r, or for a lockstep
-    estimator from (seed, 2, arm, first replicate of the chunk).
+    Returns records ordered by (replicate, n), from chunks drawn by :func:`_draw_estimates`:
+    one replicate per chunk, or for a lockstep estimator about 4e6 numbers of data.
     ``timing=True`` fills ``wall_ms`` with the time a chunk took to sample and
     run its arm, split over its cells, which breaks byte-determinism of the
     CSV and is therefore opt-in.  numpy's floating-point warnings are off
     inside; a metric that is not finite is a :class:`ConfigError` naming its cell.
     """
     entry = ESTIMATORS[spec.estimator]
-    gen = spec.build_generator()
-    score = entry.scorer(spec, gen)
+    score = entry.scorer(spec, spec.build_generator())
     eps = math.inf if spec.level is None else spec.eps
-    max_n = max(spec.n_grid)
-    chunk = max(1, 4_000_000 // (max_n * spec.d)) if entry.lockstep else 1  # ~4e6 data cells
+    chunk = max(1, 4_000_000 // (spec.n_grid[-1] * spec.d)) if entry.lockstep else 1
     records = []
     for lo in range(0, spec.replicates, chunk):
         reps = range(lo, min(lo + chunk, spec.replicates))
         start = time.perf_counter()
+        estimates = _draw_estimates(spec, reps)
+        cells = len(reps) * len(spec.n_grid)
+        wall_ms = (time.perf_counter() - start) * 1e3 / cells if timing else 0.0
         with np.errstate(all="ignore"):
-            samples = [gen.sample(max_n, make_rng(spec.seed, 0, r)) for r in reps]
-            rng = make_rng(spec.seed, 2, _ARM_TAG[spec.mechanism], reps[0])
-            estimates = entry.arm(spec, gen, samples, rng)
-            cells = len(reps) * len(spec.n_grid)
-            wall_ms = (time.perf_counter() - start) * 1e3 / cells if timing else 0.0
             values = [(rep, n, score(estimates[g][j])) for j, rep in enumerate(reps)
                       for g, n in enumerate(spec.n_grid)]
         for rep, n, value in values:
@@ -225,9 +222,19 @@ def run_experiment(spec: ExperimentSpec, timing: bool = False) -> list:
                                   f"the {spec.metric} is {value!r}, not a finite float")
         records.extend(RunRecord(spec.name, spec.mechanism, n, eps, rep, spec.metric, value,
                                  wall_ms) for rep, n, value in values)
-        # released before the next chunk is drawn, so only one chunk's data is held
-        del samples, estimates
     return records
+
+
+def _draw_estimates(spec: ExperimentSpec, reps: range):
+    """What the spec's arm returns for the replicates ``reps``: the one arm draw of ``bench`` and
+    ``privest estimate``.  Replicate r's sample comes from the stream (seed, 0, r), the noise from
+    (seed, 2, arm, reps[0]).  numpy's floating-point warnings are off; the samples are freed on
+    return, so a run holds one chunk's data."""
+    gen = spec.build_generator()
+    with np.errstate(all="ignore"):
+        samples = [gen.sample(spec.n_grid[-1], make_rng(spec.seed, 0, r)) for r in reps]
+        rng = make_rng(spec.seed, 2, _ARM_TAG[spec.mechanism], reps[0])
+        return ESTIMATORS[spec.estimator].arm(spec, gen, samples, rng)
 
 
 # ---------------------------------------------------------------------------

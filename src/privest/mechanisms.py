@@ -40,6 +40,8 @@ from .core import (
     DomainError,
     ParameterError,
     PrivacyLevel,
+    _check_count,
+    _check_n,
     block_rows,
     laplace_sample,
     row_blocks,
@@ -92,20 +94,13 @@ def _check_radius(radius, name="radius"):
     return radius
 
 
-def _check_n(n):
-    """ParameterError unless the sample size ``n`` is >= 1: the one sample-size rule."""
-    if not (n >= 1):
-        raise ParameterError(f"sample size must be >= 1, got {n}")
-
-
 def sphere_halfspace_mean(d: int) -> float:
     """First coordinate of the mean of a uniform point on a closed unit hemisphere.
 
     Equals ``2 Gamma(d/2 + 1) / (sqrt(pi) d Gamma((d-1)/2 + 1))``; computed
     through log-Gamma so large d does not overflow.
     """
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
+    _check_count(d)
     return 2.0 * math.exp(math.lgamma(d / 2 + 1) - math.lgamma((d - 1) / 2 + 1)) / (
         math.sqrt(math.pi) * d
     )
@@ -123,8 +118,7 @@ def cube_halfspace_mean(d: int) -> float:
     Ties <Z, x> = 0 (even d) are counted inside the closed halfspace, which
     has 2^(d-1) + binom(d, d/2)/2 vertices.  Exact integers, one rounding (int / int).
     """
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
+    _check_count(d)
     if d % 2 == 1:
         return math.comb(d - 1, (d - 1) // 2) / 2 ** (d - 1)
     return 2 * math.comb(d - 1, d // 2) / (2**d + math.comb(d, d // 2))
@@ -137,8 +131,7 @@ def cube_tie_gamma(d: int) -> float:
     shrinks the side-selection bias just enough that passing ties through
     at weight 2^-d leaves the channel unbiased at the closed-form B.
     """
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
+    _check_count(d)
     return 1.0 if d % 2 == 1 else 2**d / (2**d + math.comb(d, d // 2))
 
 
@@ -514,8 +507,7 @@ class Channel:
         eps / (d * radius)); ``"l2_paper"`` calibrates for ||x||_2 <= radius
         (inverse scale eps / (2 * radius * sqrt(d))).
         """
-        if dim < 1:
-            raise ParameterError(f"dimension must be >= 1, got {dim}")
+        _check_count(dim)
         if sensitivity_norm not in ("l1", "l2_paper"):
             raise ParameterError(f"unknown sensitivity_norm {sensitivity_norm!r}")
         return Channel("laplace_vector", level, _check_radius(radius), dim, math.inf, lambda x, rng:
@@ -578,8 +570,7 @@ class Channel:
 
 def cube_vertices(d: int) -> np.ndarray:
     """All 2^d vertices of {-1, +1}^d, row-ordered by binary counting."""
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
+    _check_count(d)
     idx = np.arange(2**d, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(d, dtype=np.int64)[None, :]) & 1
     return (2.0 * bits - 1.0).astype(float)

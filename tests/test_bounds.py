@@ -13,9 +13,18 @@ from privest.bounds import (
     median_rate,
     sparse_mean_lower,
 )
-from privest.core import ParameterError, PrivacyLevel
+from privest.audit import sphere_halfspace_mean_quadrature
+from privest.core import ParameterError, PrivacyLevel, make_rng, uniform_sphere
 from privest.estimators import series_bandwidth, sparse_mean_threshold
-from privest.mechanisms import MomentAssumption, truncation_level
+from privest.mechanisms import (
+    Channel,
+    MomentAssumption,
+    cube_halfspace_mean,
+    cube_tie_gamma,
+    cube_vertices,
+    sphere_halfspace_mean,
+    truncation_level,
+)
 
 
 class TestMeanRate:
@@ -167,7 +176,7 @@ def test_median_rate_takes_the_one_radius_rule(radius):
         median_rate(radius=radius, n=100, eps=1.0)
 
 
-@pytest.mark.parametrize("n", [0, -4])
+@pytest.mark.parametrize("n", [0, -4, 2**63, 10**400], ids=["0", "-4", "2**63", "10**400"])
 @pytest.mark.parametrize("fn", [
     lambda n: mean_rate(k=2.0, n=n, eps=1.0),
     lambda n: median_rate(radius=1.0, n=n, eps=1.0),
@@ -182,6 +191,29 @@ def test_median_rate_takes_the_one_radius_rule(radius):
 ], ids=["mean", "median", "density", "sparse", "logistic", "truncation",
         "bandwidth", "bandwidth-no-channel", "threshold", "threshold-no-channel"])
 def test_one_sample_size_rule(fn, n):
-    # every function of a sample size rejects n < 1 with one message, before any arithmetic
-    with pytest.raises(ParameterError, match=f"^sample size must be >= 1, got {n}$"):
+    # every function of a sample size rejects n < 1, and n beyond int64 (which no float
+    # conversion survives at 10**400), with one message, before any arithmetic
+    rule = ">= 1" if n < 1 else r"< 2\*\*63"
+    with pytest.raises(ParameterError, match=f"^sample size must be {rule}, got {n}$"):
         fn(n)
+
+
+@pytest.mark.parametrize("d", [0, -3, 2**63, 10**400], ids=["0", "-3", "2**63", "10**400"])
+@pytest.mark.parametrize("fn, low", [
+    (lambda d: uniform_sphere(make_rng(0), d), 1),
+    (sphere_halfspace_mean, 1),
+    (cube_halfspace_mean, 1),
+    (cube_tie_gamma, 1),
+    (cube_vertices, 1),
+    (lambda d: Channel.laplace_vector(d, 1.0, PrivacyLevel(1.0)), 1),
+    (sphere_halfspace_mean_quadrature, 1),
+    (lambda d: logistic_lower(d=d, n=100, eps=1.0), 1),
+    (lambda d: sparse_mean_lower(d=d, n=100, eps=1.0), 2),
+], ids=["sphere", "sphere-mean", "cube-mean", "tie-gamma", "vertices", "laplace-vector",
+        "quadrature", "logistic", "sparse"])
+def test_one_dimension_rule(fn, low, d):
+    # every function of a dimension rejects d below its least, and d beyond int64, with one
+    # message, before any arithmetic
+    rule = f">= {low}" if d < low else r"< 2\*\*63"
+    with pytest.raises(ParameterError, match=f"^dimension must be {rule}, got {d}$"):
+        fn(d)

@@ -24,7 +24,7 @@ from privest.estimators import (
     private_median_sgd,
     sparse_mean,
 )
-from privest.experiments import ESTIMATORS, parse_csv
+from privest.experiments import ESTIMATORS, parse_csv, spec_from_config
 from privest.generators import make_generator
 from privest.mechanisms import Channel
 
@@ -628,7 +628,28 @@ def test_estimate_is_one_run_of_the_library_estimator(tmp_path, capsys, case):
     assert main(["estimate", "--config", _write(tmp_path, config)]) == 0
     got = json.loads(capsys.readouterr().out)["estimate"]
     data = make_generator(generator).sample(n, make_rng(seed, 0, 0))
-    assert got == np.asarray(reference(data, make_rng(seed, 2, 0))).tolist()
+    # the noise stream of replicate 0 of bench's optimal arm (arm tag 1)
+    assert got == np.asarray(reference(data, make_rng(seed, 2, 1, 0))).tolist()
+
+
+@pytest.mark.parametrize("case", sorted(_LIBRARY))
+def test_estimate_is_replicate_0_of_the_bench_optimal_arm(tmp_path, capsys, case):
+    # the printed estimate scores exactly the value bench writes for replicate 0 at n
+    estimator, generator, options, _ = _LIBRARY[case]
+    n, seed = 3000, 5
+    config = {"estimator": estimator, "n": n, "eps": 0.8, "seed": seed,
+              "generator": generator, "options": options}
+    assert main(["estimate", "--config", _write(tmp_path, config)]) == 0
+    got = json.loads(capsys.readouterr().out)["estimate"]
+    arm = {"name": case, "estimator": estimator, "mechanism": "optimal", "eps": 0.8,
+           "n_grid": [n], "replicates": 1, "generator": generator, "seed": seed,
+           "options": options}
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--config", _write(tmp_path, arm), "--out", str(out)]) == 0
+    (record,) = parse_csv(out)
+    spec = spec_from_config(arm)
+    score = ESTIMATORS[estimator].scorer(spec, spec.build_generator())
+    assert score(np.asarray(got)) == record.value
 
 
 _SPARSE_D1 = {"kind": "fixed_vector", "value": [1.0]}
@@ -711,13 +732,20 @@ def test_rates_curve(tmp_path):
     ("sparse", "sparse_mean_lower_exp", "sparse_mean_lower", {"d": 8}),
     ("logistic", "logistic_lower_exp", "logistic_lower", {"d": 8}),
     ("density", "density_rate_beta1_eps2", "density_rate", {"beta": 1.0, "eps_form": "eps2"}),
+    # every beta that series_bandwidth accepts; the exponent 2 beta / (2 beta + 2) was inf / inf
+    ("density", "density_rate_beta1e+308_eps2", "density_rate",
+     {"beta": 1e308, "eps_form": "eps2"}),
+    ("density", "density_rate_betainf_eps2", "density_rate",
+     {"beta": math.inf, "eps_form": "eps2"}),
 ])
 def test_rates_rows_for_every_curve(tmp_path, curve, label, fn, kwargs):
     from privest import bounds
 
     out = tmp_path / "rates.csv"
     grid = (1024, 4096, 16384, 65536)
-    assert main(["rates", "--curve", curve, "--eps", "0.7", "--out", str(out)]) == 0
+    # the beta 1 case runs without --beta, so it pins the CLI default
+    beta = ["--beta", str(kwargs["beta"])] if kwargs.get("beta", 1.0) != 1.0 else []
+    assert main(["rates", "--curve", curve, "--eps", "0.7", *beta, "--out", str(out)]) == 0
     rows = [f"{label},{n},{format(getattr(bounds, fn)(n=n, eps=0.7, **kwargs), '.17g')}"
             for n in grid]
     assert out.read_bytes() == ("\n".join(["label,n,value", *rows]) + "\n").encode()
@@ -820,12 +848,15 @@ _X_TOKENS = list("0123456789,.-e") + ["nan", "inf", "abc"]
 # phi_eps ~ 2 / eps: finite at 1e-300, infinite at 1e-310, a division by zero at 5e-324;
 # at 1.2e-308 phi is finite, but B overflows for d >= 2 and a Laplace draw could
 _EPS_TOKENS = ["1", "0.5", "800", "1e-300", "1.2e-308", "1e-310", "5e-324"]
+# above the 10**8-number size ceiling only, so that no case allocates: 10**8 + 1 at any d,
+# then the int64 ceiling and an int no float holds
+_ABOVE_CEILING = [10**8 + 1, 2**63, 10**400]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(mechanism=st.sampled_from(sorted(_CHANNELS)),
        x=st.lists(st.sampled_from(_X_TOKENS), max_size=10).map("".join),
-       n=st.integers(-3, 50), eps=st.sampled_from(_EPS_TOKENS))
+       n=st.integers(-3, 50) | st.sampled_from(_ABOVE_CEILING), eps=st.sampled_from(_EPS_TOKENS))
 def test_mech_sample_argv_exits_as_documented(mechanism, x, n, eps):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "z.csv")
@@ -837,15 +868,27 @@ def test_mech_sample_argv_exits_as_documented(mechanism, x, n, eps):
             _assert_finite_csv(out)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+_BIG_INT = "1" + "0" * 400  # no float holds it
+_RATE_TOKENS = ["0", "-1", "-2.5", "nan", "inf", "1e308", _BIG_INT]
+# each flag's default (None) or a token its argparse type takes; --n-grid, which privest
+# parses, takes every token, also as the second entry of a grid
+_RATE_FLAGS = {"--k": _RATE_TOKENS, "--beta": _RATE_TOKENS, "--radius": _RATE_TOKENS,
+               "--d": ["0", "-1", "1", "2", _BIG_INT],
+               "--n-grid": [*_RATE_TOKENS, *(f"16,{token}" for token in _RATE_TOKENS)]}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(curve=st.sampled_from(["mean", "median", "sparse", "logistic", "density"]),
        eps=st.sampled_from(["1", "0.5", "30", "400", "1e-155", "1e-200", "1e-300", "1e-310",
                             "5e-324", "0", "-1", "nan", "inf"]),
-       eps_form=st.sampled_from(["eps2", "exp"]))
-def test_rates_argv_exits_as_documented(curve, eps, eps_form):
+       eps_form=st.sampled_from(["eps2", "exp"]),
+       flags=st.fixed_dictionaries({flag: st.sampled_from([None, *tokens])
+                                    for flag, tokens in _RATE_FLAGS.items()}))
+def test_rates_argv_exits_as_documented(curve, eps, eps_form, flags):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "rates.csv")
-        argv = ["rates", "--curve", curve, f"--eps={eps}", f"--eps-form={eps_form}", "--out", out]
+        argv = ["rates", "--curve", curve, f"--eps={eps}", f"--eps-form={eps_form}", "--out", out,
+                *(f"{flag}={value}" for flag, value in flags.items() if value is not None)]
         code, err = _run_in_process(argv)
         _assert_documented_exit(code, err)
         if code == 0:
@@ -855,7 +898,7 @@ def test_rates_argv_exits_as_documented(curve, eps, eps_form):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
-@given(d_max=st.integers(-2, 3), mc=st.integers(-5, 2000))
+@given(d_max=st.integers(-2, 3), mc=st.integers(-5, 2000) | st.sampled_from(_ABOVE_CEILING))
 def test_audit_argv_exits_as_documented(d_max, mc):
     _assert_documented_exit(*_run_in_process(["audit", f"--d-max={d_max}", f"--mc={mc}"]))
 

@@ -69,9 +69,10 @@ L2_DRAWS = 200_000  # several of the kernel's row blocks at every d below
 def test_l2_side_frequency_matches_the_channel_law(d, eps):
     """P(<Z, x> > 0) = 1/2 + ||x|| / (2 r phi_eps) at a nonzero record, every |Z| = B.
 
-    Binomial tests at an interior record and one on the sphere; all read p >= 0.30 at
-    their fixed seeds.  Each of these mutants of the kernel fails all six cases: the side
-    comparison reversed, the channel bit T ignored, pi_eps replaced by 1/2.
+    Binomial tests at an interior record and one on the sphere; all read p >= 0.14 at
+    their fixed seeds (the lowest: eps 0.5, d = 3, ||x|| = r).  Each of these mutants of
+    the kernel fails all six cases: the side comparison reversed, the channel bit T
+    ignored, pi_eps replaced by 1/2.
     """
     level, radius = PrivacyLevel(eps), 1.3
     direction = np.linspace(0.6, -0.3, d)
