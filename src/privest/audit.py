@@ -24,6 +24,7 @@ from .mechanisms import Channel, _check_ball, _check_signs, cube_tie_gamma, cube
 _ENUMERATION_DIM_CAP = 20
 MC_MIN_DRAWS = 1000  # fewest draws monte_carlo_unbias accepts
 _PMF_DIM_CAP = 8
+_SIMPSON_NODES = 20001  # odd, as Simpson's rule needs
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ def slope_fit(points) -> SlopeFit:
     return SlopeFit(float(slope), float(intercept), float(r_sq))
 
 
-def sphere_halfspace_mean_quadrature(d: int, nodes: int = 20001) -> float:
+def sphere_halfspace_mean_quadrature(d: int) -> float:
     """Hemisphere mean factor c_d by 1-D angular quadrature (Simpson).
 
     Integrates 2 (s_{d-1}/s_d) * cos(phi)^(d-2) sin(phi) over [0, pi/2],
@@ -185,9 +186,10 @@ def sphere_halfspace_mean_quadrature(d: int, nodes: int = 20001) -> float:
     if d == 1:
         # the "hemisphere" is the single point {+1}
         return 1.0
-    phi = np.linspace(0.0, math.pi / 2.0, nodes)
-    integrand = np.cos(phi) ** (d - 2) * np.sin(phi)
-    integral = _simpson(integrand, phi[1] - phi[0])
+    phi = np.linspace(0.0, math.pi / 2.0, _SIMPSON_NODES)
+    y = np.cos(phi) ** (d - 2) * np.sin(phi)
+    h = phi[1] - phi[0]
+    integral = float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
     # s_{d-1}(1) / s_d(1) with s_d(1) = d pi^(d/2) / Gamma(d/2 + 1)
     log_ratio = (
         math.log(d - 1)
@@ -197,9 +199,3 @@ def sphere_halfspace_mean_quadrature(d: int, nodes: int = 20001) -> float:
         - math.lgamma((d - 1) / 2 + 1)
     )
     return 2.0 * math.exp(log_ratio) * integral
-
-
-def _simpson(y: np.ndarray, h: float) -> float:
-    if y.size % 2 == 0:
-        raise ParameterError("Simpson rule needs an odd number of nodes")
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))

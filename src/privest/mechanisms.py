@@ -573,4 +573,4 @@ def cube_vertices(d: int) -> np.ndarray:
     _check_count(d)
     idx = np.arange(2**d, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(d, dtype=np.int64)[None, :]) & 1
-    return (2.0 * bits - 1.0).astype(float)
+    return 2.0 * bits - 1.0

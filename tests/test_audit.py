@@ -46,6 +46,16 @@ class TestHalfspaceExpectation:
         with pytest.raises(SizeError):
             halfspace_expectation_cube(np.ones(21))
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_every_vertex_deviates_as_the_all_ones_vertex(self, d):
+        # privest audit checks C_d at the all-ones vertex only: a sign flip maps each vertex's
+        # accepted set onto that vertex's, and the means are exact, so the deviations agree
+        factor = cube_halfspace_mean(d)
+        ones = np.max(np.abs(halfspace_expectation_cube(np.ones(d)) - factor))
+        worst = max(np.max(np.abs(halfspace_expectation_cube(v) - factor * v))
+                    for v in cube_vertices(d))
+        assert worst == ones
+
 
 class TestChannelPmf:
     def test_sign_rr_pmf(self):

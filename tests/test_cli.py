@@ -68,7 +68,7 @@ def test_mech_sample_scalar_channel_rejects_a_vector_record(tmp_path, capsys, me
 
 
 @pytest.mark.parametrize("flag, value", [("--x", "abc"), ("--x", ","), ("--x", "1,-"),
-                                         ("--n", "-1"), ("--n", "0")])
+                                         ("--n", "-1"), ("--n", "0"), ("--n", "1e3")])
 def test_mech_sample_bad_argument_exits_2(tmp_path, capsys, flag, value):
     out = tmp_path / "z.csv"
     argv = ["mech-sample", "--mechanism", "linf_ball", f"{flag}={value}", "--out", str(out)]
@@ -316,13 +316,13 @@ def test_bench_config_median_with_a_radius_runs(tmp_path, generator, options):
     assert len(parse_csv(out)) == 1
 
 
-def _run_cli(*args):
+def _run_cli(*args, timeout=120):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-m", "privest.cli", *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -821,6 +821,14 @@ def test_audit_checks_mc_before_any_enumeration(capsys):
     assert captured.err == "configuration error: --mc must be >= 1000, got 500\n"
 
 
+def test_audit_cube_check_reaches_d16_quickly():
+    # one vertex per dimension: an all-vertex check would cost 4^16 vertex products here
+    proc = _run_cli("audit", "--d-max", "16", "--mc", "1000", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    cube = [line for line in proc.stdout.splitlines() if "cube halfspace mean" in line]
+    assert len(cube) == 16 and all(line.startswith("PASS") for line in cube)
+
+
 def _run_in_process(argv, out=None):
     """``main(argv)``'s exit code and stderr, its stdout into ``out``; an uncaught exception
     propagates."""
@@ -851,12 +859,14 @@ _EPS_TOKENS = ["1", "0.5", "800", "1e-300", "1.2e-308", "1e-310", "5e-324"]
 # above the 10**8-number size ceiling only, so that no case allocates: 10**8 + 1 at any d,
 # then the int64 ceiling and an int no float holds
 _ABOVE_CEILING = [10**8 + 1, 2**63, 10**400]
+_NON_INT_TOKENS = ["nan", "1.5", "abc", "1e3"]  # an int flag's argparse type rejects each
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(mechanism=st.sampled_from(sorted(_CHANNELS)),
        x=st.lists(st.sampled_from(_X_TOKENS), max_size=10).map("".join),
-       n=st.integers(-3, 50) | st.sampled_from(_ABOVE_CEILING), eps=st.sampled_from(_EPS_TOKENS))
+       n=st.integers(-3, 50) | st.sampled_from([*_ABOVE_CEILING, *_NON_INT_TOKENS]),
+       eps=st.sampled_from(_EPS_TOKENS))
 def test_mech_sample_argv_exits_as_documented(mechanism, x, n, eps):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "z.csv")
@@ -870,10 +880,10 @@ def test_mech_sample_argv_exits_as_documented(mechanism, x, n, eps):
 
 _BIG_INT = "1" + "0" * 400  # no float holds it
 _RATE_TOKENS = ["0", "-1", "-2.5", "nan", "inf", "1e308", _BIG_INT]
-# each flag's default (None) or a token its argparse type takes; --n-grid, which privest
-# parses, takes every token, also as the second entry of a grid
+# each flag's default (None) or a token; --n-grid, which privest parses, takes every token,
+# also as the second entry of a grid
 _RATE_FLAGS = {"--k": _RATE_TOKENS, "--beta": _RATE_TOKENS, "--radius": _RATE_TOKENS,
-               "--d": ["0", "-1", "1", "2", _BIG_INT],
+               "--d": ["0", "-1", "1", "2", _BIG_INT, "nan", "1.5", "abc"],
                "--n-grid": [*_RATE_TOKENS, *(f"16,{token}" for token in _RATE_TOKENS)]}
 
 
@@ -898,9 +908,58 @@ def test_rates_argv_exits_as_documented(curve, eps, eps_form, flags):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
-@given(d_max=st.integers(-2, 3), mc=st.integers(-5, 2000) | st.sampled_from(_ABOVE_CEILING))
+@given(d_max=st.integers(-2, 3) | st.sampled_from(_NON_INT_TOKENS),
+       mc=st.integers(-5, 2000) | st.sampled_from([*_ABOVE_CEILING, *_NON_INT_TOKENS]))
 def test_audit_argv_exits_as_documented(d_max, mc):
     _assert_documented_exit(*_run_in_process(["audit", f"--d-max={d_max}", f"--mc={mc}"]))
+
+
+_ARGV_EPS_TOKENS = [*_EPS_TOKENS, "0", "-1", "nan", "inf", "abc"]
+_SEED_TOKENS = ["0", "7", "-1", str(2**63), _BIG_INT, *_NON_INT_TOKENS]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning is a second stderr line
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(eps=st.sampled_from([None, *_ARGV_EPS_TOKENS]),
+       seed=st.sampled_from([None, *_SEED_TOKENS]))
+def test_estimate_argv_exits_as_documented(eps, seed):
+    config = {"estimator": "mean_scalar", "n": 32, "seed": 1,
+              "generator": {"kind": "bounded_uniform", "radius": 1.0}}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["estimate", "--config", _write(Path(tmp), config),
+                *([] if eps is None else [f"--eps={eps}"]),
+                *([] if seed is None else [f"--seed={seed}"])]
+        out = io.StringIO()
+        code, err = _run_in_process(argv, out)
+        _assert_documented_exit(code, err)
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert np.isfinite(json.loads(out.getvalue())["estimate"]).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(eps=st.sampled_from([None, *_ARGV_EPS_TOKENS]),
+       seed=st.sampled_from([None, *_SEED_TOKENS]),
+       preset=st.sampled_from([None, "bogus"]), full=st.booleans())
+def test_bench_argv_exits_as_documented(eps, seed, preset, full):
+    config = {"name": "argv", "estimator": "mean_scalar", "mechanism": "optimal", "eps": 1.0,
+              "n_grid": [16, 32], "replicates": 1, "seed": 1,
+              "generator": {"kind": "bounded_uniform", "radius": 1.0}}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "b.csv")
+        argv = ["bench", "--config", _write(Path(tmp), config), "--out", out,
+                *([] if eps is None else [f"--eps={eps}"]),
+                *([] if seed is None else [f"--seed={seed}"]),
+                *([] if preset is None else [f"--preset={preset}"]),
+                *(["--full"] if full else [])]
+        code, err = _run_in_process(argv)
+        _assert_documented_exit(code, err)
+        assert code in (0, 2, 3)
+        if code == 0:
+            _assert_finite_csv(out, column=slice(6, None))
+        else:
+            assert not os.path.exists(out)
 
 
 # Config fuzz: a valid config per estimator (together they use every generator kind), with
