@@ -2,11 +2,11 @@
 
 Exact enumeration of the small discrete channels, Monte-Carlo unbiasedness
 checks, likelihood-ratio certification of the privacy guarantee, and the
-log-log slope fits used by the rate experiments.  Everything here is
-deliberately independent of the closed-form constants in
-:mod:`privest.mechanisms`: the enumeration and quadrature routines recompute
-the channel laws from the sampling procedure itself, so agreement between
-the two is evidence, not circularity.
+log-log slope fits used by the rate experiments.  The enumeration and
+quadrature routines are deliberately independent of the closed-form
+constants in :mod:`privest.mechanisms`: they recompute the channel laws from
+the sampling procedure itself, so agreement between the two, which
+:func:`checks` reports row by row, is evidence, not circularity.
 
 Exact rational arithmetic is *not* used for the channel pmfs: e^eps is
 irrational, so exactness is unattainable anyway; compensated float
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, ParameterError, SizeError, UnsupportedChannelError, _check_count
-from .mechanisms import Channel, _check_ball, _check_signs, cube_tie_gamma, cube_vertices
+from .mechanisms import (Channel, _check_ball, _check_signs, cube_halfspace_mean, cube_tie_gamma,
+                         cube_vertices, sphere_halfspace_mean)
 
 _ENUMERATION_DIM_CAP = 20
 MC_MIN_DRAWS = 1000  # fewest draws monte_carlo_unbias accepts
@@ -57,8 +58,8 @@ def halfspace_expectation_cube(x_vertex) -> np.ndarray:
         raise SizeError(f"vertex enumeration capped at d <= {_ENUMERATION_DIM_CAP}, got {d}")
     _check_signs(x)
     vertices = cube_vertices(d)
-    accepted = vertices[vertices @ x >= 0.0]
-    return accepted.mean(axis=0)
+    mask = vertices @ x >= 0.0
+    return (mask @ vertices) / np.count_nonzero(mask)  # sums of +-1: exact in any order
 
 
 def _flip_probability(level) -> float:
@@ -199,3 +200,35 @@ def sphere_halfspace_mean_quadrature(d: int) -> float:
         - math.lgamma((d - 1) / 2 + 1)
     )
     return 2.0 * math.exp(log_ratio) * integral
+
+
+def checks(level, d_max: int, mc: int, rng):
+    """The ``(name, ok, detail)`` rows of ``privest audit``, one at a time: C_d and c_d to
+    ``d_max``, the hypercube pmf, unbiasedness and eps-DP to d = min(d_max, 6), sign RR's log
+    ratio, and the l2 channel's unbiasedness at d = 3 from ``mc`` draws of ``rng``."""
+    for d in range(1, d_max + 1):
+        # sign flips map every vertex's accepted set onto the all-ones vertex's, and each
+        # mean is exact in float64, so this deviation is every vertex's, bit for bit
+        mean = halfspace_expectation_cube(np.ones(d))
+        worst = float(np.max(np.abs(mean - cube_halfspace_mean(d))))
+        yield f"cube halfspace mean matches C_d (d={d})", worst <= 1e-9, f"max dev {worst:.2e}"
+        diff = abs(sphere_halfspace_mean_quadrature(d) - sphere_halfspace_mean(d))
+        yield (f"sphere halfspace mean matches quadrature (d={d})", diff <= 1e-8,
+               f"|diff| {diff:.2e}")
+    for d in range(1, min(d_max, 6) + 1):
+        channel = Channel.linf_ball(d, 1.0, level)
+        grid = np.array(np.meshgrid(*([[-1.0, 0.0, 1.0]] * d))).reshape(d, -1).T
+        support, probs = channel_pmf_grid(channel, grid)
+        sums = float(np.abs(probs.sum(axis=1) - 1.0).max())
+        yield f"linf pmf sums to 1 (d={d})", sums <= 1e-12, f"max dev {sums:.2e}"
+        dev = float(np.max(np.abs(probs @ support - grid)))
+        yield f"linf channel exactly unbiased (d={d})", dev <= 1e-9, f"max dev {dev:.2e}"
+        ratio = verify_dp(channel, grid)
+        yield (f"linf channel satisfies eps-DP (d={d})", ratio <= level.epsilon + 1e-9,
+               f"max log ratio {ratio:.6f} vs eps {level.epsilon}")
+    ratio = verify_dp(Channel.sign_rr(level), np.array([[-1.0], [1.0]]))
+    yield "sign channel log ratio equals eps", abs(ratio - level.epsilon) <= 1e-9, ""
+    x = np.array([0.3, 0.4, 0.0])
+    mean, stderr = monte_carlo_unbias(Channel.l2_ball(3, 1.0, level), x, mc, rng)
+    ok = bool(np.all(np.abs(mean - x) <= 5 * stderr))
+    yield "l2 channel Monte-Carlo unbiasedness (d=3)", ok, ""

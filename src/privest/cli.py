@@ -153,52 +153,11 @@ def _cmd_audit(args) -> int:
     if args.d_max > (cap := audit_mod._ENUMERATION_DIM_CAP):  # the cube check costs O(d 2^d)
         raise ConfigError(f"--d-max must be <= {cap}, got {args.d_max}")
     _check_count(args.mc, "--mc must be", audit_mod.MC_MIN_DRAWS)  # before any enumeration
-    _check_entries(args.mc, 3, "--mc x d")  # the d = 3 Monte-Carlo check below
+    _check_entries(args.mc, 3, "--mc x d")  # the d = 3 Monte-Carlo check
     failures = 0
-
-    def check(name, ok, detail=""):
-        nonlocal failures
+    for name, ok, detail in audit_mod.checks(level, args.d_max, args.mc, make_rng(seed, 3, 0)):
         print(f"{'PASS' if ok else 'FAIL'}  {name}{'  ' + detail if detail else ''}")
-        failures += 0 if ok else 1
-
-    from .mechanisms import cube_halfspace_mean, sphere_halfspace_mean
-
-    for d in range(1, args.d_max + 1):
-        # sign flips map every vertex's accepted set onto the all-ones vertex's, and each
-        # mean is exact in float64, so this deviation is every vertex's, bit for bit
-        mean = audit_mod.halfspace_expectation_cube(np.ones(d))
-        worst = float(np.max(np.abs(mean - cube_halfspace_mean(d))))
-        check(f"cube halfspace mean matches C_d (d={d})", worst <= 1e-9, f"max dev {worst:.2e}")
-        quad = audit_mod.sphere_halfspace_mean_quadrature(d)
-        closed = sphere_halfspace_mean(d)
-        check(
-            f"sphere halfspace mean matches quadrature (d={d})",
-            abs(quad - closed) <= 1e-8,
-            f"|diff| {abs(quad - closed):.2e}",
-        )
-    for d in range(1, min(args.d_max, 6) + 1):
-        channel = Channel.linf_ball(d, 1.0, level)
-        grid = np.array(np.meshgrid(*([[-1.0, 0.0, 1.0]] * d))).reshape(d, -1).T
-        support, probs = audit_mod.channel_pmf_grid(channel, grid)
-        sums = np.abs(probs.sum(axis=1) - 1.0).max()
-        check(f"linf pmf sums to 1 (d={d})", sums <= 1e-12, f"max dev {sums:.2e}")
-        means = probs @ support
-        dev = float(np.max(np.abs(means - grid)))
-        check(f"linf channel exactly unbiased (d={d})", dev <= 1e-9, f"max dev {dev:.2e}")
-        ratio = audit_mod.verify_dp(channel, grid)
-        check(
-            f"linf channel satisfies eps-DP (d={d})",
-            ratio <= level.epsilon + 1e-9,
-            f"max log ratio {ratio:.6f} vs eps {level.epsilon}",
-        )
-    sign = Channel.sign_rr(level)
-    ratio = audit_mod.verify_dp(sign, np.array([[-1.0], [1.0]]))
-    check("sign channel log ratio equals eps", abs(ratio - level.epsilon) <= 1e-9)
-    rng = make_rng(seed, 3, 0)
-    channel = Channel.l2_ball(3, 1.0, level)
-    mean, stderr = audit_mod.monte_carlo_unbias(channel, np.array([0.3, 0.4, 0.0]), args.mc, rng)
-    ok = bool(np.all(np.abs(mean - np.array([0.3, 0.4, 0.0])) <= 5 * stderr))
-    check("l2 channel Monte-Carlo unbiasedness (d=3)", ok)
+        failures += not ok
     print(f"{failures} failure(s)")
     return 0 if failures == 0 else 1
 

@@ -201,8 +201,7 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     stream keys (e.g. replicate indices) give statistically independent
     streams.  This is the only constructor of randomness in the package.
     """
-    if seed < 0:
-        raise ParameterError("seed must be a non-negative integer")
+    _check_count(seed, "seed must be", 0)  # the rule ExperimentSpec applies to its seed
     key = tuple(int(s) for s in stream)
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 

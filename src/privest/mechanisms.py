@@ -29,6 +29,7 @@ rounding uniforms a row block at a time as one stream, so no draw depends on
 the block size.
 """
 
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Callable
@@ -106,6 +107,7 @@ def sphere_halfspace_mean(d: int) -> float:
     )
 
 
+@functools.cache  # the exact binomials grow with d: each d is computed once
 def cube_halfspace_mean(d: int) -> float:
     """Scaling factor C_d^{-1} of the hypercube halfspace mean.
 
@@ -124,6 +126,7 @@ def cube_halfspace_mean(d: int) -> float:
     return 2 * math.comb(d - 1, d // 2) / (2**d + math.comb(d, d // 2))
 
 
+@functools.cache
 def cube_tie_gamma(d: int) -> float:
     """Tie-correction factor gamma_d = 2^(d-1) / (2^(d-1) + binom(d, d/2)/2).
 
@@ -571,6 +574,8 @@ class Channel:
 def cube_vertices(d: int) -> np.ndarray:
     """All 2^d vertices of {-1, +1}^d, row-ordered by binary counting."""
     _check_count(d)
-    idx = np.arange(2**d, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(d, dtype=np.int64)[None, :]) & 1
-    return 2.0 * bits - 1.0
+    index = np.arange(2**d, dtype="<u8").view(np.uint8).reshape(-1, 8)  # little-endian bytes
+    vertices = np.unpackbits(index, axis=1, count=d, bitorder="little").astype(float)
+    vertices *= 2.0  # in place: no second 2^d x d float table
+    vertices -= 1.0
+    return vertices

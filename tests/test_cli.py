@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privest import audit
 from privest.cli import _CHANNELS, build_parser, main
 from privest.core import ConfigError, ParameterError, PrivacyLevel, make_rng
 from privest.estimators import (
@@ -860,26 +861,35 @@ _EPS_TOKENS = ["1", "0.5", "800", "1e-300", "1.2e-308", "1e-310", "5e-324"]
 # then the int64 ceiling and an int no float holds
 _ABOVE_CEILING = [10**8 + 1, 2**63, 10**400]
 _NON_INT_TOKENS = ["nan", "1.5", "abc", "1e3"]  # an int flag's argparse type rejects each
+_BIG_INT = "1" + "0" * 400  # no float holds it
+_RATE_TOKENS = ["0", "-1", "-2.5", "nan", "inf", "1e308", _BIG_INT]
+_SEED_TOKENS = ["0", "7", "-1", str(2**63), _BIG_INT, *_NON_INT_TOKENS]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+def _flags(flags):
+    """``--flag=value`` tokens for each flag whose drawn value is not None (its default)."""
+    return [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(mechanism=st.sampled_from(sorted(_CHANNELS)),
        x=st.lists(st.sampled_from(_X_TOKENS), max_size=10).map("".join),
        n=st.integers(-3, 50) | st.sampled_from([*_ABOVE_CEILING, *_NON_INT_TOKENS]),
-       eps=st.sampled_from(_EPS_TOKENS))
-def test_mech_sample_argv_exits_as_documented(mechanism, x, n, eps):
+       eps=st.sampled_from(_EPS_TOKENS),
+       flags=st.fixed_dictionaries({"--seed": st.none() | st.sampled_from(_SEED_TOKENS),
+                                    "--radius": st.none() | st.sampled_from(_RATE_TOKENS),
+                                    "--moment-k": st.none() | st.sampled_from(_RATE_TOKENS)}))
+def test_mech_sample_argv_exits_as_documented(mechanism, x, n, eps, flags):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "z.csv")
         argv = ["mech-sample", "--mechanism", mechanism, f"--x={x}", f"--n={n}", f"--eps={eps}",
-                "--out", out]
+                "--out", out, *_flags(flags)]
         code, err = _run_in_process(argv)
         _assert_documented_exit(code, err)
         if code == 0:
             _assert_finite_csv(out)
 
 
-_BIG_INT = "1" + "0" * 400  # no float holds it
-_RATE_TOKENS = ["0", "-1", "-2.5", "nan", "inf", "1e308", _BIG_INT]
 # each flag's default (None) or a token; --n-grid, which privest parses, takes every token,
 # also as the second entry of a grid
 _RATE_FLAGS = {"--k": _RATE_TOKENS, "--beta": _RATE_TOKENS, "--radius": _RATE_TOKENS,
@@ -898,7 +908,7 @@ def test_rates_argv_exits_as_documented(curve, eps, eps_form, flags):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "rates.csv")
         argv = ["rates", "--curve", curve, f"--eps={eps}", f"--eps-form={eps_form}", "--out", out,
-                *(f"{flag}={value}" for flag, value in flags.items() if value is not None)]
+                *_flags(flags)]
         code, err = _run_in_process(argv)
         _assert_documented_exit(code, err)
         if code == 0:
@@ -907,15 +917,40 @@ def test_rates_argv_exits_as_documented(curve, eps, eps_form, flags):
             assert not os.path.exists(out)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
 @given(d_max=st.integers(-2, 3) | st.sampled_from(_NON_INT_TOKENS),
-       mc=st.integers(-5, 2000) | st.sampled_from([*_ABOVE_CEILING, *_NON_INT_TOKENS]))
-def test_audit_argv_exits_as_documented(d_max, mc):
-    _assert_documented_exit(*_run_in_process(["audit", f"--d-max={d_max}", f"--mc={mc}"]))
+       mc=st.integers(-5, 2000) | st.sampled_from([1000, *_ABOVE_CEILING, *_NON_INT_TOKENS]),
+       seed=st.none() | st.sampled_from(_SEED_TOKENS))
+def test_audit_argv_exits_as_documented(d_max, mc, seed):
+    out = io.StringIO()
+    code, err = _run_in_process(["audit", f"--d-max={d_max}", f"--mc={mc}",
+                                 *_flags({"--seed": seed})], out)
+    _assert_documented_exit(code, err)
+    if code == 2:  # at the default eps, every such error is an argv error, before any row
+        assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("argv, env", [(["--seed", "-1"], None), ([], "-1")],
+                         ids=["flag", "LDP_SEED"])
+def test_audit_checks_the_seed_before_any_row(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("LDP_SEED", env)
+    assert main(["audit", "--d-max", "2", "--mc", "1000", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("eps", ["0.5", "20"])
+def test_audit_prints_the_rows_of_audit_checks(capsys, eps):
+    rows = audit.checks(PrivacyLevel(float(eps)), 9, 1000, make_rng(5, 3, 0))
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}{'  ' + detail if detail else ''}"
+             for name, ok, detail in rows]
+    assert main(["audit", "--eps", eps, "--d-max", "9", "--mc", "1000", "--seed", "5"]) == 0
+    assert capsys.readouterr().out.splitlines() == [*lines, "0 failure(s)"]
 
 
 _ARGV_EPS_TOKENS = [*_EPS_TOKENS, "0", "-1", "nan", "inf", "abc"]
-_SEED_TOKENS = ["0", "7", "-1", str(2**63), _BIG_INT, *_NON_INT_TOKENS]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning is a second stderr line
@@ -938,21 +973,22 @@ def test_estimate_argv_exits_as_documented(eps, seed):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
 @given(eps=st.sampled_from([None, *_ARGV_EPS_TOKENS]),
        seed=st.sampled_from([None, *_SEED_TOKENS]),
-       preset=st.sampled_from([None, "bogus"]), full=st.booleans())
-def test_bench_argv_exits_as_documented(eps, seed, preset, full):
-    config = {"name": "argv", "estimator": "mean_scalar", "mechanism": "optimal", "eps": 1.0,
-              "n_grid": [16, 32], "replicates": 1, "seed": 1,
-              "generator": {"kind": "bounded_uniform", "radius": 1.0}}
+       preset=st.sampled_from([None, "bogus", "sparse-mean"]), config=st.booleans(),
+       full=st.booleans())
+def test_bench_argv_exits_as_documented(eps, seed, preset, config, full):
+    spec = {"name": "argv", "estimator": "mean_scalar", "mechanism": "optimal", "eps": 1.0,
+            "n_grid": [16, 32], "replicates": 1, "seed": 1,
+            "generator": {"kind": "bounded_uniform", "radius": 1.0}}
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "b.csv")
-        argv = ["bench", "--config", _write(Path(tmp), config), "--out", out,
-                *([] if eps is None else [f"--eps={eps}"]),
-                *([] if seed is None else [f"--seed={seed}"]),
-                *([] if preset is None else [f"--preset={preset}"]),
-                *(["--full"] if full else [])]
+        # --full only beside --config, which refuses it: no full-scale preset runs here
+        argv = ["bench", "--out", out,
+                *(["--config", _write(Path(tmp), spec)] if config else []),
+                *_flags({"--eps": eps, "--seed": seed, "--preset": preset}),
+                *(["--full"] if full and config else [])]
         code, err = _run_in_process(argv)
         _assert_documented_exit(code, err)
         assert code in (0, 2, 3)

@@ -106,6 +106,14 @@ class TestBoundFormulas:
             assert cube_halfspace_mean(d) == float(mean), d
             assert cube_tie_gamma(d) == float(gamma), d
 
+    def test_cube_vertices_count_in_binary(self):
+        # the reference: row i holds the bits of i, least significant first, as -1 / +1
+        for d in range(1, 13):
+            bits = (np.arange(2**d, dtype=np.int64)[:, None] >> np.arange(d)) & 1
+            vertices = cube_vertices(d)
+            assert vertices.dtype == np.float64
+            np.testing.assert_array_equal(vertices, 2.0 * bits - 1.0)
+
     @pytest.mark.parametrize("d", range(1, 9))
     def test_sphere_constant_matches_quadrature(self, d):
         assert sphere_halfspace_mean(d) == pytest.approx(
