@@ -31,6 +31,7 @@ the block size.
 
 import functools
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -121,6 +122,7 @@ def cube_halfspace_mean(d: int) -> float:
     has 2^(d-1) + binom(d, d/2)/2 vertices.  Exact integers, one rounding (int / int).
     """
     _check_count(d)
+    d = operator.index(d)  # a numpy int would wrap 2**d
     if d % 2 == 1:
         return math.comb(d - 1, (d - 1) // 2) / 2 ** (d - 1)
     return 2 * math.comb(d - 1, d // 2) / (2**d + math.comb(d, d // 2))
@@ -135,6 +137,7 @@ def cube_tie_gamma(d: int) -> float:
     at weight 2^-d leaves the channel unbiased at the closed-form B.
     """
     _check_count(d)
+    d = operator.index(d)
     return 1.0 if d % 2 == 1 else 2**d / (2**d + math.comb(d, d // 2))
 
 

@@ -871,20 +871,54 @@ def _flags(flags):
     return [f"{flag}={value}" for flag, value in flags.items() if value is not None]
 
 
+# coordinates of records in every channel's domain at each radius >= 1 (--radius's default is
+# 1): sign_rr takes the signs, laplace_vector's l1 calibration [0, 1]^d, and the rest (l2_paper
+# too) ||x||_2 <= 1, which holds for d <= 3 coordinates of at most 0.5 in absolute value
+_SIGNS, _UNIT, _BALL = ["1", "-1"], ["0", "0.25", "0.5"], ["-0.5", "-0.25", "0", "0.25", "0.5"]
+_SCALAR_CHANNELS = ("sign_rr", "naive_median", "truncated_laplace")
+
+
+@st.composite
+def _mech_sample_args(draw):
+    """mech-sample's argv without --out.  In about a third of the examples every part is valid:
+    a record of the drawn channel's domain (an l2_paper one outside [0, 1]^d), n >= 1, an eps
+    with finite phi and B, and each flag its default or a value that keeps the record inside
+    the domain.  Otherwise each part is drawn from the tokens, and most examples fail."""
+    valid = draw(st.sampled_from([True, False, False]))
+    mechanism = draw(st.sampled_from(sorted(_CHANNELS)))
+    norm = draw(st.sampled_from([None, "l1", "l2_paper"]))  # only laplace_vector reads it
+    if valid:
+        d = 1 if mechanism in _SCALAR_CHANNELS else draw(st.integers(1, 3))
+        if mechanism == "sign_rr":
+            x = [draw(st.sampled_from(_SIGNS))]
+        elif mechanism == "laplace_vector" and norm == "l2_paper":
+            x = ["-0.5", *draw(st.lists(st.sampled_from(_BALL), min_size=d - 1, max_size=d - 1))]
+        else:
+            pool = _UNIT if mechanism == "laplace_vector" else _BALL
+            x = draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d))
+        x, n = ",".join(x), draw(st.integers(1, 50))
+        eps = draw(st.sampled_from(_EPS_TOKENS[:4]))  # phi and B finite
+        flags = draw(st.fixed_dictionaries({"--seed": st.sampled_from([None, "0", "7"]),
+                                            "--radius": st.sampled_from([None, "1", "2.5"]),
+                                            "--moment-k": st.sampled_from([None, "2", "4.5"])}))
+    else:
+        x = draw(st.lists(st.sampled_from(_X_TOKENS), max_size=10).map("".join))
+        n = draw(st.integers(-3, 50) | st.sampled_from([*_ABOVE_CEILING, *_NON_INT_TOKENS]))
+        eps = draw(st.sampled_from(_EPS_TOKENS))
+        flags = draw(st.fixed_dictionaries(
+            {"--seed": st.none() | st.sampled_from(_SEED_TOKENS),
+             "--radius": st.none() | st.sampled_from(_RATE_TOKENS),
+             "--moment-k": st.none() | st.sampled_from(_RATE_TOKENS)}))
+    return ["mech-sample", "--mechanism", mechanism, f"--x={x}", f"--n={n}", f"--eps={eps}",
+            *_flags({**flags, "--sensitivity-norm": norm})]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(mechanism=st.sampled_from(sorted(_CHANNELS)),
-       x=st.lists(st.sampled_from(_X_TOKENS), max_size=10).map("".join),
-       n=st.integers(-3, 50) | st.sampled_from([*_ABOVE_CEILING, *_NON_INT_TOKENS]),
-       eps=st.sampled_from(_EPS_TOKENS),
-       flags=st.fixed_dictionaries({"--seed": st.none() | st.sampled_from(_SEED_TOKENS),
-                                    "--radius": st.none() | st.sampled_from(_RATE_TOKENS),
-                                    "--moment-k": st.none() | st.sampled_from(_RATE_TOKENS)}))
-def test_mech_sample_argv_exits_as_documented(mechanism, x, n, eps, flags):
+@given(args=_mech_sample_args())
+def test_mech_sample_argv_exits_as_documented(args):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "z.csv")
-        argv = ["mech-sample", "--mechanism", mechanism, f"--x={x}", f"--n={n}", f"--eps={eps}",
-                "--out", out, *_flags(flags)]
-        code, err = _run_in_process(argv)
+        code, err = _run_in_process([*args, "--out", out])
         _assert_documented_exit(code, err)
         if code == 0:
             _assert_finite_csv(out)

@@ -11,8 +11,10 @@ that deliberately alters RNG use (what is drawn, in which order or from
 which stream) or floating-point arithmetic (how a value is computed, such
 as the basis recurrence of ``trig_basis_matrix``) regenerates the digests
 it moves with ``PYTHONPATH=src python tests/test_golden.py`` and names the
-change in ``CHANGES.md``.  The digests hold for one build: another numpy
-or CPU may round the same arithmetic differently.
+change in ``CHANGES.md``; after both tables the script prints one
+``key: old -> new`` line per digest that differs from the tables below.  The
+digests hold for one build: another numpy or CPU may round the same
+arithmetic differently.
 """
 
 import hashlib
@@ -59,8 +61,8 @@ GOLDEN = {
     ("logistic", "optimal"): "611db33c94e08746d66dc67d1b2083c583694a3d85be5d26c2334697656c4f9c",
     ("logistic", "laplace_baseline"): "194ba8b92b9ce7f5a4730accb96a02b78b3935d4fc05332c7bcdc39723c1ae29",
     ("logistic", "nonprivate"): "998af026ecdd2976b8e5611a1a33f523ce2c041a2ddd9918c9650afc273747da",
-    ("density", "optimal"): "fb4a873c5c1e9b0dd36c71a48b18b94ec54248656b4d23a9a918f1ad0a383516",
-    ("density", "nonprivate"): "83d3f3faf679f8956a5ccc6c9e5a0919bab9e0ce42a0c2ed85c282ac6795e637",
+    ("density", "optimal"): "85d4368135fe7b135736779b0e9f922296bfc79a39e577f9fe8a5811531e9186",
+    ("density", "nonprivate"): "e6238afb9af1a404aeeccd0634fc68cd51d79b888ae7fb4ef48a00d44fa6384f",
 }
 
 PRESET_GOLDEN = {
@@ -68,7 +70,7 @@ PRESET_GOLDEN = {
     "median-salary": "2de7fc933b22a2acd391410f5afffc5cc7b719213ab303b2d355f308f8340dbe",
     "mean-rates": "556a5737b655628b2033a3e1bf8fcb23908ec0f9930b2231bdf1cc3aaea13c5a",
     "dimension-scaling": "a1012bca4c13cba51f270bc7d989b2888a61ce45f7444d321acf147187479f85",
-    "density-rate": "cafeda6ab54be012f2461b83d7eed05ff03ab8084e851f622e938c6e3eb4f754",
+    "density-rate": "0a422908f9ad38034fd0c611356aa99ec546e408ef91e46892743a6fdfe95815",
     "sparse-mean": "dd85bd7a9d5ea798536114b150aadf6bb1092042fe04679863060c2d1e5e3202",
     "logistic": "18e55f6bfb1a02c087f00f26e7818333c94b99a29a69361fd2f77519d197b9e2",
 }
@@ -137,7 +139,13 @@ def _print_table(name, entries):
 
 
 if __name__ == "__main__":
-    _print_table("GOLDEN", [(f"({e!r}, {m!r})".replace("'", '"'), arm_digest(e, m))
-                            for e, m in _ARMS])
+    arms = {(e, m): arm_digest(e, m) for e, m in _ARMS}
+    presets = {p: preset_digest(p) for p in PRESETS}
+    _print_table("GOLDEN", [(f"({e!r}, {m!r})".replace("'", '"'), arms[e, m]) for e, m in _ARMS])
     print()
-    _print_table("PRESET_GOLDEN", [(f"\"{p}\"", preset_digest(p)) for p in PRESETS])
+    _print_table("PRESET_GOLDEN", [(f"\"{p}\"", presets[p]) for p in PRESETS])
+    # the digests that moved, to name in CHANGES.md
+    for name, table, digests in (("GOLDEN", GOLDEN, arms), ("PRESET_GOLDEN", PRESET_GOLDEN, presets)):
+        for key, digest in digests.items():
+            if digest != table[key]:
+                print(f"{name}[{key!r}]: {table[key]} -> {digest}")

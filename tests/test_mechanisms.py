@@ -106,6 +106,18 @@ class TestBoundFormulas:
             assert cube_halfspace_mean(d) == float(mean), d
             assert cube_tie_gamma(d) == float(gamma), d
 
+    @pytest.mark.parametrize("d", [np.int64(63), np.int64(64), np.int32(8)], ids=repr)
+    def test_cube_constants_take_numpy_ints(self, d):
+        # a numpy d equals its int as a cache key, so each cache starts empty: the numpy call
+        # computes the value itself (2**64 wraps to 0 in int64) and the int call reads it back
+        cube_halfspace_mean.cache_clear()
+        cube_tie_gamma.cache_clear()
+        got = (cube_halfspace_mean(d), cube_tie_gamma(d), Channel.linf_ball(d, 1.0, ONE).bound_B)
+        cube_halfspace_mean.cache_clear()
+        cube_tie_gamma.cache_clear()
+        assert got == (cube_halfspace_mean(int(d)), cube_tie_gamma(int(d)),
+                       Channel.linf_ball(int(d), 1.0, ONE).bound_B)
+
     def test_cube_vertices_count_in_binary(self):
         # the reference: row i holds the bits of i, least significant first, as -1 / +1
         for d in range(1, 13):
