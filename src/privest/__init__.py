@@ -5,8 +5,6 @@ from .core import (
     DomainError,
     ParameterError,
     PrivacyLevel,
-    SizeError,
-    UnsupportedChannelError,
     bernoulli_pi,
     laplace_sample,
     make_rng,
@@ -34,7 +32,6 @@ from .estimators import (
     sparse_mean,
 )
 from .bounds import (
-    RateCurve,
     density_rate,
     logistic_lower,
     mean_rate,
@@ -42,9 +39,7 @@ from .bounds import (
     sparse_mean_lower,
 )
 from .audit import (
-    EnumeratedPmf,
     SlopeFit,
-    channel_pmf,
     halfspace_expectation_cube,
     monte_carlo_unbias,
     slope_fit,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ParameterError, SizeError, UnsupportedChannelError, _check_count
+from .core import DomainError, ParameterError, _check_count
 from .mechanisms import (Channel, _check_ball, _check_signs, cube_halfspace_mean, cube_tie_gamma,
                          cube_vertices, sphere_halfspace_mean)
 
@@ -26,17 +26,6 @@ _ENUMERATION_DIM_CAP = 20
 MC_MIN_DRAWS = 1000  # fewest draws monte_carlo_unbias accepts
 _PMF_DIM_CAP = 8
 _SIMPSON_NODES = 20001  # odd, as Simpson's rule needs
-
-
-@dataclass(frozen=True)
-class EnumeratedPmf:
-    """Exact output law of a discrete channel: support rows and probabilities."""
-
-    support: np.ndarray  # (m, d)
-    probs: np.ndarray  # (m,)
-
-    def mean(self) -> np.ndarray:
-        return self.probs @ self.support
 
 
 @dataclass(frozen=True)
@@ -55,7 +44,7 @@ def halfspace_expectation_cube(x_vertex) -> np.ndarray:
     x = np.asarray(x_vertex, dtype=float)
     d = x.size
     if d > _ENUMERATION_DIM_CAP:
-        raise SizeError(f"vertex enumeration capped at d <= {_ENUMERATION_DIM_CAP}, got {d}")
+        raise ParameterError(f"vertex enumeration capped at d <= {_ENUMERATION_DIM_CAP}, got {d}")
     _check_signs(x)
     vertices = cube_vertices(d)
     mask = vertices @ x >= 0.0
@@ -96,37 +85,31 @@ def _linf_conditional_matrix(d: int, level) -> np.ndarray:
 
 
 def channel_pmf_grid(channel: Channel, x_grid) -> tuple:
-    """Exact pmfs of a discrete channel for every row of ``x_grid``.
+    """Exact pmfs of a discrete channel for every row of ``x_grid``: ``(support, probs)``.
 
-    Returns ``(support, probs_matrix)`` with ``probs_matrix`` of shape
-    (grid, support).  Shared support makes likelihood ratios directly
-    comparable across inputs.
+    The support rows are [-B, +B] for sign RR and B times :func:`cube_vertices` for the
+    hypercube, shared by every input so that likelihood ratios compare directly; ``probs`` has
+    shape (grid, support).  The other kinds have continuous output: ``ParameterError``.
     """
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if channel.kind == "sign_rr":
         _check_signs(x_grid)
         pi, flip = channel.level.pi_eps, _flip_probability(channel.level)
-        # support rows are [-phi, +phi]
-        return channel.support_points(), np.where(x_grid > 0, [[flip, pi]], [[pi, flip]])
+        support = np.array([[-channel.bound_B], [channel.bound_B]])
+        return support, np.where(x_grid > 0, [[flip, pi]], [[pi, flip]])
     if channel.kind == "linf_ball":
         d = channel.dim
         if d > _PMF_DIM_CAP:
-            raise SizeError(f"pmf enumeration capped at d <= {_PMF_DIM_CAP}, got {d}")
+            raise ParameterError(f"pmf enumeration capped at d <= {_PMF_DIM_CAP}, got {d}")
         if x_grid.shape[1] != d:
             raise ParameterError(f"inputs must have dimension {d}")
         _check_ball(x_grid, "linf", channel.radius)
-        probs = _rounding_probs(x_grid, channel.radius, cube_vertices(d))
+        vertices = cube_vertices(d)
+        probs = _rounding_probs(x_grid, channel.radius, vertices)
         probs = probs @ _linf_conditional_matrix(d, channel.level)
-        return channel.support_points(), probs
-    raise UnsupportedChannelError(
-        f"{channel.kind} has continuous output; only sign_rr and linf_ball enumerate"
-    )
-
-
-def channel_pmf(channel: Channel, x) -> EnumeratedPmf:
-    """Exact output pmf of a discrete channel at a single input."""
-    support, probs = channel_pmf_grid(channel, np.atleast_1d(np.asarray(x, dtype=float)))
-    return EnumeratedPmf(support, probs[0])
+        return channel.bound_B * vertices, probs
+    raise ParameterError(f"{channel.kind} has continuous output; "
+                         "only sign_rr and linf_ball enumerate")
 
 
 def verify_dp(channel: Channel, x_grid) -> float:

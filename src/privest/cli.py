@@ -8,7 +8,7 @@ Subcommands:
     rates        evaluate closed-form minimax reference curves to CSV
 
 Exit codes: 0 success, 1 audit violation, 2 configuration error (including
-out-of-domain records, inputs an audit cannot handle and a MemoryError), 3 I/O error.
+out-of-domain records and a MemoryError), 3 I/O error.
 ``--seed`` falls back to a config's own seed, then to LDP_SEED, then to 0.
 """
 
@@ -27,8 +27,6 @@ from .core import (
     DomainError,
     Option,
     PrivacyLevel,
-    SizeError,
-    UnsupportedChannelError,
     _check_count,
     make_rng,
     resolve,
@@ -80,7 +78,7 @@ def _seed_default(value):
 
 def _parse_vector(text):
     try:
-        return np.array([float(v) for v in text.split(",") if v != ""])
+        return np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise ConfigError(f"--x entries must be numbers, got {text!r}") from None
 
@@ -180,9 +178,12 @@ def _cmd_rates(args) -> int:
         "density": (bounds.density_rate, f"density_rate_beta{args.beta:g}_{form}",
                     {"beta": args.beta, "eps_form": form}),
     }[args.curve]
-    curve = bounds.build_curve(label, fn, n_grid, eps=args.eps, **kwargs)
-    _write_csv(args.out, "label,n,value", ((curve.label, n, value) for n, value in curve.points))
-    print(f"wrote {len(curve.points)} points to {args.out}")
+    rows = [(label, n, fn(n=n, eps=args.eps, **kwargs)) for n in n_grid]
+    for _, n, value in rows:
+        if not (0.0 < value < math.inf):
+            raise ConfigError(f"rate values must be finite and > 0, got {value!r} at n = {n}")
+    _write_csv(args.out, "label,n,value", rows)
+    print(f"wrote {len(rows)} points to {args.out}")
     return 0
 
 
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
     except (ConfigError, json.JSONDecodeError) as exc:  # a ParameterError is a ConfigError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, SizeError, UnsupportedChannelError, MemoryError) as exc:
+    except (DomainError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

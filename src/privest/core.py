@@ -48,14 +48,6 @@ class DomainError(ValueError):
     """A data record lies outside the domain a mechanism was configured for."""
 
 
-class SizeError(ValueError):
-    """A problem size exceeds the cap of an exact-enumeration routine."""
-
-
-class UnsupportedChannelError(ValueError):
-    """An audit routine was handed a channel kind it cannot analyze."""
-
-
 @dataclass(frozen=True)
 class PrivacyLevel:
     """Validated privacy budget with cached exp(eps) quantities.

@@ -565,14 +565,6 @@ class Channel:
             )
         return self.kernel(x, rng)
 
-    def support_points(self) -> np.ndarray:
-        """Exact output support for discrete-output kinds (audit helper)."""
-        if self.kind == "sign_rr":
-            return np.array([[-self.bound_B], [self.bound_B]])
-        if self.kind == "linf_ball":
-            return self.bound_B * cube_vertices(self.dim)
-        raise ParameterError(f"{self.kind} has continuous output")
-
 
 def cube_vertices(d: int) -> np.ndarray:
     """All 2^d vertices of {-1, +1}^d, row-ordered by binary counting."""

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from privest.audit import (
-    EnumeratedPmf,
-    channel_pmf,
     channel_pmf_grid,
     halfspace_expectation_cube,
     monte_carlo_unbias,
@@ -17,11 +15,9 @@ from privest.core import (
     DomainError,
     ParameterError,
     PrivacyLevel,
-    SizeError,
-    UnsupportedChannelError,
     make_rng,
 )
-from privest.mechanisms import Channel, cube_halfspace_mean, cube_vertices
+from privest.mechanisms import Channel, MomentAssumption, cube_halfspace_mean, cube_vertices
 
 LN3 = PrivacyLevel(math.log(3.0))
 ONE = PrivacyLevel(1.0)
@@ -43,7 +39,7 @@ class TestHalfspaceExpectation:
             halfspace_expectation_cube([0.5, 1.0])
 
     def test_size_cap(self):
-        with pytest.raises(SizeError):
+        with pytest.raises(ParameterError, match="vertex enumeration capped at d <= 20, got 21"):
             halfspace_expectation_cube(np.ones(21))
 
     @pytest.mark.parametrize("d", range(1, 9))
@@ -59,14 +55,14 @@ class TestHalfspaceExpectation:
 
 class TestChannelPmf:
     def test_sign_rr_pmf(self):
-        pmf = channel_pmf(Channel.sign_rr(LN3), 1.0)
-        np.testing.assert_allclose(pmf.support[:, 0], [-LN3.phi_eps, LN3.phi_eps])
-        np.testing.assert_allclose(pmf.probs, [0.25, 0.75], atol=1e-15)
-        assert pmf.mean()[0] == pytest.approx(1.0, abs=1e-12)
+        support, probs = channel_pmf_grid(Channel.sign_rr(LN3), [1.0])
+        np.testing.assert_allclose(support[:, 0], [-LN3.phi_eps, LN3.phi_eps])
+        np.testing.assert_allclose(probs[0], [0.25, 0.75], atol=1e-15)
+        assert (probs[0] @ support)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_linf_d1_uniform_at_zero(self):
-        pmf = channel_pmf(Channel.linf_ball(1, 1.0, ONE), [0.0])
-        np.testing.assert_allclose(pmf.probs, [0.5, 0.5], atol=1e-15)
+        _, probs = channel_pmf_grid(Channel.linf_ball(1, 1.0, ONE), [[0.0]])
+        np.testing.assert_allclose(probs[0], [0.5, 0.5], atol=1e-15)
 
     def test_linf_probabilities_sum_to_one(self):
         for d in (1, 2, 3, 5):
@@ -86,22 +82,21 @@ class TestChannelPmf:
         # d = 2, x at a corner: ties keep weight 1/4, strict vertices get
         # p_plus/2 and (1 - p_plus)/2 with p_plus = (1 + gamma_2/phi)/2 = 2/3
         channel = Channel.linf_ball(2, 1.0, LN3)
-        pmf = channel_pmf(channel, [1.0, 1.0])
-        order = np.lexsort(pmf.support.T)
-        probs = pmf.probs[order]
+        support, probs = channel_pmf_grid(channel, [[1.0, 1.0]])
+        order = np.lexsort(support.T)
         # vertices sorted: (-B,-B), (B,-B), (-B,B), (B,B)
-        np.testing.assert_allclose(probs, [1 / 6, 0.25, 0.25, 1 / 3], atol=1e-12)
-        assert pmf.mean() == pytest.approx([1.0, 1.0], abs=1e-12)
+        np.testing.assert_allclose(probs[0, order], [1 / 6, 0.25, 0.25, 1 / 3], atol=1e-12)
+        assert probs[0] @ support == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_size_cap_and_unsupported(self):
-        with pytest.raises(SizeError):
-            channel_pmf(Channel.linf_ball(9, 1.0, ONE), np.zeros(9))
-        with pytest.raises(UnsupportedChannelError):
-            channel_pmf(Channel.l2_ball(2, 1.0, ONE), [0.0, 0.0])
-
-    def test_enumerated_pmf_dataclass(self):
-        pmf = EnumeratedPmf(np.array([[1.0], [-1.0]]), np.array([0.5, 0.5]))
-        assert pmf.mean()[0] == 0.0
+        with pytest.raises(ParameterError, match="pmf enumeration capped at d <= 8, got 9"):
+            channel_pmf_grid(Channel.linf_ball(9, 1.0, ONE), [np.zeros(9)])
+        for channel in (Channel.l2_ball(2, 1.0, ONE), Channel.laplace_vector(2, 1.0, ONE),
+                        Channel.naive_median(1.0, ONE),
+                        Channel.truncated_laplace(MomentAssumption(k=2.0), 100, ONE)):
+            with pytest.raises(ParameterError, match=f"^{channel.kind} has continuous output; "
+                               "only sign_rr and linf_ball enumerate$"):
+                channel_pmf_grid(channel, [np.zeros(channel.dim)])
 
 
 class TestVerifyDp:

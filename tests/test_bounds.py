@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privest.bounds import (
-    RateCurve,
-    build_curve,
     density_rate,
     logistic_lower,
     mean_rate,
@@ -129,22 +127,6 @@ def test_monotone_nonincreasing_in_n_and_eps(which, n, eps):
     assert value > 0.0
     assert fn(2 * n, eps) <= value + 1e-15
     assert fn(n, min(1.0, eps * 1.5)) <= value + 1e-15
-
-
-class TestRateCurve:
-    def test_build_curve(self):
-        curve = build_curve("mean_k2", lambda n, **kw: mean_rate(2.0, n, 1.0), [100, 400])
-        assert curve.label == "mean_k2"
-        assert curve.points == ((100, 0.1), (400, 0.05))
-
-    def test_rejects_nonpositive_values(self):
-        with pytest.raises(ParameterError):
-            RateCurve("bad", ((10, 0.0),))
-
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_rejects_non_finite_values(self, value):
-        with pytest.raises(ParameterError, match="finite and > 0"):
-            RateCurve("bad", ((10, 1.0), (20, value)))
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, 400.0, 1e-200])

@@ -69,6 +69,7 @@ def test_mech_sample_scalar_channel_rejects_a_vector_record(tmp_path, capsys, me
 
 
 @pytest.mark.parametrize("flag, value", [("--x", "abc"), ("--x", ","), ("--x", "1,-"),
+                                         ("--x", "0.1,,0.2"), ("--x", "0.3,"), ("--x", ",0.3"),
                                          ("--n", "-1"), ("--n", "0"), ("--n", "1e3")])
 def test_mech_sample_bad_argument_exits_2(tmp_path, capsys, flag, value):
     out = tmp_path / "z.csv"
@@ -778,6 +779,32 @@ def test_rates_rejects_an_infinite_median_radius(tmp_path, capsys):
     assert not out.exists()
 
 
+# at eps 1e-160, eps^2 and (e^eps - 1)^2 are subnormal, so (n eps^2)^-1 overflows, where a
+# float ** raises: density_rate reads inf there, and mean_rate its cap of 1
+@pytest.mark.parametrize("argv, value", [
+    (["--curve=median", "--radius=1e-300", "--eps=1e100"], "0.0"),  # the value underflows
+    (["--curve=sparse", "--eps=1e-160"], "inf"),
+    *((["--curve=density", f"--beta={beta}", "--eps=1e-160", f"--eps-form={form}"], "inf")
+      for beta in ("inf", "1e308") for form in ("eps2", "exp")),
+])
+def test_rates_rejects_a_value_that_is_not_finite_and_positive(tmp_path, capsys, argv, value):
+    out = tmp_path / "rates.csv"
+    assert main(["rates", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: rate values must be finite and > 0, got {value} at n = 1024\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps_form", ["eps2", "exp"])
+@pytest.mark.parametrize("k", ["inf", "1e308"])
+def test_rates_mean_reads_its_cap_where_the_power_overflows(tmp_path, k, eps_form):
+    out = tmp_path / "rates.csv"
+    argv = ["rates", "--curve=mean", f"--k={k}", "--eps=1e-160", f"--eps-form={eps_form}"]
+    assert main([*argv, "--n-grid=16,1024", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert rows == [f"mean_rate_k{float(k):g}_{eps_form},{n},1" for n in (16, 1024)]
+
+
 @pytest.mark.parametrize("grid", ["1e3", "100,abc", "2.5"])
 def test_rates_rejects_non_integer_n(tmp_path, capsys, grid):
     out = tmp_path / "rates.csv"
@@ -933,8 +960,8 @@ _RATE_FLAGS = {"--k": _RATE_TOKENS, "--beta": _RATE_TOKENS, "--radius": _RATE_TO
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(curve=st.sampled_from(["mean", "median", "sparse", "logistic", "density"]),
-       eps=st.sampled_from(["1", "0.5", "30", "400", "1e-155", "1e-200", "1e-300", "1e-310",
-                            "5e-324", "0", "-1", "nan", "inf"]),
+       eps=st.sampled_from(["1", "0.5", "30", "400", "1e-155", "1e-160", "1e-200", "1e-300",
+                            "1e-310", "5e-324", "0", "-1", "nan", "inf"]),
        eps_form=st.sampled_from(["eps2", "exp"]),
        flags=st.fixed_dictionaries({flag: st.sampled_from([None, *tokens])
                                     for flag, tokens in _RATE_FLAGS.items()}))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta, binomtest, chisquare, kstest
 
-from privest.audit import channel_pmf
+from privest.audit import channel_pmf_grid
 from privest.core import BLOCK, PrivacyLevel, block_rows, make_rng
 from privest.generators import TrigDensity
 from privest.mechanisms import Channel, _l2_ball_batch, _linf_ball_batch, l2_bound_B
@@ -40,7 +40,7 @@ def test_linf_vertex_frequencies_match_the_enumerated_pmf(d, eps):
     for i, (name, x) in enumerate(_records(d).items()):
         z = _linf_ball_batch(np.broadcast_to(x, (n, d)), 1.0, level, make_rng(800, d, i))
         counts = np.bincount((z > 0.0) @ index, minlength=2**d)
-        expected = n * channel_pmf(channel, x).probs
+        expected = n * channel_pmf_grid(channel, [x])[1][0]
         pvalue = chisquare(counts, expected).pvalue
         assert pvalue > P_FLOOR, f"{name} record {x}: p = {pvalue:.3g}"
 

@@ -907,14 +907,6 @@ class TestChannelObjects:
         channel = Channel.sign_rr(ONE)
         assert channel == channel
 
-    def test_support_points(self):
-        sign = Channel.sign_rr(LN3)
-        np.testing.assert_allclose(sign.support_points(), [[-2.0], [2.0]])
-        cube = Channel.linf_ball(2, 1.0, LN3)
-        assert cube.support_points().shape == (4, 2)
-        with pytest.raises(ParameterError):
-            Channel.l2_ball(2, 1.0, LN3).support_points()
-
     def test_privatize_dispatch_shapes(self):
         rng = make_rng(29)
         assert Channel.l2_ball(3, 1.0, ONE).privatize([0.1, 0.0, 0.2], rng).shape == (3,)

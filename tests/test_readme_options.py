@@ -1,11 +1,15 @@
-"""The README's estimator and option tables must match the ESTIMATORS table, and its list of
-generator kinds the generators' parameter schemas."""
+"""The README's estimator and option tables must match the ESTIMATORS table, its list of
+generator kinds the generators' parameter schemas, and its Layout table the modules."""
 
+import argparse
+import importlib
 import json
 import re
 from dataclasses import MISSING
+from functools import reduce
 from pathlib import Path
 
+from privest.cli import build_parser
 from privest.core import field_schema, typed
 from privest.experiments import ESTIMATORS
 from privest.generators import GENERATORS
@@ -83,3 +87,26 @@ def test_generator_kinds_match_the_schemas():
                 assert opt.kind is float and typed(name, json.loads(default[0]), float) == opt.default
             else:  # a required list of floats
                 assert opt.default is MISSING and opt.kind == tuple[float, ...], f"{kind}.{name}"
+
+
+def test_layout_names_exist():
+    """Each name in a Layout row is an attribute path of that row's module, or a command."""
+    text = _README.read_text(encoding="utf-8")
+    layout = text.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    commands = {"privest", *subparsers.choices}
+    rows = _rows(layout.splitlines())
+    assert rows
+    for module_cell, contents in rows:
+        module = importlib.import_module(_names(module_cell)[0])
+        for span in _names(contents):
+            if not re.fullmatch(r"[\w.-]+( [\w.-]+)*", span):
+                continue  # a formula or a signature, such as `e^eps` or `level=None`
+            for name in span.split():
+                if name in commands:
+                    continue
+                try:
+                    reduce(getattr, name.split("."), module)
+                except AttributeError:
+                    raise AssertionError(f"{module.__name__} has no {name}") from None
